@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ import jsonschema
 
 from . import ko as ko_mod
 from . import ode1d, pde2d, radial
-from .errors import BlowupLabError, ConfigError
+from .errors import BlowupLabError, ConfigError, ValidationError
 from .registry import Force, Operator, make_force, make_operator
 
 KINDS = ("ko-check", "solve-1d", "ell-map", "dead-core", "radial",
@@ -96,6 +95,7 @@ _PARAMS_SCHEMA = {
         "expect_ko_violation": {"type": "boolean"},
         "cross_section_tol": {"type": "number", "exclusiveMinimum": 0},
     },
+    "dependentRequired": {"r_inner": ["r_outer"]},
     "additionalProperties": False,
 }
 
@@ -223,7 +223,12 @@ class _Manifest:
 
 
 def _build(config: ExperimentConfig) -> tuple[Operator, Force]:
-    return make_operator(config.operator), make_force(config.force)
+    try:
+        return make_operator(config.operator), make_force(config.force)
+    except ValidationError as exc:
+        raise ConfigError(f"invalid operator or force: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"operator or force lacks parameter {exc}") from exc
 
 
 def _expect_checks(expect: dict, measured: dict) -> list[CheckResult]:
@@ -407,11 +412,18 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     nx = int(params.get("nx", 65))
     expect_violation = bool(params.get("expect_ko_violation", False))
 
+    try:   # everything the checks below read must exist before any solve
+        grids = pde2d.family_grids(ells, nx)
+        if len(grids) > 1:
+            grids[-1].node_index(float(params.get("translation_y", 1.0)))
+    except (ValueError, ValidationError) as exc:
+        raise ConfigError(f"cylinder family: {exc}") from exc
+
     checks: list[CheckResult] = []
     fields = []
     results = []
-    for ell in ells:
-        res = pde2d.escalate_m(pde2d.grid_for_ell(ell, nx), op, force, cfg)
+    for ell, grid in zip(ells, grids):
+        res = pde2d.escalate_m(grid, op, force, cfg)
         results.append(res)
         fields.append(res.field)
         tag = format(ell, "g")
@@ -432,9 +444,8 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
         worst_mono = min(lv.min_increment for lv in res.levels if lv.min_increment is not None)
         checks.append(CheckResult(f"m-monotone-ell{tag}", worst_mono >= -1e-10,
                                   worst_mono, -1e-10))
-        checks.append(CheckResult(f"symmetry-ell{tag}",
-                                  pde2d.symmetry_defect(res.field) <= 1e-8,
-                                  pde2d.symmetry_defect(res.field), 1e-8))
+        defect = pde2d.symmetry_defect(res.field)
+        checks.append(CheckResult(f"symmetry-ell{tag}", defect <= 1e-8, defect, 1e-8))
         energies = [lv.grad_energy_K for lv in res.levels]
         rel = [(b - a) / a for a, b in zip(energies, energies[1:])]
         if not expect_violation:
@@ -454,7 +465,7 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
 
     # anti-monotonicity in ell on nested nodes
     if len(fields) > 1:
-        worst = _ell_monotonicity_violation(fields)
+        worst = pde2d.ell_monotonicity_violation(fields)
         checks.append(CheckResult("ell-anti-monotone", worst <= 1e-6, worst, 1e-6))
 
     # cross-section comparison against the 1D profile on (-1, 1)
@@ -512,17 +523,6 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     return checks
 
 
-def _ell_monotonicity_violation(fields) -> float:
-    """Largest pointwise increase from a shorter to a longer cylinder on the
-    shared (nested) y-nodes; negative values mean strict decrease."""
-    worst = -math.inf
-    for a, b in zip(fields, fields[1:]):
-        ga, gb = a.grid, b.grid
-        offset = int(round((gb.ell - ga.ell) / gb.hy))
-        worst = max(worst, float(np.max(b.values[:, offset:offset + ga.ny] - a.values)))
-    return worst
-
-
 def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     v0 = float(params.get("v0", 1.0))
     distances = [float(d) for d in params.get("distances", [1e-2, 1e-3, 1e-4])]
@@ -572,8 +572,8 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     out = Path(out_dir if out_dir is not None else (config.output_dir or "out"))
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out)
-    t_build = time.perf_counter()
     op, force = _build(config)
+    t_build = time.perf_counter()
     checks: list[CheckResult]
     try:
         checks = _RUNNERS[config.kind](op, force, config.params, manifest)

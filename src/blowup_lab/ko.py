@@ -97,6 +97,7 @@ def classify(op: Operator, force: Force) -> KOReport:
     finite energy ceiling (reports the crossing instead)."""
     diagnostics: dict = {}
     crossing = qk.ceiling_crossing(op, force)
+    g = qk.shifted_integrand(op, force, 0.0)
 
     ko: Optional[bool]
     if crossing is not None:
@@ -105,23 +106,17 @@ def classify(op: Operator, force: Force) -> KOReport:
             f"F(s) reaches B_sup = {op.energy_sup:g} at s ~ {crossing:.6g}; "
             "the tail condition is undecidable for this operator")
         diagnostics["ceiling_crossing"] = crossing
-    else:
-        try:
-            est = qk.integrate_to_infinity(qk.shifted_integrand(op, force, 0.0), 1.0)
-            if est.converged:
-                ko = True
-                diagnostics["psi_at_1"] = est.value
-                diagnostics["tail_cap"] = est.cap
-            else:
-                ko = False
-                diagnostics["tail_last_ratio"] = est.last_ratio
-        except DomainExceededError as exc:  # defensive; crossing check should catch
-            ko = None
-            diagnostics["domain_exceeded"] = str(exc)
+    else:   # F stays below B_sup, so the integrand cannot raise a domain error
+        est = qk.integrate_to_infinity(g, 1.0)
+        ko = est.converged
+        if ko:
+            diagnostics["psi_at_1"] = est.value
+            diagnostics["tail_cap"] = est.cap
+        else:
+            diagnostics["tail_last_ratio"] = est.last_ratio
 
     # 0+ side; only needs F below the ceiling on (0, s_hi]
     s_hi = 1.0 if crossing is None else min(1.0, 0.5 * crossing)
-    g = qk.shifted_integrand(op, force, 0.0)
     zero_est = qk.integrate_to_zero(g, s_hi)
     if zero_est.converged:
         osgood, a3 = False, True
@@ -131,9 +126,8 @@ def classify(op: Operator, force: Force) -> KOReport:
         diagnostics["zero_last_ratio"] = zero_est.last_ratio
 
     L: Optional[float] = None
-    if a3 and ko:
-        L = zero_est.value + qk.require_converged(
-            qk.integrate_to_infinity(g, s_hi), "Psi tail for L")
+    if a3 and ko:   # ko is decided only without a ceiling, where s_hi = 1
+        L = zero_est.value + est.value
         diagnostics["zero_blocks"] = zero_est.blocks_used
 
     return KOReport(ko, osgood, a3, L, _frontier_note(op, force), diagnostics)

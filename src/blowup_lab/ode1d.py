@@ -214,13 +214,11 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     """
     if not ell > 0.0:
         raise ValueError("v0_of_ell needs ell > 0")
-    g0 = qk.shifted_integrand(op, force, 0.0)
-    zero_est = qk.integrate_to_zero(g0, 1.0)
-    if zero_est.converged:
-        L = zero_est.value + qk.require_converged(
-            qk.integrate_to_infinity(g0, 1.0), "Psi(1)")
-        if ell >= L * (1.0 - 1e-12):
+    try:
+        if ell >= ko_mod.length_scale(op, force) * (1.0 - 1e-12):
             return 0.0
+    except DivergenceError:
+        pass    # Osgood regime (no dead core), or a KO failure ell_of_v0 reports
 
     lo = hi = 1.0
     e1 = ell_of_v0(op, force, 1.0)

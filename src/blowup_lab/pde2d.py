@@ -68,6 +68,22 @@ class Grid2D:
     def y_nodes(self) -> np.ndarray:
         return np.linspace(-self.ell, self.ell, self.ny)
 
+    def node_index(self, y: float) -> int:
+        """Index j of the y-node at y; ValueError when y is not a node."""
+        j = int(round((y + self.ell) / self.hy))
+        if not 0 <= j < self.ny or abs(self.y_nodes[j] - y) > 1e-9 * max(1.0, abs(y)):
+            raise ValueError(f"y = {y:g} is not a grid node")
+        return j
+
+
+def nested_offset(inner: Grid2D, outer: Grid2D) -> int:
+    """Index of the outer y-node at -inner.ell; ValueError unless the inner
+    y-nodes are outer nodes from there on (grid_for_ell nests integer ells)."""
+    offset = int(round((outer.ell - inner.ell) / outer.hy))
+    if not np.allclose(outer.y_nodes[offset:offset + inner.ny], inner.y_nodes, atol=1e-9):
+        raise ValueError(f"grids for ell = {inner.ell:g} and {outer.ell:g} do not nest")
+    return offset
+
 
 def grid_for_ell(ell: float, nx: int = 65) -> Grid2D:
     """Grid with hy = hx whose y-nodes nest across integer ell (ny = (nx-1)ell + 1)."""
@@ -113,10 +129,7 @@ class DiscreteField:
         return self.grid.x_nodes, self.values[:, j].copy()
 
     def slice_at(self, y: float) -> np.ndarray:
-        j = int(round((y + self.grid.ell) / self.grid.hy))
-        if abs(self.grid.y_nodes[j] - y) > 1e-9 * max(1.0, abs(y)):
-            raise ValueError(f"y = {y:g} is not a grid node")
-        return self.values[:, j].copy()
+        return self.values[:, self.grid.node_index(y)].copy()
 
     def compact_mask(self, scale: float = 0.75) -> np.ndarray:
         X, Y = np.meshgrid(self.grid.x_nodes, self.grid.y_nodes, indexing="ij")
@@ -173,28 +186,21 @@ def _face_quantities(u, hx, hy, p, eps):
     return Fx, Fy
 
 
-def residual(field_: DiscreteField) -> np.ndarray:
-    """div of the regularized face fluxes minus f(u); zeros on the boundary."""
-    g = field_.grid
-    u = field_.values
-    p = field_.op.p
-    Fx, Fy = _face_quantities(u, g.hx, g.hy, p, field_.eps)
-    fu = np.asarray(field_.force.value(u[1:-1, 1:-1]), dtype=float)
-    if not np.all(np.isfinite(fu)):
-        raise SolverError("force evaluation overflowed on the current field")
-    out = np.zeros_like(u)
-    out[1:-1, 1:-1] = ((Fx[1:, :] - Fx[:-1, :]) / g.hx
-                       + (Fy[:, 1:] - Fy[:, :-1]) / g.hy - fu)
-    return out
-
-
 def _residual_interior(u, grid, p, eps, force):
+    """div of the regularized face fluxes minus f(u) at interior nodes, and f(u)."""
     Fx, Fy = _face_quantities(u, grid.hx, grid.hy, p, eps)
     fu = np.asarray(force.value(u[1:-1, 1:-1]), dtype=float)
     if not np.all(np.isfinite(fu)):
         raise SolverError("force evaluation overflowed on the current field")
     return ((Fx[1:, :] - Fx[:-1, :]) / grid.hx
             + (Fy[:, 1:] - Fy[:, :-1]) / grid.hy - fu), fu
+
+
+def residual(field_: DiscreteField) -> np.ndarray:
+    """The interior residual of the field, zero-padded on the boundary."""
+    R, _ = _residual_interior(field_.values, field_.grid, field_.op.p, field_.eps,
+                              field_.force)
+    return np.pad(R, 1)
 
 
 def _scaled_norm(R, fu):
@@ -445,6 +451,8 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
     escalation ends exactly at Psi_p(m) = layer_factor * h.  A schedule that
     exhausts with non-decreasing increments is flagged as numerically
     violating the blow-up growth condition."""
+    if op.kind != "p-laplace":
+        raise ValidationError("the 2D solver supports p-laplace operators only")
     m_cap = layer_cap_m(op, force, grid, cfg)
     mask = None
     prev = None
@@ -506,29 +514,44 @@ def cylinder_family(op: Operator, force: Force, ells: Sequence[float],
                     ) -> tuple[list[DiscreteField], CylinderReport]:
     """Escalated fields on (-1,1) x (-ell, ell) for increasing ell, with the
     anti-monotonicity check on shared y-nodes (grids nest for integer ell)."""
-    if list(ells) != sorted(ells):
-        raise ValueError("ells must be increasing")
     fields = []
     reasons = []
-    for ell in ells:
-        res = escalate_m(grid_for_ell(float(ell), nx), op, force, cfg)
+    for grid in family_grids(ells, nx):
+        res = escalate_m(grid, op, force, cfg)
         fields.append(res.field)
         reasons.append(res.stop_reason)
 
-    worst = 0.0
-    for a, b in zip(fields, fields[1:]):
-        ga, gb = a.grid, b.grid
-        # match y-nodes of the smaller grid inside the larger one
-        offset = int(round((gb.ell - ga.ell) / gb.hy))
-        yb = gb.y_nodes[offset:offset + ga.ny]
-        if not np.allclose(yb, ga.y_nodes, atol=1e-9):
-            raise ValueError("grids do not nest; use grid_for_ell with integer ells")
-        worst = max(worst, float(np.max(b.values[:, offset:offset + ga.ny] - a.values)))
-
+    worst = max(0.0, ell_monotonicity_violation(fields))
     defects = tuple(symmetry_defect(f) for f in fields)
     report = CylinderReport(tuple(float(e) for e in ells), worst <= 1e-6, worst,
                             defects, tuple(reasons))
     return fields, report
+
+
+def family_grids(ells: Sequence[float], nx: int) -> list[Grid2D]:
+    """grid_for_ell for each ell; ValueError unless the ells strictly increase,
+    each grid nests in the next, and each has nodes at y = 0 and +-ell/2 (the
+    mid-slice and cross_section_compare read them)."""
+    if not all(a < b for a, b in zip(ells, ells[1:])):
+        raise ValueError(f"ells must be strictly increasing, got {list(ells)}")
+    grids = [grid_for_ell(float(ell), nx) for ell in ells]
+    for grid in grids:
+        for y in (0.0, -grid.ell / 2.0, grid.ell / 2.0):
+            grid.node_index(y)
+    for a, b in zip(grids, grids[1:]):
+        nested_offset(a, b)
+    return grids
+
+
+def ell_monotonicity_violation(fields: Sequence[DiscreteField]) -> float:
+    """Largest pointwise increase from a shorter to a longer cylinder on the
+    shared (nested) y-nodes; negative values mean strict decrease, -inf for
+    fewer than two fields."""
+    worst = -math.inf
+    for a, b in zip(fields, fields[1:]):
+        offset = nested_offset(a.grid, b.grid)
+        worst = max(worst, float(np.max(b.values[:, offset:offset + a.grid.ny] - a.values)))
+    return worst
 
 
 def symmetry_defect(field_: DiscreteField) -> float:

@@ -61,6 +61,30 @@ class TailEstimate:
     last_ratio: Optional[float]
 
 
+def _block_ladder(g, T: float, total: float, step: float,
+                  max_blocks: int) -> TailEstimate:
+    """Add blocks between T and step*T (step 2 toward inf, 1/2 toward 0+)
+    to ``total`` until they are negligible, else extrapolate geometrically
+    or flag divergence."""
+    blocks: list[float] = []
+    ratios: list[float] = []
+    for k in range(max_blocks):
+        T_next = T * step
+        c = integrate_block(g, min(T, T_next), max(T, T_next))
+        blocks.append(c)
+        if len(blocks) >= 2 and blocks[-2] > 0.0:
+            ratios.append(blocks[-1] / blocks[-2])
+        total += c
+        T = T_next
+        if c <= 1e-14 * abs(total):
+            return TailEstimate(total, True, k + 1, T, 0.0, ratios[-1] if ratios else None)
+    rho = ratios[-1] if ratios else None
+    if len(ratios) >= 3 and all(r < DIVERGENCE_RATIO for r in ratios[-3:]):
+        tail = blocks[-1] * rho / (1.0 - rho)
+        return TailEstimate(total + tail, True, max_blocks, T, tail, rho)
+    return TailEstimate(total, False, max_blocks, T, 0.0, rho)
+
+
 def integrate_to_infinity(g, start: float, *, first_block: Optional[float] = None,
                           max_blocks: int = MAX_BLOCKS) -> TailEstimate:
     """int_start^inf g(s) ds by the doubling ladder.
@@ -77,45 +101,12 @@ def integrate_to_infinity(g, start: float, *, first_block: Optional[float] = Non
         T_next = min(2.0 * T, T0)
         total += integrate_block(g, T, T_next)
         T = T_next
-    blocks: list[float] = []
-    ratios: list[float] = []
-    for k in range(max_blocks):
-        c = integrate_block(g, T, 2.0 * T)
-        blocks.append(c)
-        if len(blocks) >= 2 and blocks[-2] > 0.0:
-            ratios.append(blocks[-1] / blocks[-2])
-        total += c
-        T *= 2.0
-        if c <= 1e-14 * abs(total):
-            return TailEstimate(total, True, k + 1, T, 0.0, ratios[-1] if ratios else None)
-    if len(ratios) >= 3 and all(r < DIVERGENCE_RATIO for r in ratios[-3:]):
-        rho = ratios[-1]
-        tail = blocks[-1] * rho / (1.0 - rho)
-        return TailEstimate(total + tail, True, max_blocks, T, tail, rho)
-    return TailEstimate(total, False, max_blocks, T, 0.0, ratios[-1] if ratios else None)
+    return _block_ladder(g, T, total, 2.0, max_blocks)
 
 
 def integrate_to_zero(g, end: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
     """int_0^end g(s) ds by halving blocks [e/2, e]; detects a divergent 0+ end."""
-    e0 = end / 2.0
-    total = integrate_block(g, e0, end)
-    e = e0
-    blocks: list[float] = []
-    ratios: list[float] = []
-    for k in range(max_blocks):
-        c = integrate_block(g, e / 2.0, e)
-        blocks.append(c)
-        if len(blocks) >= 2 and blocks[-2] > 0.0:
-            ratios.append(blocks[-1] / blocks[-2])
-        total += c
-        e /= 2.0
-        if c <= 1e-14 * abs(total):
-            return TailEstimate(total, True, k + 1, e, 0.0, ratios[-1] if ratios else None)
-    if len(ratios) >= 3 and all(r < DIVERGENCE_RATIO for r in ratios[-3:]):
-        rho = ratios[-1]
-        tail = blocks[-1] * rho / (1.0 - rho)
-        return TailEstimate(total + tail, True, max_blocks, e, tail, rho)
-    return TailEstimate(total, False, max_blocks, e, 0.0, ratios[-1] if ratios else None)
+    return _block_ladder(g, end / 2.0, integrate_block(g, end / 2.0, end), 0.5, max_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ the structural assumptions once, on a fixed sample grid.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -315,7 +314,8 @@ def _mean_curvature() -> Operator:
 def _table_operator(points: Sequence[Sequence[float]]) -> Operator:
     """Flux from a strictly increasing (r, A) table, linear between knots and
     continued with the last slope.  B is the exact segment-wise integral of
-    A'(s)*s; B^-1 is monotone bisection to 1e-12 bracket width."""
+    A'(s)*s, quadratic on each segment, so B^-1 is its exact segment-wise
+    inverse sqrt(r_k^2 + 2 (y - B_k) / c_k)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValidationError("table operator needs >= 3 (r, A) pairs")
@@ -361,51 +361,13 @@ def _table_operator(points: Sequence[Sequence[float]]) -> Operator:
         out = np.where(x <= r[-1], inside, Bk[-1] + slopes[-1] * 0.5 * (over ** 2 - r[-1] ** 2))
         return out if out.ndim else float(out)
 
-    Bk_list = [float(v) for v in Bk]
-    r_list = [float(v) for v in r]
-    slopes_list = [float(v) for v in slopes]
-
     def Binv(y):
-        if np.ndim(y):
-            return np.array([Binv(float(v)) for v in np.asarray(y, dtype=float).ravel()]).reshape(np.shape(y))
-        y = float(y)
-        if y == 0.0:
-            return 0.0
-        if y < 0.0:
-            raise DomainExceededError(f"B^-1 argument {y} < 0")
-        # bracket inside the containing (quadratic) segment, then bisect
-        k = bisect.bisect_right(Bk_list, y) - 1
-        if k >= len(slopes_list):
-            k = len(slopes_list) - 1
-        if y <= Bk_list[-1]:
-            lo, hi = r_list[k], r_list[k + 1]
-        else:
-            lo, hi = r_list[-1], max(2.0 * r_list[-1], 1.0)
-            while Bk_list[-1] + slopes_list[-1] * 0.5 * (hi * hi - r_list[-1] ** 2) < y:
-                hi *= 2.0
-                if hi > 1e160:
-                    raise DomainExceededError("B^-1 bracket expansion overflow")
-
-        def B_local(x):
-            if x <= r_list[-1]:
-                kk = min(bisect.bisect_right(r_list, x) - 1, len(slopes_list) - 1)
-                return Bk_list[kk] + slopes_list[kk] * 0.5 * (x * x - r_list[kk] ** 2)
-            return Bk_list[-1] + slopes_list[-1] * 0.5 * (x * x - r_list[-1] ** 2)
-
-        while hi - lo > 1e-12 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if B_local(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        # Newton polish (B' = A'(x) x from the table) for small-x relative accuracy
-        for _ in range(3):
-            deriv = float(Ap(x)) * x
-            if deriv <= 0.0:
-                break
-            x = max(x - (B_local(x) - y) / deriv, 0.0)
-        return x
+        y = np.asarray(y, dtype=float)
+        if np.any(y < 0.0):
+            raise DomainExceededError(f"B^-1 argument {np.min(y)} < 0")
+        k = np.minimum(np.searchsorted(Bk, y, side="right") - 1, len(slopes) - 1)
+        out = np.sqrt(r[k] ** 2 + 2.0 * (y - Bk[k]) / slopes[k])
+        return out if out.ndim else float(out)
 
     return Operator("table", A, Ap, Ainv, B, Binv, math.inf,
                     {"points": [[float(u), float(v)] for u, v in pts]})

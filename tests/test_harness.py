@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,10 @@ class TestConfig:
     def test_rejects_bad_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig.from_dict(cfg_dict(kind="frobnicate"))
+
+    def test_rejects_r_inner_without_r_outer(self):
+        with pytest.raises(ConfigError, match="r_outer"):
+            ExperimentConfig.from_dict(cfg_dict(kind="radial", params={"r_inner": 1.0}))
 
     def test_file_parse_error_has_position(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -144,6 +149,46 @@ class TestRunners:
         assert rep.status == "pass"
         flag = [c for c in rep.checks if c.name == "ko-violation-flag"][0]
         assert flag.measured is True
+
+    @pytest.mark.parametrize("operator, params, error, match", [
+        (None, {"nx": 16}, "ConfigError", "y = 0 is not a grid node"),
+        (None, {"ells": [2.0, 1.0]}, "ConfigError", "strictly increasing"),
+        (None, {"ells": [1.0, 1.3]}, "ConfigError", "y = 0 is not a grid node"),
+        (None, {"ells": [1.0, 1.32]}, "ConfigError", "do not nest"),
+        (None, {"translation_y": 0.3}, "ConfigError", "y = 0.3 is not a grid node"),
+        ({"kind": "mean-curvature"}, {}, "ValidationError", "p-laplace operators only"),
+    ], ids=["nx16", "decreasing-ells", "ells-1-1.3", "ells-1-1.32", "translation-0.3",
+            "mean-curvature"])
+    def test_cylinder_rejected_before_solving(self, tmp_path, operator, params, error,
+                                              match):
+        cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", operator=operator,
+                                                  params=params))
+        rep = run(cfg, tmp_path)
+        assert rep.status == "fail"
+        assert rep.files == []     # no field was solved for
+        (check,) = rep.checks
+        assert (check.name, check.measured) == ("experiment-completed", error)
+        assert match in check.detail
+
+    @pytest.mark.parametrize("force, operator, match", [
+        (None, {"kind": "table", "points": [[0, 0], [1, 2], [2, 1]]}, "A' > 0"),
+        ({"kind": "power"}, None, "lacks parameter 'q'"),
+    ], ids=["falling-table-operator", "power-without-q"])
+    def test_construction_error_is_config_error(self, tmp_path, force, operator, match):
+        cfg = ExperimentConfig.from_dict(cfg_dict(force=force, operator=operator))
+        with pytest.raises(ConfigError, match=match):
+            run(cfg, tmp_path)
+
+    def test_build_time_is_timed(self, tmp_path, monkeypatch):
+        make_force = harness.make_force
+
+        def slow_make_force(spec):
+            time.sleep(0.05)
+            return make_force(spec)
+
+        monkeypatch.setattr(harness, "make_force", slow_make_force)
+        rep = run(ExperimentConfig.from_dict(cfg_dict()), tmp_path)
+        assert rep.timings["build_s"] >= 0.05
 
     def test_manifest_files_exist(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="solve-1d", params={"ell": 1.0}))

@@ -79,6 +79,23 @@ class TestClassify:
             rep = classify(op_p2, make_force(spec))
             assert rep.osgood_holds != rep.a3_holds
 
+    @pytest.mark.parametrize("force_spec, osgood", [
+        ({"kind": "power", "q": 3}, True),
+        ({"kind": "piecewise-power", "a": 0.5, "b": 3}, False),
+    ])
+    def test_table_operator_linear_at_zero(self, force_spec, osgood):
+        # a table flux is linear near 0 and at infinity, like p = 2: the 0+
+        # integral diverges iff the force's exponent at 0 is >= 1
+        op = make_operator(kind="table",
+                           points=[[0, 0], [0.5, 0.6], [1, 1.5], [2, 4], [4, 10]])
+        force = make_force(force_spec)
+        rep = classify(op, force)
+        assert rep.ko_holds is True
+        assert rep.osgood_holds is osgood
+        assert rep.a3_holds is not osgood
+        if not osgood:
+            assert rep.L == length_scale(op, force)
+
     def test_mean_curvature_reports_not_decides(self, op_mc, force_cubic):
         rep = classify(op_mc, force_cubic)
         assert rep.ko_holds is None

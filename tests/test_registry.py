@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from blowup_lab import ValidationError, make_force, make_operator
+from blowup_lab import DomainExceededError, ValidationError, make_force, make_operator
 
 
 class TestForces:
@@ -109,6 +109,25 @@ class TestOperators:
         for y in np.logspace(-5, 2, 15):
             x = op.energy_inverse(float(y))
             assert float(op.energy(x)) == pytest.approx(y, rel=1e-10)
+
+    @pytest.mark.parametrize("y", [1e-30, 1e-300])
+    def test_table_energy_inverse_near_zero(self, y):
+        # B(x) = c_0 x^2 / 2 on the first segment, so B^-1(y) = sqrt(2 y / c_0)
+        op = make_operator(kind="table", points=[[0, 0], [0.5, 0.6], [1, 1.5], [2, 4]])
+        assert op.energy_inverse(y) == pytest.approx(math.sqrt(2.0 * y / 1.2),
+                                                     rel=1e-14, abs=0.0)
+
+    def test_table_energy_inverse_vectorised(self):
+        op = make_operator(kind="table", points=[[0, 0], [0.5, 0.6], [1, 1.5], [2, 4]])
+        knots = op.energy(np.array([0.0, 0.5, 1.0, 2.0]))
+        ys = np.concatenate((knots, np.logspace(-8, 4, 13)))
+        xs = op.energy_inverse(ys)
+        assert xs.shape == ys.shape
+        assert list(xs) == [op.energy_inverse(float(y)) for y in ys]
+        np.testing.assert_allclose(xs[:4], [0.0, 0.5, 1.0, 2.0], rtol=1e-15)
+        np.testing.assert_allclose(op.energy(xs), ys, rtol=1e-14)
+        with pytest.raises(DomainExceededError):
+            op.energy_inverse(np.array([1.0, -1e-12]))
 
     @given(p=st.floats(1.1, 6.0), y=st.floats(1e-6, 1e6))
     @settings(max_examples=40, deadline=None)

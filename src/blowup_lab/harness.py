@@ -62,7 +62,8 @@ _PARAMS_SCHEMA = {
         # shared
         "expect": {"type": "object"},
         # ko-check
-        "betas": {"type": "array", "items": {"type": "number"}},
+        "betas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0,
+                                             "exclusiveMaximum": 1}},
         "with_a5": {"type": "boolean"},
         # solve-1d / asymptotics
         "ell": {"type": "number", "exclusiveMinimum": 0},
@@ -335,8 +336,10 @@ def _run_ell_map(op, force, params, manifest) -> list[CheckResult]:
 
 def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
     L = ko_mod.length_scale(op, force)
-    L_refined = ko_mod.length_scale(op, force, max_blocks=56)
     ell = float(params["ell"]) if "ell" in params else L + float(params.get("ell_offset", 0.5))
+    if not ell > L:
+        raise ConfigError(f"a dead core needs ell > L = {L:g}, got ell = {ell:g}")
+    L_refined = ko_mod.length_scale(op, force, max_blocks=56)
     profile = ode1d.dead_core_profile(op, force, ell,
                                       params.get("n_body", 161), params.get("n_edge", 40))
     profile.to_csv(manifest.path("profile.csv"))
@@ -411,11 +414,15 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
         tol_m=params.get("tol_m", 1e-4), layer_factor=params.get("layer_factor", 0.5))
     nx = int(params.get("nx", 65))
     expect_violation = bool(params.get("expect_ko_violation", False))
+    R_bound = float(params.get("local_bound_R", 0.8))
 
     try:   # everything the checks below read must exist before any solve
         grids = pde2d.family_grids(ells, nx)
         if len(grids) > 1:
             grids[-1].node_index(float(params.get("translation_y", 1.0)))
+        if not expect_violation:
+            for grid in grids:
+                radial.require_ball_inside(grid, (0.0, 0.0), R_bound)
     except (ValueError, ValidationError) as exc:
         raise ConfigError(f"cylinder family: {exc}") from exc
 
@@ -499,7 +506,6 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
                               errors[-1].rel_error_mid, cs_tol))
 
     # local interior bound on every converged field
-    R_bound = float(params.get("local_bound_R", 0.8))
     for ell, f_ in zip(ells, fields):
         rep = radial.local_bound_check(f_, (0.0, 0.0), R_bound)
         checks.append(CheckResult(f"local-bound-ell{format(ell, 'g')}", rep.passed,

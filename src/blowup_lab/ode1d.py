@@ -6,9 +6,10 @@ ends and minimum v0 = v(0) satisfies
     int_{v0}^{v(x)} ds / B^-1{F(s) - F(v0)} = |x|,
 
 and the blow-up half-length is ell(v0) = int_{v0}^inf of the same integrand.
-This module evaluates profiles by monotone inversion of a cumulative table
-of that integral, maps ell <-> v0, and builds dead-core profiles (v0 = 0,
-flat zero core of half-width ell - L) when the 0+ integral converges.
+This module evaluates profiles by safeguarded Newton on the implicit
+relation, bracketed by a cumulative table of that integral, maps ell <-> v0,
+and builds dead-core profiles (v0 = 0, flat zero core of half-width ell - L)
+when the 0+ integral converges.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ from . import quadrature as qk
 from .errors import BracketError, DivergenceError, ProfileDomainError
 from .registry import Force, Operator
 
-_TAIL_COVER_REL = 1e-7     # extend the table until ell - I(V) <= this * ell
 _V_LIMIT = 1e280
+_NEWTON_RTOL = 1e-14       # stop once a Newton step is below this * |iterate|
+_NEWTON_MAX_STEPS = 100    # bisection from a full bracket needs about 50
 
 
 def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
@@ -45,17 +47,52 @@ def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
     return head + tail
 
 
+def _invert_integral(h, a: float, b: float, target: float, z: float) -> float:
+    """z in [a, b] with int_a^z h = target, for h > 0 and the root in [a, b].
+
+    Safeguarded Newton from the start z: each step
+    z += (target - int_a^z h) / h(z) advances the integral by one quadrature
+    from the old iterate to the new one; a step that leaves the bracket
+    bisects it instead.  Stops once a step is below _NEWTON_RTOL * |z| (a
+    zero step included), never on the bracket width.
+    """
+    acc = qk.integrate_block(h, a, z)
+    for _ in range(_NEWTON_MAX_STEPS):
+        r = target - acc
+        if r == 0.0:
+            return z
+        if r > 0.0:
+            a = z
+        else:
+            b = z
+        d = h(z)
+        z_new = z + r / d if d > 0.0 else math.nan   # h = 0 past overflow: bisect
+        if not a <= z_new <= b:
+            z_new = 0.5 * (a + b)
+        if abs(z_new - z) <= _NEWTON_RTOL * abs(z):
+            return z_new
+        acc += qk.integrate_block(h, z, z_new)
+        z = z_new
+    return z
+
+
 class _ImplicitBranch:
     """Monotone inverse of I(V) = int_{v0}^V ds / B^-1{F(s) - F(v0)}.
 
-    A cumulative table at half-doubling knots V_j supports bracketed root
-    finding for V given x = I(V); the table extends itself on demand toward
-    the blow-up value of x (= ell(v0) for v0 > 0, = L for v0 = 0).
+    A cumulative table at half-doubling knots V_j brackets V for given
+    x = I(V), and safeguarded Newton on the implicit relation, with
+    dI/dV = 1/B^-1{F(V) - F(v0)}, solves inside the bracket.  The head
+    [v0, v0 + h0] is solved in the variable u of
+    :func:`quadrature.head_substitution`, whose density is finite at u = 0;
+    heads without one fall back to bracketed root finding on
+    :func:`quadrature.singular_head`.  The table extends itself on demand
+    toward the blow-up value of x (= ell(v0) for v0 > 0, = L for v0 = 0).
     """
 
     def __init__(self, op: Operator, force: Force, v0: float):
         self.op, self.force, self.v0 = op, force, v0
         self._g = qk.shifted_integrand(op, force, v0)
+        self._sub = qk.head_substitution(op, force, v0)
         self.h0 = 0.5 * max(v0, 1.0)
         self.head_full = qk.singular_head(op, force, v0, v0 + self.h0)
         self.total = self.head_full + qk.require_converged(
@@ -78,32 +115,26 @@ class _ImplicitBranch:
             return self.v0
         if not 0.0 < x < self.total:
             raise ProfileDomainError(f"coordinate {x:g} outside [0, {self.total:g})")
-        if x <= self.head_full:
-            return brentq(
-                lambda V: qk.singular_head(self.op, self.force, self.v0, V) - x,
-                self.v0, self.v0 + self.h0, xtol=1e-300, rtol=1e-14)
+        if x < self.head_full:
+            if self._sub is None:
+                return brentq(
+                    lambda V: qk.singular_head(self.op, self.force, self.v0, V) - x,
+                    self.v0, self.v0 + self.h0, xtol=1e-300, rtol=1e-14)
+            U = self._sub.u_of(self.v0 + self.h0)
+            return self._sub.s_of(_invert_integral(
+                self._sub.density, 0.0, U, x, U * x / self.head_full))
         self._cover(x)
         if self._cum[-1] < x:
             raise ProfileDomainError(
                 f"coordinate {x:g} is within {self.total - x:.3g} of blow-up; "
                 "beyond the supported value range")
         j = int(np.searchsorted(self._cum, x))
-        lo = self._knots[j - 1] if j > 0 else self.v0 + self.h0
-        base = self._cum[j - 1] if j > 0 else self.head_full
-        hi = self._knots[j]
-        target = x - base
-        if target <= 0.0:
-            return lo
-        # cumulative sums round; x landing on a knot may miss the fresh
-        # segment integral by an ulp
-        overshoot = target - qk.integrate_block(self._g, lo, hi)
-        if overshoot >= 0.0:
-            if overshoot <= 1e-11 * max(1.0, x):
-                return hi
-            raise ProfileDomainError(f"inconsistent cumulative table near x = {x:g}")
-        return brentq(
-            lambda V: qk.integrate_block(self._g, lo, V) - target,
-            lo, hi, xtol=1e-300, rtol=1e-14)
+        if self._cum[j] == x:
+            return self._knots[j]
+        lo, hi = self._knots[j - 1], self._knots[j]
+        target = x - self._cum[j - 1]
+        return _invert_integral(self._g, lo, hi, target,
+                                 lo + (hi - lo) * target / (self._cum[j] - self._cum[j - 1]))
 
     def integral_to(self, V: float) -> float:
         """Independent re-quadrature of I(V) (fresh subdivision, no table)."""

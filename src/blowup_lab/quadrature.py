@@ -16,8 +16,8 @@ lower endpoint s = v0.  Strategy:
   separates them with two decades of margin.
 * the 0+ endpoint: the same ladder with halving blocks [e/2, e].
 * the s = v0 endpoint (exponent 1/p for p-laplace): exact removal by the
-  substitution u = (s - v0)^((p-1)/p); tanh-sinh quadrature for general
-  operators.
+  substitution s = v0 + u^k, k = p/(p-1); tanh-sinh quadrature for general
+  operators and for the v0 = 0 endpoint.
 """
 from __future__ import annotations
 
@@ -162,12 +162,64 @@ def shifted_integrand(op: Operator, force: Force, v0: float) -> Callable[[float]
     return g
 
 
+@dataclass(frozen=True)
+class HeadSubstitution:
+    """s = v0 + u^k, under which int_{v0}^{S} ds / B^-1{F(s) - F(v0)} becomes
+    int_0^{u(S)} density(u) du with a density finite at u = 0."""
+
+    v0: float
+    k: float
+    inv_k: float                        # 1/k, kept in closed form
+    density: Callable[[float], float]
+
+    def u_of(self, s: float) -> float:
+        return (s - self.v0) ** self.inv_k
+
+    def s_of(self, u: float) -> float:
+        return self.v0 + u ** self.k
+
+
+def head_substitution(op: Operator, force: Force, v0: float) -> Optional[HeadSubstitution]:
+    """The power substitution that removes the head singularity, or None.
+
+    p-laplace only, where B^-1(y) = (p y / (p-1))^(1/p), so the integrand
+    behaves like (F(s) - F(v0))^(-1/p) near s = v0:
+
+    * v0 > 0: F(s) - F(v0) ~ f(v0)(s - v0), so k = p/(p-1);
+    * v0 = 0 with f(t) ~ t^a near 0 (``growth_zero`` = a) and a + 1 < p:
+      F(s) ~ s^(a+1), so k = p/(p-1-a).
+    """
+    if op.kind != "p-laplace":
+        return None
+    p = op.p
+    if v0 > 0.0:
+        k, km1, inv_k = p / (p - 1.0), 1.0 / (p - 1.0), (p - 1.0) / p
+        fv0 = float(np.asarray(force.value(v0)))
+        limit0 = k * ((p - 1.0) / (p * fv0)) ** (1.0 / p)
+    elif force.growth_zero is not None and force.growth_zero + 1.0 < p:
+        a = force.growth_zero
+        k, km1, inv_k = p / (p - 1.0 - a), (1.0 + a) / (p - 1.0 - a), (p - 1.0 - a) / p
+        limit0 = 0.0    # F(u^k) = 0 only once u^k underflows
+    else:
+        return None
+    einv = op.energy_inverse
+
+    def density(u: float) -> float:
+        y = primitive_gap(force, v0, u ** k)
+        if y <= 0.0:
+            return limit0
+        return k * u ** km1 / float(np.asarray(einv(y)))
+
+    return HeadSubstitution(v0, k, inv_k, density)
+
+
 def singular_head(op: Operator, force: Force, v0: float, upper: float) -> float:
     """int_{v0}^{upper} ds / B^-1{F(s) - F(v0)} with the singular lower endpoint.
 
-    For p-laplace with v0 > 0 the substitution u = (s - v0)^((p-1)/p) removes
-    the (s - v0)^(-1/p) singularity exactly (F(s) - F(v0) ~ f(v0)(s - v0)
-    there, and B^-1(y) ~ (p y / (p-1))^(1/p)).  Otherwise tanh-sinh.
+    For p-laplace with v0 > 0 the substitution of :func:`head_substitution`
+    removes the (s - v0)^(-1/p) singularity exactly.  Otherwise, the v0 = 0
+    head included, tanh-sinh: it stays independent of the substituted
+    Newton solve that ``ode1d`` runs on the v0 = 0 head.
     """
     if upper <= v0:
         return 0.0
@@ -178,20 +230,9 @@ def singular_head(op: Operator, force: Force, v0: float, upper: float) -> float:
             raise DomainExceededError(
                 f"F({upper:g}) - F({v0:g}) reaches the energy ceiling B_sup = {sup:g}")
 
-    if op.kind == "p-laplace" and v0 > 0.0:
-        p = op.p
-        fv0 = float(np.asarray(force.value(v0)))
-        pex = p / (p - 1.0)
-        limit0 = pex * ((p - 1.0) / (p * fv0)) ** (1.0 / p)
-        einv = op.energy_inverse
-
-        def integrand(u: float) -> float:
-            y = primitive_gap(force, v0, u ** pex)
-            if y <= 0.0:
-                return limit0
-            return pex * u ** (1.0 / (p - 1.0)) / float(np.asarray(einv(y)))
-
-        return integrate_block(integrand, 0.0, (upper - v0) ** ((p - 1.0) / p))
+    sub = head_substitution(op, force, v0) if v0 > 0.0 else None
+    if sub is not None:
+        return integrate_block(sub.density, 0.0, sub.u_of(upper))
 
     # general operator (or the degenerate v0 = 0 endpoint): tanh-sinh in the
     # gap variable t = s - v0, so nodes arbitrarily close to the singular

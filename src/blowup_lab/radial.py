@@ -293,6 +293,13 @@ class LocalBoundReport:
     n_nodes: int
 
 
+def require_ball_inside(grid, center: tuple, R: float) -> None:
+    """Raise ValueError unless the ball B_R(center) lies in the grid's domain."""
+    cx, cy = center
+    if abs(cx) + R > grid.half_widths[0] or abs(cy) + R > grid.half_widths[1]:
+        raise ValueError(f"ball of radius {R:g} at {center} leaves the domain")
+
+
 def local_bound_check(field, center: tuple, R: float) -> LocalBoundReport:
     """max of the field over B_{R/2}(center) <= omega(R/2) + interpolation slack,
     where omega is the 1D large solution on (-R, R) for the field's data.
@@ -302,8 +309,7 @@ def local_bound_check(field, center: tuple, R: float) -> LocalBoundReport:
     """
     grid = field.grid
     cx, cy = center
-    if abs(cx) + R > grid.half_widths[0] or abs(cy) + R > grid.half_widths[1]:
-        raise ValueError(f"ball of radius {R:g} at {center} leaves the domain")
+    require_ball_inside(grid, center, R)
     op, force = field.op, field.force
     v0R = ode1d.v0_of_ell(op, force, R)
     omega_half = ode1d.eval_profile(op, force, v0R, R / 2.0)

@@ -170,6 +170,44 @@ class TestRunners:
         assert (check.name, check.measured) == ("experiment-completed", error)
         assert match in check.detail
 
+    def test_dead_core_ell_below_L_rejected_before_profile(self, tmp_path, monkeypatch):
+        def no_profile(*args, **kwargs):
+            raise AssertionError("dead_core_profile called")
+
+        monkeypatch.setattr(harness.ode1d, "dead_core_profile", no_profile)
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="dead-core", force={"kind": "piecewise-power", "a": 0.5, "b": 3},
+            params={"ell": 0.1}))      # L = 4.73
+        rep = run(cfg, tmp_path)
+        assert rep.status == "fail"
+        assert rep.files == []
+        (check,) = rep.checks
+        assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
+        assert "ell > L" in check.detail
+
+    def test_ko_check_beta_outside_unit_interval_rejected(self, tmp_path):
+        doc = cfg_dict(params={"with_a5": True, "betas": [0.5, 1.5]})
+        with pytest.raises(ConfigError, match="betas"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_cylinder_ball_leaving_domain_rejected_before_solving(self, tmp_path,
+                                                                  monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("escalate_m called")
+
+        monkeypatch.setattr(harness.pde2d, "escalate_m", no_solve)
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", params={"local_bound_R": 1.5, "ells": [1.0, 2.0], "nx": 17}))
+        rep = run(cfg, tmp_path)
+        assert rep.status == "fail"
+        assert rep.files == []
+        (check,) = rep.checks
+        assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
+        assert "leaves the domain" in check.detail
+
     @pytest.mark.parametrize("force, operator, match", [
         (None, {"kind": "table", "points": [[0, 0], [1, 2], [2, 1]]}, "A' > 0"),
         ({"kind": "power"}, None, "lacks parameter 'q'"),

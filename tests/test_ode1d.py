@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from blowup_lab import (DivergenceError, DomainExceededError, ProfileDomainError,
                         dead_core_profile, decay_sweep, ell_of_v0, eval_profile,
                         large_profile, length_scale, make_force, make_operator,
                         psi, v0_of_ell)
-from blowup_lab import radial
+from blowup_lab import ode1d, radial
+from blowup_lab import quadrature as qk
 
 from conftest import rk4_profile
 
@@ -240,3 +242,89 @@ class TestDecaySweep:
     def test_probe_outside_domain_rejected(self, op_p2, force_cubic):
         with pytest.raises(ValueError):
             decay_sweep(op_p2, force_cubic, [0.5], 1.0)
+
+
+_TABLE_OPERATOR = {"kind": "table",
+                   "points": [[0, 0], [0.5, 0.6], [1, 1.5], [2, 4], [4, 10]]}
+
+# (operator, force, v0); the last one has no head substitution and takes the
+# bracketed fallback on singular_head
+_INVERSION_CASES = [
+    ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3}, 0.3),
+    ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3}, 2.0),
+    ({"kind": "p-laplace", "p": 3}, {"kind": "power", "q": 6}, 0.3),
+    ({"kind": "p-laplace", "p": 3}, {"kind": "power", "q": 6}, 2.0),
+    ({"kind": "p-laplace", "p": 2}, {"kind": "exp-minus-one"}, 1.0),
+    ({"kind": "p-laplace", "p": 2}, {"kind": "piecewise-power", "a": 0.4, "b": 3}, 0.0),
+    ({"kind": "p-laplace", "p": 3}, {"kind": "piecewise-power", "a": 0.9, "b": 4}, 0.0),
+    (_TABLE_OPERATOR, {"kind": "piecewise-power", "a": 0.5, "b": 3}, 0.0),
+]
+_INVERSION_IDS = ["p2-q3-v0.3", "p2-q3-v2", "p3-q6-v0.3", "p3-q6-v2", "p2-exp-v1",
+                  "p2-dead-core-a0.4", "p3-dead-core-a0.9", "table-dead-core-fallback"]
+
+
+def _branch_for(case):
+    op_spec, force_spec, v0 = case
+    op, force = make_operator(op_spec), make_force(force_spec)
+    return ode1d._ImplicitBranch(op, force, v0), qk.shifted_integrand(op, force, v0)
+
+
+def _oracle_root(br, x):
+    """V with I(V) = x by brentq, without the branch's table or Newton: on
+    the fresh re-quadrature ``integral_to``, or, for x past 0.99 of the total
+    where one quadrature over many decades loses accuracy, on total minus
+    the doubling-ladder tail."""
+    if x <= 0.99 * br.total:
+        def resid(V):
+            return br.integral_to(V) - x
+    else:
+        def resid(V):
+            return br.total - qk.shifted_tail(br.op, br.force, br.v0, V).value - x
+    lo = hi = br.v0 + br.h0
+    if resid(hi) > 0.0:
+        lo = br.v0
+    while resid(hi) < 0.0:
+        lo, hi = hi, br.v0 + 2.0 * (hi - br.v0)
+    return brentq(resid, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+class TestInversion:
+    @pytest.mark.parametrize("case", _INVERSION_CASES, ids=_INVERSION_IDS)
+    def test_matches_bracketed_root(self, case):
+        br, g = _branch_for(case)
+        assert (br._sub is None) == (case[0]["kind"] == "table")
+        points = {"knot": br._cum[3], "head-full": br.head_full,
+                  "mid-head": 0.5 * br.head_full, "tiny": 1e-12 * br.total,
+                  "near-end": br.total * (1.0 - 1e-6)}
+        for name, x in points.items():
+            V, ref = br.upper_value(x), _oracle_root(br, x)
+            # x = I(V) is known to a few ulps of x, which dV/dx = 1/g(V)
+            # magnifies near blow-up (to ~1e-9 relative at 1e-6 from the
+            # end); elsewhere this allowance is below 1e-12 * V
+            allowance = 1e-12 * ref + 1e-14 * x / g(ref)
+            assert abs(V - ref) <= allowance, (name, V, ref)
+
+    @pytest.mark.parametrize("case", [_INVERSION_CASES[i] for i in (0, 3, 6)],
+                             ids=[_INVERSION_IDS[i] for i in (0, 3, 6)])
+    def test_strictly_increasing(self, case):
+        br, _ = _branch_for(case)
+        xs = np.concatenate((np.linspace(0.0, br.total, 400, endpoint=False),
+                             br._cum, br.total * (1.0 - np.logspace(-2.0, -6.0, 9))))
+        vs = [br.upper_value(float(x)) for x in np.unique(xs)]
+        assert np.all(np.diff(vs) > 0.0)
+
+    def test_quadratures_per_point(self, monkeypatch):
+        calls = {"n": 0}
+        for name in ("integrate_block", "singular_head"):
+            fn = getattr(qk, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls["n"] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(qk, name, counted)
+        # fresh objects, so the cached branch of the fixtures is not reused
+        op = make_operator(kind="p-laplace", p=2)
+        force = make_force(kind="power", q=3)
+        prof = large_profile(op, force, 1.0)
+        assert calls["n"] / len(prof.samples) <= 6.0

@@ -97,6 +97,19 @@ class TestSingularHead:
             ref = float(mp.quad(g, [mp.mpf(0.5), mp.mpf(0.9)]))
         assert val == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("p,a", [(2.0, 0.4), (3.0, 0.9)])
+    def test_dead_core_substitution_vs_tanh_sinh(self, p, a):
+        # s = u^k with k = p/(p-1-a) against the tanh-sinh head at v0 = 0
+        op = make_operator(kind="p-laplace", p=p)
+        force = make_force(kind="piecewise-power", a=a, b=3)
+        sub = qk.head_substitution(op, force, 0.0)
+        assert sub.k == pytest.approx(p / (p - 1.0 - a), rel=1e-15)
+        val = qk.integrate_block(sub.density, 0.0, sub.u_of(0.5))
+        assert val == pytest.approx(qk.singular_head(op, force, 0.0, 0.5), rel=1e-12)
+        # Osgood side (a + 1 >= p) and non-p-laplace heads have no substitution
+        assert qk.head_substitution(op, make_force(kind="power", q=p - 1.0), 0.0) is None
+        assert qk.head_substitution(make_operator(kind="mean-curvature"), force, 0.0) is None
+
     def test_empty_interval(self, op_p2, force_cubic):
         assert qk.singular_head(op_p2, force_cubic, 1.0, 1.0) == 0.0
 

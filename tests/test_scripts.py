@@ -1,0 +1,23 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_dead_core_defaults(tmp_path, monkeypatch, capsys):
+    # dead_core_profile and decay_sweep end to end, default parameters
+    monkeypatch.setattr(sys, "argv", ["run_dead_core.py", "--out", str(tmp_path)])
+    _load("run_dead_core").main()
+    out = capsys.readouterr().out
+    assert out.startswith("L = ")
+    assert "[dead core]" in out
+    for name in ("dead_core_profile.csv", "dead_core_profile.json"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -448,13 +448,17 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
                                             lv.iterations)) + "\n")
         manifest.register(f"escalation_ell{tag}.csv")
 
-        worst_mono = min(lv.min_increment for lv in res.levels if lv.min_increment is not None)
-        checks.append(CheckResult(f"m-monotone-ell{tag}", worst_mono >= -1e-10,
-                                  worst_mono, -1e-10))
+        increments = [lv.min_increment for lv in res.levels[1:]]
+        if increments:      # none when m_start is already at the layer cap
+            worst_mono = min(increments)
+            checks.append(CheckResult(f"m-monotone-ell{tag}", worst_mono >= -1e-10,
+                                      worst_mono, -1e-10))
         defect = pde2d.symmetry_defect(res.field)
         checks.append(CheckResult(f"symmetry-ell{tag}", defect <= 1e-8, defect, 1e-8))
         energies = [lv.grad_energy_K for lv in res.levels]
-        rel = [(b - a) / a for a, b in zip(energies, energies[1:])]
+        # a flat level (energy 0: m_start small enough to pass tol_res
+        # unsolved) has no relative growth
+        rel = [(b - a) / a for a, b in zip(energies, energies[1:]) if a > 0.0]
         if not expect_violation:
             # decaying relative growth is the bounded-gradient shadow; a
             # KO-violating run shows flat or growing relative increments

@@ -137,13 +137,14 @@ class _ImplicitBranch:
                                  lo + (hi - lo) * target / (self._cum[j] - self._cum[j - 1]))
 
     def integral_to(self, V: float) -> float:
-        """Independent re-quadrature of I(V) (fresh subdivision, no table)."""
+        """Independent re-quadrature of I(V) (fresh subdivision, no table):
+        the head, then doubling blocks from v0 + h0 to V."""
         if V <= self.v0:
             return 0.0
         hi = min(V, self.v0 + self.h0)
         out = qk.singular_head(self.op, self.force, self.v0, hi)
         if V > self.v0 + self.h0:
-            out += qk.integrate_block(self._g, self.v0 + self.h0, V)
+            out += qk.integrate_doubling(self._g, self.v0 + self.h0, V)
         return out
 
 
@@ -236,8 +237,12 @@ def eval_profile(op: Operator, force: Force, v0: float, x: float) -> float:
     return br.upper_value(ax)
 
 
+@lru_cache(maxsize=64)
 def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     """Invert the strictly decreasing map ell(v0); rel tol 1e-8 on v0.
+
+    Cached like :func:`_branch`: every field of a cylinder family asks for
+    the same barrier half-length.
 
     In the dead-core regime (0+ integral convergent) returns 0.0 for
     ell >= L; otherwise brackets within [1e-12, 1e12] and raises

@@ -3,9 +3,13 @@
 Discretization: face fluxes gamma_face * (du/dn)/h with
 gamma = (|grad u|^2 + eps^2)^{(p-2)/2}; the face gradient takes the normal
 difference plus an averaged tangential difference.  For p = 2 the scheme is
-exactly the 5-point Laplacian.  Solved by damped Newton with the exact
-9-point Jacobian and a red-black nonlinear Gauss-Seidel fallback for the
-degenerate flat start.
+exactly the 5-point Laplacian.  Solved by chord/damped Newton on the exact
+Jacobian (9-point, or 5-point for p = 2, where the tangential entries vanish)
+with a red-black nonlinear Gauss-Seidel fallback for the degenerate flat
+start.  Within one solve the sparse LU of the last Jacobian is kept: a
+full-length chord step with it is accepted when it stays in [0, m] and at
+least halves the scaled residual (_CHORD_CONTRACTION); otherwise the
+Jacobian is refactored at the current iterate for a damped Newton step.
 
 Boundary blow-up is approached through finite constant data m, doubled per
 level with warm starts.  A fixed grid cannot follow the boundary layer once
@@ -32,6 +36,8 @@ from . import ko as ko_mod
 from . import ode1d
 from .errors import DivergenceError, SolverError, ValidationError
 from .registry import Force, Operator
+
+_CHORD_CONTRACTION = 0.5    # a chord step must cut the scaled residual by this
 
 
 @dataclass(frozen=True)
@@ -226,11 +232,15 @@ def _force_prime(force: Force, u: np.ndarray, eps_fd: float = 1e-7) -> np.ndarra
 
 
 def _assemble_jacobian(u, grid, p, eps, force):
-    """Exact Jacobian of the interior residual (9-point stencil)."""
+    """Exact Jacobian of the interior residual, in CSC form.
+
+    9-point stencil; for p = 2 the tangential entries are identically zero
+    ((p - 2)/2 = 0) and are not stored, leaving the 5-point pattern."""
     nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
     Ni, Nj = nx - 2, ny - 2
     N = Ni * Nj
+    tangential = p != 2.0
     rows, cols, vals = [], [], []
 
     def add(ii, jj, kk, ll, v):
@@ -247,10 +257,11 @@ def _assemble_jacobian(u, grid, p, eps, force):
     gam = w ** ((p - 2.0) / 2.0)
     dgam_dw = (p - 2.0) / 2.0 * w ** ((p - 4.0) / 2.0)
     dF_dgn = gam + 2.0 * gn * gn * dgam_dw
-    dF_dgt = 2.0 * gn * gt * dgam_dw
-    deps = {(0, 0): -dF_dgn / hx, (1, 0): dF_dgn / hx,
-            (0, 1): dF_dgt / (4 * hy), (1, 1): dF_dgt / (4 * hy),
-            (0, -1): -dF_dgt / (4 * hy), (1, -1): -dF_dgt / (4 * hy)}
+    deps = {(0, 0): -dF_dgn / hx, (1, 0): dF_dgn / hx}
+    if tangential:
+        dF_dgt = 2.0 * gn * gt * dgam_dw
+        deps.update({(0, 1): dF_dgt / (4 * hy), (1, 1): dF_dgt / (4 * hy),
+                     (0, -1): -dF_dgt / (4 * hy), (1, -1): -dF_dgt / (4 * hy)})
     own_e = iF >= 1              # face is the E-face of (iF, jF): +1/hx
     own_w = (iF + 1) <= nx - 2   # and the W-face of (iF+1, jF): -1/hx
     for (di, dj), dv in deps.items():
@@ -266,10 +277,11 @@ def _assemble_jacobian(u, grid, p, eps, force):
     gam = w ** ((p - 2.0) / 2.0)
     dgam_dw = (p - 2.0) / 2.0 * w ** ((p - 4.0) / 2.0)
     dF_dgn = gam + 2.0 * gn * gn * dgam_dw
-    dF_dgt = 2.0 * gn * gt * dgam_dw
-    deps = {(0, 0): -dF_dgn / hy, (0, 1): dF_dgn / hy,
-            (1, 0): dF_dgt / (4 * hx), (1, 1): dF_dgt / (4 * hx),
-            (-1, 0): -dF_dgt / (4 * hx), (-1, 1): -dF_dgt / (4 * hx)}
+    deps = {(0, 0): -dF_dgn / hy, (0, 1): dF_dgn / hy}
+    if tangential:
+        dF_dgt = 2.0 * gn * gt * dgam_dw
+        deps.update({(1, 0): dF_dgt / (4 * hx), (1, 1): dF_dgt / (4 * hx),
+                     (-1, 0): -dF_dgt / (4 * hx), (-1, 1): -dF_dgt / (4 * hx)})
     own_n = jF >= 1
     own_s = (jF + 1) <= ny - 2
     for (di, dj), dv in deps.items():
@@ -283,7 +295,7 @@ def _assemble_jacobian(u, grid, p, eps, force):
     vals.append(-_force_prime(force, u[1:-1, 1:-1]).ravel())
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N)).tocsr()
+        shape=(N, N)).tocsc()
 
 
 def _gauss_seidel(u, grid, p, eps, force, m, nsweeps):
@@ -318,9 +330,19 @@ def _gauss_seidel(u, grid, p, eps, force, m, nsweeps):
 def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
                     cfg: SolverConfig = SolverConfig(),
                     initial: Optional[np.ndarray] = None) -> DiscreteField:
-    """Converged field for boundary data m; damped Newton from u = m (or the
-    warm start), red-black Gauss-Seidel rescue, projection safeguard onto
-    [0, m] with an activation counter."""
+    """Converged field for boundary data m, from u = m (or the warm start).
+
+    Chord/damped Newton (Kelley 2003, ch. 2 and 5): while an LU of the
+    Jacobian is kept, each step first tries the full chord step with it and
+    accepts it when it stays in [0, m] and its scaled residual is at most
+    _CHORD_CONTRACTION times the current one.  Otherwise the Jacobian is
+    assembled and factored (MMD ordering on A^T + A) at the current iterate
+    for a damped Newton step: halvings until the scaled residual falls, with
+    a projection onto [0, m] counted in ``clip_activations``, and a red-black
+    Gauss-Seidel rescue when no halving helps or the Jacobian is singular.
+    The LU is dropped after a damped step with alpha < 1 and after a rescue.
+    ``iterations`` counts accepted steps of either kind, ``factorizations``
+    the LUs; the final scaled residual lands just under ``tol_res``."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
     if m < 0.0:
@@ -330,11 +352,16 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
     u[0, :] = m; u[-1, :] = m; u[:, 0] = m; u[:, -1] = m
     if m == 0.0:
         return DiscreteField(grid, u * 0.0, 0.0, cfg.eps, op, force,
-                             {"iterations": 0, "final_residual": 0.0,
+                             {"iterations": 0, "factorizations": 0, "final_residual": 0.0,
                               "clip_activations": 0, "gs_rescues": 0})
+
+    def outside(v):
+        return (v < -1e-12) | (v > m * (1.0 + 1e-12))
 
     clip_count = 0
     gs_rescues = 0
+    factorizations = 0
+    lu = None
     R, fu = _residual_interior(u, grid, p, cfg.eps, force)
     rn = _scaled_norm(R, fu)
     it = 0
@@ -343,29 +370,53 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
             raise SolverError(
                 f"no convergence in {cfg.max_newton} Newton iterations "
                 f"(m = {m:g}, last scaled residual {rn:.3e})")
-        J = _assemble_jacobian(u, grid, p, cfg.eps, force)
-        delta = spla.spsolve(J, -R.ravel()).reshape(R.shape)
-        alpha, improved = 1.0, False
-        for _ in range(cfg.max_halvings):
+        if lu is not None:
             u_try = u.copy()
-            u_try[1:-1, 1:-1] += alpha * delta
-            over = (u_try < -1e-12) | (u_try > m * (1.0 + 1e-12))
-            if over.any():
-                clip_count += int(over.sum())
-                np.clip(u_try, 0.0, m, out=u_try)
-            try:
-                R_try, fu_try = _residual_interior(u_try, grid, p, cfg.eps, force)
-            except SolverError:
+            u_try[1:-1, 1:-1] += lu.solve(-R.ravel()).reshape(R.shape)
+            if not outside(u_try).any():
+                try:
+                    R_try, fu_try = _residual_interior(u_try, grid, p, cfg.eps, force)
+                except SolverError:
+                    rn_try = math.inf
+                else:
+                    rn_try = _scaled_norm(R_try, fu_try)
+                if rn_try <= _CHORD_CONTRACTION * rn:
+                    u, R, rn = u_try, R_try, rn_try
+                    it += 1
+                    continue
+        lu = None       # free the old factor before the new one is built
+        J = _assemble_jacobian(u, grid, p, cfg.eps, force)
+        try:
+            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+            factorizations += 1
+        except RuntimeError:    # exactly singular, e.g. NaN entries where eps^2
+            pass                # underflows on a flat field: rescue below
+        alpha, improved = 1.0, False
+        if lu is not None:
+            delta = lu.solve(-R.ravel()).reshape(R.shape)
+            for _ in range(cfg.max_halvings):
+                u_try = u.copy()
+                u_try[1:-1, 1:-1] += alpha * delta
+                over = outside(u_try)
+                if over.any():
+                    clip_count += int(over.sum())
+                    np.clip(u_try, 0.0, m, out=u_try)
+                try:
+                    R_try, fu_try = _residual_interior(u_try, grid, p, cfg.eps, force)
+                except SolverError:
+                    alpha *= 0.5
+                    continue
+                rn_try = _scaled_norm(R_try, fu_try)
+                if rn_try < rn:
+                    improved = True
+                    break
                 alpha *= 0.5
-                continue
-            rn_try = _scaled_norm(R_try, fu_try)
-            if rn_try < rn:
-                improved = True
-                break
-            alpha *= 0.5
         if improved:
             u, R, rn = u_try, R_try, rn_try
+            if alpha < 1.0:
+                lu = None
         else:
+            lu = None
             gs_rescues += 1
             if gs_rescues > 5:
                 raise SolverError(f"Newton stalled despite Gauss-Seidel rescues (m = {m:g})")
@@ -375,8 +426,9 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
             rn = _scaled_norm(R, fu)
         it += 1
     return DiscreteField(grid, u, float(m), cfg.eps, op, force,
-                         {"iterations": it, "final_residual": rn,
-                          "clip_activations": clip_count, "gs_rescues": gs_rescues})
+                         {"iterations": it, "factorizations": factorizations,
+                          "final_residual": rn, "clip_activations": clip_count,
+                          "gs_rescues": gs_rescues})
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +640,9 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
         bands[0, 1:] = dF[1:-1]
         bands[1] = -(dF[1:] + dF[:-1]) - _force_prime(force, w[1:-1])
         bands[2, :-1] = dF[1:-1]
+        if not np.all(np.isfinite(bands)):
+            raise SolverError("non-finite Jacobian on the discrete cross-section "
+                              f"(eps = {eps:g})")
         delta = solve_banded((1, 1), bands, -R)
         alpha = 1.0
         for _ in range(30):

@@ -51,6 +51,18 @@ def integrate_block(g: Callable[[float], float], a: float, b: float) -> float:
     return val
 
 
+def integrate_doubling(g: Callable[[float], float], a: float, b: float) -> float:
+    """int_a^b g for 0 < a in doubling blocks [T, min(2T, b)]: an interval
+    spanning many decades (a << b) keeps each quad call well-conditioned."""
+    total = 0.0
+    T = a
+    while T < b:
+        T_next = min(2.0 * T, b)
+        total += integrate_block(g, T, T_next)
+        T = T_next
+    return total
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     value: float
@@ -85,23 +97,15 @@ def _block_ladder(g, T: float, total: float, step: float,
     return TailEstimate(total, False, max_blocks, T, 0.0, rho)
 
 
-def integrate_to_infinity(g, start: float, *, first_block: Optional[float] = None,
-                          max_blocks: int = MAX_BLOCKS) -> TailEstimate:
-    """int_start^inf g(s) ds by the doubling ladder.
+def integrate_to_infinity(g, start: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
+    """int_start^inf g(s) ds by the doubling ladder from T0 = max(2 start,
+    start + 1, 10), with [start, T0] in doubling blocks.
 
     ``converged=False`` flags a divergent tail; the partial value then holds
     the integral up to the cap (useful for diagnostics).
     """
-    T0 = first_block if first_block is not None else max(2.0 * start, start + 1.0, 10.0)
-    # the head may span many decades (start << T0): doubling blocks keep each
-    # quad call well-conditioned
-    total = 0.0
-    T = start
-    while T < T0:
-        T_next = min(2.0 * T, T0)
-        total += integrate_block(g, T, T_next)
-        T = T_next
-    return _block_ladder(g, T, total, 2.0, max_blocks)
+    T0 = max(2.0 * start, start + 1.0, 10.0)
+    return _block_ladder(g, T0, integrate_doubling(g, start, T0), 2.0, max_blocks)
 
 
 def integrate_to_zero(g, end: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:

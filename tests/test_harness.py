@@ -1,8 +1,10 @@
 import csv
 import json
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup_lab import ConfigError, ExperimentConfig, compare_runs, run, v0_of_ell
 from blowup_lab import cli, harness
@@ -208,6 +210,26 @@ class TestRunners:
         assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
         assert "leaves the domain" in check.detail
 
+    @pytest.mark.parametrize("params", [
+        {"m_start": 100.0},                     # past the layer cap: one level
+        {"m_start": 0.01, "tol_res": 1e-3},     # flat first level: no gradient energy
+    ], ids=["single-level", "flat-first-level"])
+    def test_cylinder_degenerate_escalation_completes(self, tmp_path, params):
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", params={"ells": [1.0, 2.0], "nx": 17, **params}))
+        rep = run(cfg, tmp_path)
+        assert "experiment-completed" not in [c.name for c in rep.checks]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cylinder_overflowing_eps_reports_solver_error(self, tmp_path):
+        # eps^2 overflows in the discrete cross-section's Jacobian
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", params={"ells": [1.0, 2.0], "nx": 17, "eps": 1e300}))
+        rep = run(cfg, tmp_path)
+        assert rep.status == "fail"
+        failed = [c for c in rep.checks if c.name == "experiment-completed"]
+        assert [c.measured for c in failed] == ["SolverError"]
+
     @pytest.mark.parametrize("force, operator, match", [
         (None, {"kind": "table", "points": [[0, 0], [1, 2], [2, 1]]}, "A' > 0"),
         ({"kind": "power"}, None, "lacks parameter 'q'"),
@@ -234,6 +256,23 @@ class TestRunners:
         for entry in rep.files:
             assert (tmp_path / entry["path"]).exists()
             assert len(entry["sha256"]) == 64
+
+
+@settings(max_examples=10, deadline=None)
+@given(ell=st.integers(1, 2), extra=st.integers(1, 2), m_start=st.floats(1e-3, 1e3),
+       tol_res=st.floats(1e-14, 1e-2), eps=st.floats(1e-12, 1.0),
+       layer_factor=st.floats(1e-2, 10.0))
+def test_small_cylinder_gives_report_or_config_error(ell, extra, m_start, tol_res, eps,
+                                                     layer_factor):
+    # a schema-valid config ends in a report or a ConfigError, never a traceback
+    params = {"ells": [float(ell), float(ell + extra)], "nx": 17, "m_start": m_start,
+              "tol_res": tol_res, "eps": eps, "layer_factor": layer_factor}
+    try:
+        cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", params=params))
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        assert run(cfg, out).status in ("pass", "fail")
 
 
 class TestCompareAndDeterminism:

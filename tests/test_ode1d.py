@@ -313,6 +313,14 @@ class TestInversion:
         vs = [br.upper_value(float(x)) for x in np.unique(xs)]
         assert np.all(np.diff(vs) > 0.0)
 
+    @pytest.mark.parametrize("case", [_INVERSION_CASES[i] for i in (6, 5, 1)],
+                             ids=[_INVERSION_IDS[i] for i in (6, 5, 1)])
+    def test_integral_to_near_blow_up(self, case):
+        # the re-quadrature spans many decades between v0 + h0 and V here
+        br, _ = _branch_for(case)
+        x = br.total * (1.0 - 1e-6)
+        assert abs(br.integral_to(br.upper_value(x)) - x) <= 1e-12 * x
+
     def test_quadratures_per_point(self, monkeypatch):
         calls = {"n": 0}
         for name in ("integrate_block", "singular_head"):

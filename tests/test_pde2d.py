@@ -54,6 +54,13 @@ class TestResidual:
         Jfd = np.array(cols).T
         assert np.max(np.abs(J - Jfd)) <= 1e-5 * np.max(np.abs(J))
 
+    def test_jacobian_five_point_pattern_for_p2(self, force_cubic):
+        # the tangential entries vanish identically for p = 2 and are not stored
+        g = grid_for_ell(1.0, 17)
+        u = 1.0 + np.random.default_rng(3).random((g.nx, g.ny))
+        J = _assemble_jacobian(u, g, 2.0, 1e-8, force_cubic)
+        assert J.nnz <= 5 * (g.nx - 2) * (g.ny - 2)
+
     @pytest.mark.parametrize("p,min_rate", [(2.0, 1.8), (3.0, 0.9)])
     def test_manufactured_solution_convergence(self, p, min_rate):
         # seed u(x, y) = v(x) from the 1D profile; the interior residual on
@@ -127,6 +134,15 @@ class TestSolveDirichlet:
         assert fld.diagnostics["final_residual"] <= 1e-9
         center = fld.values[8, 8]
         assert 0.0 < center < 2.0
+
+    def test_singular_jacobian_takes_the_rescue(self, op_p2, force_cubic):
+        # eps^2 underflows on the flat start, so the Jacobian holds NaNs and
+        # cannot be factored; the Gauss-Seidel rescue builds gradients instead
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, 2.0,
+                                  SolverConfig(eps=1e-300))
+        assert fld.diagnostics["gs_rescues"] == 1
+        assert fld.diagnostics["final_residual"] <= 1e-9
 
     def test_rejects_general_operator(self, op_mc, force_cubic):
         with pytest.raises(ValidationError):
@@ -204,6 +220,23 @@ class TestEscalation:
         assert psi_power_closed_form(p, q, m) == pytest.approx(
             SolverConfig().layer_factor * g.hx, rel=1e-8)
         assert m == pytest.approx(m_star, abs=5e-3)
+
+    def test_chord_steps_reuse_the_factorisation(self, op_p3, monkeypatch):
+        # record every level's diagnostics: escalate_m keeps only the last field
+        diagnostics = []
+        solve = pde2d.solve_dirichlet
+
+        def recorded(*args, **kwargs):
+            fld = solve(*args, **kwargs)
+            diagnostics.append(fld.diagnostics)
+            return fld
+
+        monkeypatch.setattr(pde2d, "solve_dirichlet", recorded)
+        cfg = SolverConfig()
+        res = pde2d.escalate_m(grid_for_ell(1.0, 33), op_p3, make_force(kind="power", q=6), cfg)
+        assert len(diagnostics) == len(res.levels)
+        assert any(d["factorizations"] < d["iterations"] for d in diagnostics)
+        assert all(d["final_residual"] <= cfg.tol_res for d in diagnostics)
 
 
 def test_discrete_cross_section_solves_three_point_scheme(op_p2, force_cubic):

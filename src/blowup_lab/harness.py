@@ -280,8 +280,7 @@ def _profile_checks(profile, n_probe=20) -> list[CheckResult]:
     h = np.diff(xs_b)
     if len(xs_b) >= 3 and np.allclose(h, h[0]):
         d2 = vs_b[2:] - 2.0 * vs_b[1:-1] + vs_b[:-2]
-        scale = h[0] ** 2 * np.maximum(1.0, np.asarray(
-            profile.force.value(vs_b[1:-1]), dtype=float))
+        scale = h[0] ** 2 * np.maximum(1.0, profile.force.value(vs_b[1:-1]))
         worst = float(np.min(d2 / scale))
         checks.append(CheckResult("convexity", worst >= -1e-8, worst, -1e-8))
     sym = abs(profile.value(-0.5 * profile.ell) - profile.value(0.5 * profile.ell))

@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.integrate import cubature
 from scipy.optimize import brentq
 
 from . import ko as ko_mod
@@ -102,12 +103,15 @@ class _ImplicitBranch:
         self._cover(self.total * (1.0 - 1e-3))
 
     def _cover(self, x: float) -> None:
-        """Extend knots until I(last) >= x or the value limit is hit."""
+        """Extend knots until I(last) >= x or the value limit is hit, with
+        up to BLOCK_CHUNK new segments per kernel call."""
         while self._cum[-1] < x and self._knots[-1] < _V_LIMIT:
-            nxt = self.v0 + (self._knots[-1] - self.v0) * math.sqrt(2.0)
-            seg = qk.integrate_block(self._g, self._knots[-1], nxt)
-            self._knots.append(nxt)
-            self._cum.append(self._cum[-1] + seg)
+            new = [self._knots[-1]]
+            while len(new) <= qk.BLOCK_CHUNK and new[-1] < _V_LIMIT:
+                new.append(self.v0 + (new[-1] - self.v0) * math.sqrt(2.0))
+            for nxt, seg in zip(new[1:], qk.integrate_block(self._g, new[:-1], new[1:]).tolist()):
+                self._knots.append(nxt)
+                self._cum.append(self._cum[-1] + seg)
 
     def upper_value(self, x: float) -> float:
         """V with I(V) = x, for 0 <= x < total."""
@@ -136,16 +140,23 @@ class _ImplicitBranch:
         return _invert_integral(self._g, lo, hi, target,
                                  lo + (hi - lo) * target / (self._cum[j] - self._cum[j - 1]))
 
+    @cached_property
+    def _oracle_head(self) -> float:
+        return qk.singular_head(self.op, self.force, self.v0, self.v0 + self.h0, substitute=False)
+
     def integral_to(self, V: float) -> float:
-        """Independent re-quadrature of I(V) (fresh subdivision, no table):
-        the head, then doubling blocks from v0 + h0 to V."""
-        if V <= self.v0:
-            return 0.0
-        hi = min(V, self.v0 + self.h0)
-        out = qk.singular_head(self.op, self.force, self.v0, hi)
-        if V > self.v0 + self.h0:
-            out += qk.integrate_doubling(self._g, self.v0 + self.h0, V)
-        return out
+        """Independent re-quadrature of I(V) on scipy alone (no table, head
+        substitution or ``integrate_block``): tanh-sinh on the head, then one
+        Gauss-Kronrod ``cubature`` vectorised over doubling blocks up to V."""
+        if V <= self.v0 + self.h0:
+            return qk.singular_head(self.op, self.force, self.v0, V, substitute=False)
+        knots = [self.v0 + self.h0]
+        while knots[-1] < V:
+            knots.append(min(2.0 * knots[-1], V))
+        lo, w = np.array(knots[:-1]), np.diff(knots)
+        blocks = cubature(lambda tau: self._g(lo + tau * w) * w, [0.0], [1.0], rule="gk21",
+                          rtol=qk.BLOCK_EPSREL, atol=0.0).estimate
+        return self._oracle_head + float(np.sum(blocks))
 
 
 @lru_cache(maxsize=64)

@@ -195,7 +195,7 @@ def _face_quantities(u, hx, hy, p, eps):
 def _residual_interior(u, grid, p, eps, force):
     """div of the regularized face fluxes minus f(u) at interior nodes, and f(u)."""
     Fx, Fy = _face_quantities(u, grid.hx, grid.hy, p, eps)
-    fu = np.asarray(force.value(u[1:-1, 1:-1]), dtype=float)
+    fu = force.value(u[1:-1, 1:-1])
     if not np.all(np.isfinite(fu)):
         raise SolverError("force evaluation overflowed on the current field")
     return ((Fx[1:, :] - Fx[:-1, :]) / grid.hx
@@ -226,9 +226,7 @@ def _force_prime(force: Force, u: np.ndarray, eps_fd: float = 1e-7) -> np.ndarra
         um = np.maximum(u, 1e-300)
         return np.where(u <= 1.0, a * um ** (a - 1.0), b * um ** (b - 1.0))
     h = eps_fd * np.maximum(1.0, np.abs(u))
-    return (np.asarray(force.value(u + h), dtype=float)
-            - np.asarray(force.value(np.maximum(u - h, 0.0)), dtype=float)) / (
-        h + np.minimum(u, h))
+    return (force.value(u + h) - force.value(np.maximum(u - h, 0.0))) / (h + np.minimum(u, h))
 
 
 def _assemble_jacobian(u, grid, p, eps, force):
@@ -318,7 +316,7 @@ def _gauss_seidel(u, grid, p, eps, force, m, nsweeps):
             gamW = (gW * gW + eps * eps) ** ((p - 2) / 2)
             gamN = (gN * gN + eps * eps) ** ((p - 2) / 2)
             gamS = (gS * gS + eps * eps) ** ((p - 2) / 2)
-            fu = np.asarray(force.value(np.maximum(u, 0.0)), dtype=float)
+            fu = force.value(np.maximum(u, 0.0))
             R = (gamE * gE - gamW * gW) / hx + (gamN * gN - gamS * gS) / hy - fu
             aP = ((gamE + gamW) / hx ** 2 + (gamN + gamS) / hy ** 2
                   + _force_prime(force, np.maximum(u, 0.0)))

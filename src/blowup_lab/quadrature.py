@@ -5,7 +5,9 @@ throughout: over [r, inf) for the Keller-Osserman tail, over (0, r] for the
 Osgood/dead-core side, and with an integrable algebraic singularity at the
 lower endpoint s = v0.  Strategy:
 
-* infinite tails: doubling blocks [T, 2T] (each via adaptive Gauss-Kronrod)
+* proper blocks: :func:`integrate_block`, adaptive Gauss-Kronrod (G10/K21)
+  in numpy over arrays of blocks, with array integrands.
+* infinite tails: doubling blocks [T, 2T] (BLOCK_CHUNK per kernel call)
   until the remainder is negligible or the block ratio has stabilized, then
   a geometric extrapolation of the remainder.  The extrapolation is exact
   for power-law tails, which keeps the result at ~1e-12 relative accuracy
@@ -16,18 +18,18 @@ lower endpoint s = v0.  Strategy:
   separates them with two decades of margin.
 * the 0+ endpoint: the same ladder with halving blocks [e/2, e].
 * the s = v0 endpoint (exponent 1/p for p-laplace): exact removal by the
-  substitution s = v0 + u^k, k = p/(p-1); tanh-sinh quadrature for general
+  substitution s = v0 + u^k, k = p/(p-1); scipy's tanh-sinh for general
   operators and for the v0 = 0 endpoint.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, tanhsinh
+from scipy.integrate import tanhsinh
+from scipy.optimize import brentq
 
 from .errors import DivergenceError, DomainExceededError
 from .registry import Force, Operator
@@ -35,32 +37,82 @@ from .registry import Force, Operator
 BLOCK_EPSREL = 1e-12
 DIVERGENCE_RATIO = 1.0 - 1e-7
 MAX_BLOCKS = 48
+MAX_INTERVALS = 200     # subintervals per block, as quad's ``limit``
+BLOCK_CHUNK = 16        # ladder or branch-table blocks per kernel call
+
+# Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK qk21): the Kronrod abscissae
+# in [0, 1), every second one a 10-point Gauss node, with both weight sets
+_XGK = np.array([
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0])
+_WGK = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+    0.29552422471475287])
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_W_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_W_GAUSS = np.zeros(21)
+_W_GAUSS[1:10:2] = _WG
+_W_GAUSS[19:10:-2] = _WG
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def integrate_block(g: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature of a proper integral with a smooth integrand.
+def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 value and QUADPACK's error estimate on each interval [lo, hi], by
+    row sums, not matrix products, so that no row depends on the others."""
+    half = 0.5 * (hi - lo)
+    fx = g(0.5 * (lo + hi)[:, None] + half[:, None] * _NODES)
+    resk = (fx * _W_KRONROD).sum(axis=1)
+    scale = np.abs(half)
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _W_KRONROD).sum(axis=1) * scale
+    err = np.abs((resk - (fx * _W_GAUSS).sum(axis=1)) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0.0) & (err != 0.0),
+                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+    return resk * half, np.maximum(err, _ROUNDOFF * (np.abs(fx) * _W_KRONROD).sum(axis=1) * scale)
 
-    Roundoff warnings at the aggressive inner tolerance are silenced; the
-    ladder's cap-refinement stability checks guard the reported accuracy.
+
+def integrate_block(g: Callable, a, b):
+    """int_a^b g of an array integrand, for float bounds or arrays of them.
+
+    Adaptive G10/K21 over all blocks at once: each pass bisects, in every
+    block whose summed error estimate exceeds BLOCK_EPSREL * |value|, the
+    subintervals holding more than their length's share of that tolerance.
+    A block stops once converged, at MAX_INTERVALS subintervals, or when no
+    subinterval can be bisected.  Blocks never share subintervals, so a
+    block's value does not depend on the others in the call.
     """
-    if a == b:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(g, a, b, epsabs=0.0, epsrel=BLOCK_EPSREL, limit=200)
-    return val
-
-
-def integrate_doubling(g: Callable[[float], float], a: float, b: float) -> float:
-    """int_a^b g for 0 < a in doubling blocks [T, min(2T, b)]: an interval
-    spanning many decades (a << b) keeps each quad call well-conditioned."""
-    total = 0.0
-    T = a
-    while T < b:
-        T_next = min(2.0 * T, b)
-        total += integrate_block(g, T, T_next)
-        T = T_next
-    return total
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    n = a.size
+    owner = np.flatnonzero(a != b)
+    lo, hi = a.ravel()[owner], b.ravel()[owner]
+    width = np.abs(b - a).ravel()
+    val, err = _gk21(g, lo, hi) if owner.size else (lo, lo)
+    result = np.zeros(n)
+    while owner.size:
+        tol = BLOCK_EPSREL * np.abs(np.bincount(owner, val, n))
+        mid = 0.5 * (lo + hi)
+        split = ((err > tol[owner] * np.abs(hi - lo) / width[owner])
+                 & (lo != mid) & (mid != hi))
+        active = ((np.bincount(owner, err, n) > tol)
+                  & (np.bincount(owner, minlength=n) < MAX_INTERVALS)
+                  & (np.bincount(owner, split, n) > 0))[owner]
+        result += np.bincount(owner[~active], val[~active], n)
+        split &= active
+        if not split.any():
+            break
+        stay = active & ~split
+        new_lo = np.concatenate((lo[split], mid[split]))
+        new_hi = np.concatenate((mid[split], hi[split]))
+        new_val, new_err = _gk21(g, new_lo, new_hi)
+        owner = np.concatenate((owner[stay], owner[split], owner[split]))
+        lo, hi = np.concatenate((lo[stay], new_lo)), np.concatenate((hi[stay], new_hi))
+        val, err = np.concatenate((val[stay], new_val)), np.concatenate((err[stay], new_err))
+    return result.reshape(a.shape) if a.ndim else float(result[0])
 
 
 @dataclass(frozen=True)
@@ -77,19 +129,22 @@ def _block_ladder(g, T: float, total: float, step: float,
                   max_blocks: int) -> TailEstimate:
     """Add blocks between T and step*T (step 2 toward inf, 1/2 toward 0+)
     to ``total`` until they are negligible, else extrapolate geometrically
-    or flag divergence."""
+    or flag divergence.  Blocks are integrated BLOCK_CHUNK at a time and
+    read in order, so the result does not depend on the chunk size."""
     blocks: list[float] = []
     ratios: list[float] = []
-    for k in range(max_blocks):
-        T_next = T * step
-        c = integrate_block(g, min(T, T_next), max(T, T_next))
-        blocks.append(c)
-        if len(blocks) >= 2 and blocks[-2] > 0.0:
-            ratios.append(blocks[-1] / blocks[-2])
-        total += c
-        T = T_next
-        if c <= 1e-14 * abs(total):
-            return TailEstimate(total, True, k + 1, T, 0.0, ratios[-1] if ratios else None)
+    while len(blocks) < max_blocks:
+        # exact: step is a power of two
+        edges = T * step ** np.arange(min(BLOCK_CHUNK, max_blocks - len(blocks)) + 1.0)
+        chunk = integrate_block(g, *np.sort((edges[:-1], edges[1:]), axis=0))
+        for c, T in zip(chunk.tolist(), edges[1:].tolist()):
+            blocks.append(c)
+            if len(blocks) >= 2 and blocks[-2] > 0.0:
+                ratios.append(c / blocks[-2])
+            total += c
+            if c <= 1e-14 * abs(total):
+                return TailEstimate(total, True, len(blocks), T, 0.0,
+                                    ratios[-1] if ratios else None)
     rho = ratios[-1] if ratios else None
     if len(ratios) >= 3 and all(r < DIVERGENCE_RATIO for r in ratios[-3:]):
         tail = blocks[-1] * rho / (1.0 - rho)
@@ -99,13 +154,17 @@ def _block_ladder(g, T: float, total: float, step: float,
 
 def integrate_to_infinity(g, start: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
     """int_start^inf g(s) ds by the doubling ladder from T0 = max(2 start,
-    start + 1, 10), with [start, T0] in doubling blocks.
+    start + 1, 10), with [start, T0] in doubling blocks [T, min(2T, T0)].
 
     ``converged=False`` flags a divergent tail; the partial value then holds
     the integral up to the cap (useful for diagnostics).
     """
     T0 = max(2.0 * start, start + 1.0, 10.0)
-    return _block_ladder(g, T0, integrate_doubling(g, start, T0), 2.0, max_blocks)
+    knots = [start]     # doubling blocks keep each block well-conditioned
+    while knots[-1] < T0:
+        knots.append(min(2.0 * knots[-1], T0))
+    head = float(sum(integrate_block(g, knots[:-1], knots[1:])))
+    return _block_ladder(g, T0, head, 2.0, max_blocks)
 
 
 def integrate_to_zero(g, end: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
@@ -123,45 +182,47 @@ def ceiling_crossing(op: Operator, force: Force, shift: float = 0.0) -> Optional
         return None
     target = op.energy_sup + shift
     lo, hi = 0.0, 1.0
-    while float(np.asarray(force.primitive(hi))) < target:
+    while force.primitive(hi) < target:
         lo, hi = hi, hi * 2.0
         if hi > 1e300:
             return None
-    from scipy.optimize import brentq
-    return brentq(lambda s: float(np.asarray(force.primitive(s))) - target, lo, hi, xtol=1e-14)
+    return brentq(lambda s: force.primitive(s) - target, lo, hi, xtol=1e-14)
 
 
-def primitive_gap(force: Force, v0: float, gap: float) -> float:
-    """F(v0 + gap) - F(v0) without the cancellation that kills accuracy for
-    small gaps: a Simpson step of f over [v0, v0 + gap] (exact through cubic
-    f, relative error O(gap^4) otherwise).  Callers pass the gap itself so
-    sub-ulp-of-v0 gaps stay meaningful."""
-    if v0 > 0.0 and 0.0 < gap < 1e-3 * max(v0, 1.0):
-        fm = float(np.asarray(force.value(v0 + 0.5 * gap)))
-        return gap / 6.0 * (float(np.asarray(force.value(v0)))
-                            + 4.0 * fm + float(np.asarray(force.value(v0 + gap))))
-    return float(np.asarray(force.primitive(v0 + gap))) - (
-        float(np.asarray(force.primitive(v0))) if v0 > 0.0 else 0.0)
+def primitive_gap(force: Force, v0: float, gap):
+    """F(v0 + gap) - F(v0), elementwise, without the cancellation that kills
+    accuracy for small gaps: there a Simpson step of f over [v0, v0 + gap]
+    (exact through cubic f, relative error O(gap^4) otherwise).  Callers
+    pass the gap itself so sub-ulp-of-v0 gaps stay meaningful.  A float for
+    scalar input."""
+    t = np.atleast_1d(np.asarray(gap, dtype=float))
+    y = force.primitive(v0 + t) - force.primitive(v0)       # F(0) = 0 exactly
+    near = (0.0 < t) & (t < 1e-3 * max(v0, 1.0))
+    if v0 > 0.0 and near.any():
+        t = t[near]
+        y[near] = t / 6.0 * (force.value(v0) + 4.0 * force.value(v0 + 0.5 * t) + force.value(v0 + t))
+    return y if np.ndim(gap) else float(y[0])
 
 
-def shifted_integrand(op: Operator, force: Force, v0: float) -> Callable[[float], float]:
-    """Scalar integrand s -> 1/B^-1{F(s) - F(v0)}, 0 on overflow of F."""
+def shifted_integrand(op: Operator, force: Force, v0: float) -> Callable:
+    """Array integrand s -> 1/B^-1{F(s) - F(v0)} (a float for scalar s): 0
+    where F overflows, inf where F(s) <= F(v0), and DomainExceededError at
+    the energy ceiling, in that order."""
     sup = op.energy_sup
     einv = op.energy_inverse
 
-    def g(s: float) -> float:
-        try:
-            y = primitive_gap(force, v0, s - v0)
-        except OverflowError:
-            return 0.0
-        if y <= 0.0:
-            return math.inf
-        if y >= sup:
-            raise DomainExceededError(
-                f"F({s:g}) - F({v0:g}) = {y:g} reached the energy ceiling B_sup = {sup:g}")
-        if math.isinf(y):
-            return 0.0
-        return 1.0 / float(np.asarray(einv(y)))
+    def g(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.atleast_1d(primitive_gap(force, v0, s - v0))
+            out = np.where(y <= 0.0, math.inf, 0.0)     # 0 where F overflowed
+            pos = np.isfinite(y) & (y > 0.0)
+            if sup < math.inf and np.any(y[pos] >= sup):
+                k = np.argmax(pos & (y >= sup))
+                raise DomainExceededError(f"F({s.flat[k]:g}) - F({v0:g}) = {y.flat[k]:g} "
+                                          f"reached the energy ceiling B_sup = {sup:g}")
+            out[pos] = 1.0 / einv(y[pos])
+        return out if s.ndim else float(out[0])
 
     return g
 
@@ -169,12 +230,12 @@ def shifted_integrand(op: Operator, force: Force, v0: float) -> Callable[[float]
 @dataclass(frozen=True)
 class HeadSubstitution:
     """s = v0 + u^k, under which int_{v0}^{S} ds / B^-1{F(s) - F(v0)} becomes
-    int_0^{u(S)} density(u) du with a density finite at u = 0."""
+    int_0^{u(S)} density(u) du with an array density finite at u = 0."""
 
     v0: float
     k: float
     inv_k: float                        # 1/k, kept in closed form
-    density: Callable[[float], float]
+    density: Callable
 
     def u_of(self, s: float) -> float:
         return (s - self.v0) ** self.inv_k
@@ -198,8 +259,7 @@ def head_substitution(op: Operator, force: Force, v0: float) -> Optional[HeadSub
     p = op.p
     if v0 > 0.0:
         k, km1, inv_k = p / (p - 1.0), 1.0 / (p - 1.0), (p - 1.0) / p
-        fv0 = float(np.asarray(force.value(v0)))
-        limit0 = k * ((p - 1.0) / (p * fv0)) ** (1.0 / p)
+        limit0 = k * ((p - 1.0) / (p * force.value(v0))) ** (1.0 / p)
     elif force.growth_zero is not None and force.growth_zero + 1.0 < p:
         a = force.growth_zero
         k, km1, inv_k = p / (p - 1.0 - a), (1.0 + a) / (p - 1.0 - a), (p - 1.0 - a) / p
@@ -208,59 +268,57 @@ def head_substitution(op: Operator, force: Force, v0: float) -> Optional[HeadSub
         return None
     einv = op.energy_inverse
 
-    def density(u: float) -> float:
-        y = primitive_gap(force, v0, u ** k)
-        if y <= 0.0:
-            return limit0
-        return k * u ** km1 / float(np.asarray(einv(y)))
+    def density(u):
+        u = np.asarray(u, dtype=float)
+        ua = np.atleast_1d(u)
+        y = primitive_gap(force, v0, ua ** k)
+        out = np.full_like(y, limit0)
+        pos = y > 0.0
+        out[pos] = k * ua[pos] ** km1 / einv(y[pos])
+        return out if u.ndim else float(out[0])
 
     return HeadSubstitution(v0, k, inv_k, density)
 
 
-def singular_head(op: Operator, force: Force, v0: float, upper: float) -> float:
+def singular_head(op: Operator, force: Force, v0: float, upper: float,
+                  *, substitute: bool = True) -> float:
     """int_{v0}^{upper} ds / B^-1{F(s) - F(v0)} with the singular lower endpoint.
 
     For p-laplace with v0 > 0 the substitution of :func:`head_substitution`
-    removes the (s - v0)^(-1/p) singularity exactly.  Otherwise, the v0 = 0
-    head included, tanh-sinh: it stays independent of the substituted
-    Newton solve that ``ode1d`` runs on the v0 = 0 head.
+    removes the (s - v0)^(-1/p) singularity exactly.  Otherwise (v0 = 0, or
+    ``substitute=False``) scipy's tanh-sinh, independent of the kernel and
+    of the substituted Newton solve that ``ode1d`` runs on the head.
     """
     if upper <= v0:
         return 0.0
     sup = op.energy_sup
     if not math.isinf(sup):
-        yh = float(np.asarray(force.primitive(upper))) - (float(np.asarray(force.primitive(v0))) if v0 else 0.0)
-        if yh >= sup:
+        if force.primitive(upper) - force.primitive(v0) >= sup:
             raise DomainExceededError(
                 f"F({upper:g}) - F({v0:g}) reaches the energy ceiling B_sup = {sup:g}")
 
-    sub = head_substitution(op, force, v0) if v0 > 0.0 else None
+    sub = head_substitution(op, force, v0) if substitute and v0 > 0.0 else None
     if sub is not None:
         return integrate_block(sub.density, 0.0, sub.u_of(upper))
 
-    # general operator (or the degenerate v0 = 0 endpoint): tanh-sinh in the
-    # gap variable t = s - v0, so nodes arbitrarily close to the singular
-    # endpoint keep full precision (s itself would round to the ulp of v0)
+    # tanh-sinh in the gap t = s - v0: nodes next to the singular endpoint keep
+    # full precision (s itself would round to the ulp of v0)
     einv = op.energy_inverse
 
-    def vec_integrand(t):
-        t = np.asarray(t, dtype=float)
-        y = np.array([primitive_gap(force, v0, float(ti)) for ti in t.ravel()]
-                     ).reshape(t.shape)
-        out = np.empty_like(y)
+    def integrand(t):
+        y = np.atleast_1d(primitive_gap(force, v0, t))
+        out = np.zeros_like(y)
         pos = y > 0.0
-        out[~pos] = 0.0
-        out[pos] = 1.0 / np.asarray(einv(y[pos]), dtype=float)
-        return out
+        out[pos] = 1.0 / einv(y[pos])
+        return out.reshape(np.shape(t))
 
-    res = tanhsinh(vec_integrand, 0.0, upper - v0, rtol=1e-12, atol=0.0)
-    return float(res.integral)
+    return float(tanhsinh(integrand, 0.0, upper - v0, rtol=1e-12, atol=0.0).integral)
 
 
 def shifted_tail(op: Operator, force: Force, v0: float, start: float,
                  *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
     """int_start^inf ds / B^-1{F(s) - F(v0)}; raises on a finite ceiling in range."""
-    crossing = ceiling_crossing(op, force, float(np.asarray(force.primitive(v0))) if v0 else 0.0)
+    crossing = ceiling_crossing(op, force, force.primitive(v0))
     if crossing is not None:
         raise DomainExceededError(
             f"F(s) - F({v0:g}) reaches B_sup = {op.energy_sup:g} at s ~ {crossing:.6g}; "

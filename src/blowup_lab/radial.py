@@ -52,10 +52,9 @@ def _check_operator(op: Operator, n: int) -> None:
 def _prestep(op: Operator, force: Force, n: int, v0: float, r0: float) -> tuple[float, float]:
     """(w, z) at r0 from the symmetric expansion: z ~ f(v0) r / n and
     w(r0) = v0 + int_0^{r0} A^-1(f(v0) t / n) dt."""
-    fv0 = float(np.asarray(force.value(v0)))
+    fv0 = force.value(v0)
     z0 = fv0 * r0 / n
-    dw, _ = quad(lambda t: float(np.asarray(op.flux_inverse(fv0 * t / n))), 0.0, r0,
-                 epsabs=0.0, epsrel=1e-12)
+    dw, _ = quad(lambda t: op.flux_inverse(fv0 * t / n), 0.0, r0, epsabs=0.0, epsrel=1e-12)
     return v0 + dw, z0
 
 
@@ -65,8 +64,7 @@ def _rhs(op: Operator, force: Force, n: int):
 
     def rhs(r, y):
         w, z = y
-        return (float(np.asarray(Ainv(z))),
-                float(np.asarray(fval(w if w > 0.0 else 0.0))) - (n - 1) / r * z)
+        return Ainv(z), fval(w if w > 0.0 else 0.0) - (n - 1) / r * z
 
     return rhs
 
@@ -94,23 +92,18 @@ class RadialProfile:
         return float(self._sol.sol(r)[0])
 
     def slope(self, r: float) -> float:
-        return float(np.asarray(self.op.flux_inverse(float(self._sol.sol(r)[1]))))
+        return self.op.flux_inverse(float(self._sol.sol(r)[1]))
 
     def residual(self, r_pts: np.ndarray) -> np.ndarray:
         """Scaled equation residual from the dense output:
         (dz/dr + (n-1)/r z - f(w)) / max(1, f(w)) with a centered step
         proportional to the local distance to the singular ends."""
-        out = np.empty(len(r_pts))
-        for i, r in enumerate(r_pts):
-            d = min(abs(self.R - r), r)
-            h = 3e-4 * d
-            wm, zm = self._sol.sol(r - h)
-            wp, zp = self._sol.sol(r + h)
-            w, z = self._sol.sol(r)
-            dz = (zp - zm) / (2.0 * h)
-            fw = float(np.asarray(self.force.value(max(w, 0.0))))
-            out[i] = (dz + (self.n - 1) / r * z - fw) / max(1.0, fw)
-        return out
+        r = np.asarray(r_pts, dtype=float)
+        h = 3e-4 * np.minimum(np.abs(self.R - r), r)
+        w, z = self._sol.sol(r)
+        dz = (self._sol.sol(r + h)[1] - self._sol.sol(r - h)[1]) / (2.0 * h)
+        fw = self.force.value(np.maximum(w, 0.0))
+        return (dz + (self.n - 1) / r * z - fw) / np.maximum(1.0, fw)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -159,7 +152,7 @@ def shoot_ball(op: Operator, force: Force, n: int, v0: float,
     R = r_evt + ko_mod.psi(op, force, w_evt)
     rs = np.linspace(R_START, r_evt, n_samples)
     ws, zs = sol.sol(rs)
-    wps = np.asarray(op.flux_inverse(zs), dtype=float)
+    wps = op.flux_inverse(zs)
     rs = np.concatenate(([0.0], rs))
     ws = np.concatenate(([v0], ws))
     wps = np.concatenate(([0.0], wps))
@@ -224,7 +217,7 @@ def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
     hit_cap.direction = 1.0
 
     def inward_blowup(s: float):
-        z0 = float(np.asarray(op.flux(-s)))
+        z0 = op.flux(-s)
         sol = solve_ivp(rhs, (r_outer, r_floor), (0.0, z0), method="DOP853",
                         rtol=RTOL, atol=ATOL, events=hit_cap, dense_output=True)
         if not sol.t_events[0].size:
@@ -275,7 +268,7 @@ def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
     r_lo_int = float(sol.t_events[0][0]) if sol.t_events[0].size else r_floor
     rs = np.linspace(r_outer, r_lo_int, n_samples)
     ws, zs = sol.sol(rs)
-    wps = np.asarray(op.flux_inverse(zs), dtype=float)
+    wps = op.flux_inverse(zs)
     return RadialProfile(op, force, n, 0.0, r_b, rs[::-1].copy(), ws[::-1].copy(),
                          wps[::-1].copy(), "annulus-barrier", (r_inner, r_outer), sol)
 

@@ -24,6 +24,16 @@ from .errors import DomainExceededError, ValidationError
 _GRID = np.concatenate(([0.0], np.logspace(-6.0, 6.0, 49)))
 
 
+def _elementwise(body: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """``body`` on a float array of the input; a float back for scalar input."""
+
+    def fn(x):
+        out = body(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
+
+    return fn
+
+
 @dataclass(frozen=True, eq=False)
 class Force:
     """A nonlinearity f with its exact primitive F and growth metadata.
@@ -88,27 +98,14 @@ def _power_force(q: float) -> Force:
     if not q > 0:
         raise ValidationError(f"power force needs q > 0, got {q}")
 
-    def f(t):
-        return np.asarray(t, dtype=float) ** q if np.ndim(t) else float(t) ** q
-
-    def F(t):
-        if np.ndim(t):
-            return np.asarray(t, dtype=float) ** (q + 1.0) / (q + 1.0)
-        return float(t) ** (q + 1.0) / (q + 1.0)
-
+    f = _elementwise(lambda t: t ** q)
+    F = _elementwise(lambda t: t ** (q + 1.0) / (q + 1.0))
     return Force("power", f, F, q, q, {"q": float(q)})
 
 
 def _exp_minus_one_force() -> Force:
-    def f(t):
-        return np.expm1(t) if np.ndim(t) else math.expm1(t)
-
-    def F(t):
-        # exp(t) - t - 1, stable near 0
-        if np.ndim(t):
-            return np.expm1(t) - np.asarray(t, dtype=float)
-        return math.expm1(t) - float(t)
-
+    f = _elementwise(np.expm1)
+    F = _elementwise(lambda t: np.expm1(t) - t)     # exp(t) - t - 1, stable near 0
     return Force("exp-minus-one", f, F, 1.0, None, {})
 
 
@@ -122,17 +119,13 @@ def _piecewise_power_force(a: float, b: float) -> Force:
         raise ValidationError(f"piecewise-power force needs a, b > 0, got a={a}, b={b}")
     F_knee = 1.0 / (a + 1.0)
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= 1.0, t ** a, t ** b)
-        return out if out.ndim else float(out)
+    f = _elementwise(lambda t: np.where(t <= 1.0, t ** a, t ** b))
 
+    @_elementwise
     def F(t):
-        t = np.asarray(t, dtype=float)
         low = t ** (a + 1.0) / (a + 1.0)
         high = F_knee + (np.where(t >= 1.0, t, 1.0) ** (b + 1.0) - 1.0) / (b + 1.0)
-        out = np.where(t <= 1.0, low, high)
-        return out if out.ndim else float(out)
+        return np.where(t <= 1.0, low, high)
 
     return Force("piecewise-power", f, F, a, b, {"a": float(a), "b": float(b)})
 
@@ -159,14 +152,13 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
     # exact primitive of the piecewise-linear interpolant at the knots
     Fk = np.concatenate(([0.0], np.cumsum(0.5 * (ft[1:] + ft[:-1]) * np.diff(t))))
 
+    @_elementwise
     def f(x):
-        x = np.asarray(x, dtype=float)
         inside = np.interp(x, t, ft)
-        out = np.where(x <= t[-1], inside, tail_coef * np.maximum(x, t[-1]) ** tail_exp)
-        return out if out.ndim else float(out)
+        return np.where(x <= t[-1], inside, tail_coef * np.maximum(x, t[-1]) ** tail_exp)
 
+    @_elementwise
     def F(x):
-        x = np.asarray(x, dtype=float)
         xi = np.clip(x, 0.0, t[-1])
         k = np.clip(np.searchsorted(t, xi, side="right") - 1, 0, len(t) - 2)
         dt = xi - t[k]
@@ -174,8 +166,7 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
         inside = Fk[k] + ft[k] * dt + 0.5 * slope * dt * dt
         over = np.maximum(x, t[-1])
         tail = Fk[-1] + tail_coef * (over ** (tail_exp + 1.0) - t[-1] ** (tail_exp + 1.0)) / (tail_exp + 1.0)
-        out = np.where(x <= t[-1], inside, tail)
-        return out if out.ndim else float(out)
+        return np.where(x <= t[-1], inside, tail)
 
     return Force("table", f, F, None, tail_exp,
                  {"points": [[float(a), float(b)] for a, b in pts]})
@@ -183,8 +174,8 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
 
 def _validate_force(force: Force) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
-        fv = np.asarray(force.value(_GRID), dtype=float)
-        Fv = np.asarray(force.primitive(_GRID), dtype=float)
+        fv = force.value(_GRID)
+        Fv = force.primitive(_GRID)
     if fv[0] != 0.0:
         raise ValidationError(f"f(0) = {fv[0]}, expected 0")
     if np.any(fv[1:] <= 0.0):
@@ -203,7 +194,7 @@ def _validate_force(force: Force) -> None:
     grid = _GRID[finF]
     mid = 0.5 * (grid[1:] + grid[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        Fm = np.asarray(force.primitive(mid), dtype=float)
+        Fm = force.primitive(mid)
     FvL, FvR = Fv[finF][:-1], Fv[finF][1:]
     ok = ~np.isfinite(Fm) | (Fm <= 0.5 * (FvL + FvR) * (1.0 + 1e-12) + 1e-300)
     if not np.all(ok):
@@ -241,72 +232,26 @@ def _p_laplace(p: float) -> Operator:
         raise ValidationError(f"p-laplace needs p > 1, got {p}")
     pm1 = p - 1.0
 
-    def A(r):
-        if np.ndim(r):
-            r = np.asarray(r, dtype=float)
-            return np.sign(r) * np.abs(r) ** pm1
-        return math.copysign(abs(r) ** pm1, r)
-
-    def Ap(r):
-        if np.ndim(r):
-            return pm1 * np.abs(np.asarray(r, dtype=float)) ** (p - 2.0)
-        return pm1 * abs(r) ** (p - 2.0)
-
-    def Ainv(z):
-        if np.ndim(z):
-            z = np.asarray(z, dtype=float)
-            return np.sign(z) * np.abs(z) ** (1.0 / pm1)
-        return math.copysign(abs(z) ** (1.0 / pm1), z)
-
-    def B(x):
-        if np.ndim(x):
-            return pm1 / p * np.abs(np.asarray(x, dtype=float)) ** p
-        return pm1 / p * abs(x) ** p
-
-    def Binv(y):
-        if np.ndim(y):
-            return (p * np.asarray(y, dtype=float) / pm1) ** (1.0 / p)
-        return (p * y / pm1) ** (1.0 / p)
-
+    A = _elementwise(lambda r: np.copysign(np.abs(r) ** pm1, r))
+    Ap = _elementwise(lambda r: pm1 * np.abs(r) ** (p - 2.0))
+    Ainv = _elementwise(lambda z: np.copysign(np.abs(z) ** (1.0 / pm1), z))
+    B = _elementwise(lambda x: pm1 / p * np.abs(x) ** p)
+    Binv = _elementwise(lambda y: (p * y / pm1) ** (1.0 / p))
     return Operator("p-laplace", A, Ap, Ainv, B, Binv, math.inf, {"p": float(p)})
 
 
 def _mean_curvature() -> Operator:
-    def A(r):
-        if np.ndim(r):
-            r = np.asarray(r, dtype=float)
-            return r / np.sqrt(1.0 + r * r)
-        return r / math.sqrt(1.0 + r * r)
+    A = _elementwise(lambda r: r / np.sqrt(1.0 + r * r))
+    Ap = _elementwise(lambda r: (1.0 + r * r) ** -1.5)
+    Ainv = _elementwise(lambda z: z / np.sqrt(1.0 - z * z))      # |z| < 1 here
+    B = _elementwise(lambda x: 1.0 - 1.0 / np.sqrt(1.0 + x * x))
 
-    def Ap(r):
-        if np.ndim(r):
-            r = np.asarray(r, dtype=float)
-            return (1.0 + r * r) ** -1.5
-        return (1.0 + r * r) ** -1.5
-
-    def Ainv(z):
-        # |z| < 1 for this operator
-        if np.ndim(z):
-            z = np.asarray(z, dtype=float)
-            return z / np.sqrt(1.0 - z * z)
-        return z / math.sqrt(1.0 - z * z)
-
-    def B(x):
-        if np.ndim(x):
-            x = np.asarray(x, dtype=float)
-            return 1.0 - 1.0 / np.sqrt(1.0 + x * x)
-        return 1.0 - 1.0 / math.sqrt(1.0 + x * x)
-
+    @_elementwise
     def Binv(y):
         # (1-y)^-2 - 1 = y(2-y)/(1-y)^2, stable for y near 0
-        if np.ndim(y):
-            y = np.asarray(y, dtype=float)
-            if np.any(y >= 1.0):
-                raise DomainExceededError("B^-1 argument reached the ceiling B_sup = 1")
-            return np.sqrt(y * (2.0 - y)) / (1.0 - y)
-        if y >= 1.0:
-            raise DomainExceededError(f"B^-1 argument {y} >= B_sup = 1")
-        return math.sqrt(y * (2.0 - y)) / (1.0 - y)
+        if np.any(y >= 1.0):
+            raise DomainExceededError(f"B^-1 argument {np.max(y)} >= B_sup = 1")
+        return np.sqrt(y * (2.0 - y)) / (1.0 - y)
 
     return Operator("mean-curvature", A, Ap, Ainv, B, Binv, 1.0, {})
 
@@ -330,44 +275,39 @@ def _table_operator(points: Sequence[Sequence[float]]) -> Operator:
     # B at the knots: on each segment A' = c_k, so int A'(s) s ds = c_k (s^2 - r_k^2)/2
     Bk = np.concatenate(([0.0], np.cumsum(slopes * 0.5 * (r[1:] ** 2 - r[:-1] ** 2))))
 
+    @_elementwise
     def A(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sign(x)
         ax = np.abs(x)
         inside = np.interp(ax, r, a)
-        out = s * np.where(ax <= r[-1], inside, a[-1] + slopes[-1] * (ax - r[-1]))
-        return out if out.ndim else float(out)
+        return np.sign(x) * np.where(ax <= r[-1], inside, a[-1] + slopes[-1] * (ax - r[-1]))
 
+    @_elementwise
     def Ap(x):
-        x = np.abs(np.asarray(x, dtype=float))
+        x = np.abs(x)
         k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(r) - 2)
-        out = np.where(x <= r[-1], slopes[k], slopes[-1])
-        return out if out.ndim else float(out)
+        return np.where(x <= r[-1], slopes[k], slopes[-1])
 
+    @_elementwise
     def Ainv(z):
-        z = np.asarray(z, dtype=float)
-        s = np.sign(z)
         az = np.abs(z)
         inside = np.interp(az, a, r)
-        out = s * np.where(az <= a[-1], inside, r[-1] + (az - a[-1]) / slopes[-1])
-        return out if out.ndim else float(out)
+        return np.sign(z) * np.where(az <= a[-1], inside, r[-1] + (az - a[-1]) / slopes[-1])
 
+    @_elementwise
     def B(x):
-        x = np.abs(np.asarray(x, dtype=float))
+        x = np.abs(x)
         xi = np.clip(x, 0.0, r[-1])
         k = np.clip(np.searchsorted(r, xi, side="right") - 1, 0, len(r) - 2)
         inside = Bk[k] + slopes[k] * 0.5 * (xi ** 2 - r[k] ** 2)
         over = np.maximum(x, r[-1])
-        out = np.where(x <= r[-1], inside, Bk[-1] + slopes[-1] * 0.5 * (over ** 2 - r[-1] ** 2))
-        return out if out.ndim else float(out)
+        return np.where(x <= r[-1], inside, Bk[-1] + slopes[-1] * 0.5 * (over ** 2 - r[-1] ** 2))
 
+    @_elementwise
     def Binv(y):
-        y = np.asarray(y, dtype=float)
         if np.any(y < 0.0):
             raise DomainExceededError(f"B^-1 argument {np.min(y)} < 0")
         k = np.minimum(np.searchsorted(Bk, y, side="right") - 1, len(slopes) - 1)
-        out = np.sqrt(r[k] ** 2 + 2.0 * (y - Bk[k]) / slopes[k])
-        return out if out.ndim else float(out)
+        return np.sqrt(r[k] ** 2 + 2.0 * (y - Bk[k]) / slopes[k])
 
     return Operator("table", A, Ap, Ainv, B, Binv, math.inf,
                     {"points": [[float(u), float(v)] for u, v in pts]})
@@ -375,28 +315,28 @@ def _table_operator(points: Sequence[Sequence[float]]) -> Operator:
 
 def _validate_operator(op: Operator) -> None:
     grid = _GRID[1:]
-    if float(np.asarray(op.flux(0.0))) != 0.0:
+    if op.flux(0.0) != 0.0:
         raise ValidationError("A(0) must be 0")
-    Apv = np.asarray(op.flux_prime(grid), dtype=float)
+    Apv = op.flux_prime(grid)
     if np.any(Apv <= 0.0):
         raise ValidationError("A' must be positive for r > 0 (sampled check)")
-    Bv = np.asarray(op.energy(grid), dtype=float)
-    if float(np.asarray(op.energy(0.0))) != 0.0 or np.any(np.diff(Bv) <= 0.0):
+    Bv = op.energy(grid)
+    if op.energy(0.0) != 0.0 or np.any(np.diff(Bv) <= 0.0):
         raise ValidationError("B must vanish at 0 and be strictly increasing")
     # Q(r) * r == A(r) on the sampled grid
-    qr = np.asarray(op.coefficient(grid), dtype=float) * grid
-    if np.max(np.abs(qr - np.asarray(op.flux(grid), dtype=float))) > 1e-12 * np.max(np.abs(qr)):
+    qr = op.coefficient(grid) * grid
+    if np.max(np.abs(qr - op.flux(grid))) > 1e-12 * np.max(np.abs(qr)):
         raise ValidationError("Q(r)*r must equal A(r)")
     # round trip B(B^-1(y)) = y on [0, 0.99 B_sup)
     if math.isinf(op.energy_sup):
-        ys = np.logspace(-6, math.log10(float(np.asarray(op.energy(1e6)))), 25)
+        ys = np.logspace(-6, math.log10(op.energy(1e6)), 25)
     else:
         ys = np.linspace(1e-6, 0.99 * op.energy_sup, 25)
-    for y in ys:
-        x = op.energy_inverse(float(y))
-        back = float(np.asarray(op.energy(x)))
-        if abs(back - y) > 1e-10 * max(abs(y), 1e-300):
-            raise ValidationError(f"B(B^-1({y})) = {back}, round trip off by {abs(back - y):.2e}")
+    back = op.energy(op.energy_inverse(ys))
+    off = np.flatnonzero(np.abs(back - ys) > 1e-10 * ys)
+    if off.size:
+        y, b = ys[off[0]], back[off[0]]
+        raise ValidationError(f"B(B^-1({y})) = {b}, round trip off by {abs(b - y):.2e}")
 
 
 def make_operator(spec: Optional[dict] = None, **kwargs) -> Operator:

@@ -321,6 +321,22 @@ class TestInversion:
         x = br.total * (1.0 - 1e-6)
         assert abs(br.integral_to(br.upper_value(x)) - x) <= 1e-12 * x
 
+    @pytest.mark.parametrize("case", [_INVERSION_CASES[i] for i in (0, 3, 5)],
+                             ids=[_INVERSION_IDS[i] for i in (0, 3, 5)])
+    def test_integral_to_independent_of_kernel(self, case, monkeypatch):
+        # the oracle of every implicit-relation check must not grade the
+        # kernel with itself
+        br, _ = _branch_for(case)
+        xs = [0.5 * br.head_full, br._cum[2], 0.9 * br.total]
+        vs = [br.upper_value(x) for x in xs]
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("integral_to called integrate_block")
+
+        monkeypatch.setattr(qk, "integrate_block", kernel)
+        for x, v in zip(xs, vs):
+            assert br.integral_to(v) == pytest.approx(x, rel=1e-12)
+
     def test_quadratures_per_point(self, monkeypatch):
         calls = {"n": 0}
         for name in ("integrate_block", "singular_head"):

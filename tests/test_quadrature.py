@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from blowup_lab import DivergenceError, DomainExceededError, make_force, make_operator
 from blowup_lab import quadrature as qk
@@ -126,6 +128,120 @@ class TestCeiling:
 
     def test_no_crossing_for_p_laplace(self, op_p2, force_cubic):
         assert qk.ceiling_crossing(op_p2, force_cubic) is None
+
+
+_TABLE_5 = [[0, 0], [0.5, 0.4], [1, 1], [2, 3], [4, 8]]
+
+
+def _table_kinks(op, force, v0, lo, hi):
+    """The s in (lo, hi) with F(s) - F(v0) = B(r_k) at the table knots r_k."""
+    shift = force.primitive(v0)
+    kinks = []
+    for r in np.asarray(op.params["points"])[1:, 0]:
+        def gap(s, e=op.energy(r)):
+            return force.primitive(s) - shift - e
+        if gap(lo) < 0.0 < gap(hi):
+            kinks.append(brentq(gap, lo, hi, xtol=1e-15))
+    return kinks
+
+
+def _assert_matches_scalars(fn, xs):
+    xs = np.asarray(xs, dtype=float)
+    out = fn(xs)
+    assert isinstance(fn(float(xs[0])), float)
+    assert out.shape == xs.shape
+    np.testing.assert_array_equal(out, [fn(float(x)) for x in xs])
+    np.testing.assert_array_equal(fn(xs.reshape(2, -1)), out.reshape(2, -1))
+
+
+class TestArrayIntegrands:
+    """Array input gives the element-wise scalar values, on both sides of
+    every branch: the Simpson gap, y <= 0, overflow, table kinks."""
+
+    @pytest.mark.parametrize("force_spec", [
+        {"kind": "power", "q": 3}, {"kind": "exp-minus-one"},
+        {"kind": "piecewise-power", "a": 0.5, "b": 3}, {"kind": "table", "points": _TABLE_5}])
+    @pytest.mark.parametrize("v0", [0.0, 0.4, 3.0])
+    def test_primitive_gap(self, force_spec, v0):
+        force = make_force(force_spec)
+        edge = 1e-3 * max(v0, 1.0)      # the Simpson branch lies below this gap
+        gaps = np.concatenate(([0.0, 1e-300, 1e-9], edge * np.array([0.5, 0.999, 1.0, 1.001]),
+                               [0.3, 1.0, 7.0, 40.0, 300.0]))
+        _assert_matches_scalars(lambda t: qk.primitive_gap(force, v0, t), gaps)
+
+    @pytest.mark.parametrize("op_spec,force_spec,v0", [
+        ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3}, 1.0),
+        ({"kind": "p-laplace", "p": 3}, {"kind": "exp-minus-one"}, 0.5),
+        ({"kind": "mean-curvature"}, {"kind": "power", "q": 3}, 0.5),
+        ({"kind": "table", "points": _TABLE_5}, {"kind": "power", "q": 3}, 1.0),
+        ({"kind": "table", "points": _TABLE_5}, {"kind": "table", "points": _TABLE_5}, 0.0),
+    ], ids=["p2-power", "p3-exp-overflow", "mean-curvature", "table-operator", "table-both"])
+    def test_shifted_integrand(self, op_spec, force_spec, v0):
+        op, force = make_operator(op_spec), make_force(force_spec)
+        g = qk.shifted_integrand(op, force, v0)
+        top = 0.9 if op.kind == "mean-curvature" else 1e3   # stay below B_sup = 1
+        s = np.concatenate(([v0, v0 * 0.5, v0 + 1e-4, v0 + 0.3],
+                            np.linspace(v0 + 0.01, min(top, v0 + 3.0), 6), [top]))
+        if op.kind == "table":
+            s = np.concatenate((s[:-2], _table_kinks(op, force, v0, v0 + 1e-9, 40.0)))
+        s = s[: 2 * (len(s) // 2)]
+        _assert_matches_scalars(g, s)
+        if v0 > 0.0:
+            assert g(v0) == math.inf and g(0.5 * v0) == math.inf
+        if force.kind == "exp-minus-one":
+            assert g(1e3) == 0.0      # F overflows
+
+    @pytest.mark.parametrize("p,force_spec,v0", [
+        (2.0, {"kind": "power", "q": 3}, 1.0), (3.0, {"kind": "power", "q": 6}, 0.5),
+        (2.0, {"kind": "piecewise-power", "a": 0.4, "b": 3}, 0.0)])
+    def test_head_density(self, p, force_spec, v0):
+        sub = qk.head_substitution(make_operator(kind="p-laplace", p=p), make_force(force_spec), v0)
+        u = np.concatenate(([0.0, 1e-200, 1e-6], np.linspace(0.01, sub.u_of(v0 + 0.5), 7)))
+        _assert_matches_scalars(sub.density, u)
+
+
+class TestKernel:
+    """integrate_block against scipy's quad at 1e-12 relative."""
+
+    @staticmethod
+    def _ref(g, a, b, points=None):
+        return quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=400, points=points)[0]
+
+    def test_smooth_block(self, op_p2, force_cubic):
+        g = qk.shifted_integrand(op_p2, force_cubic, 1.0)
+        assert qk.integrate_block(g, 2.0, 4.0) == pytest.approx(self._ref(g, 2.0, 4.0), rel=1e-12)
+        # a block's value does not depend on the other blocks of the call
+        lo = np.array([2.0, 1.5, 40.0, 2.0])
+        hi = np.array([4.0, 1.6, 80.0, 2.0])
+        batch = qk.integrate_block(g, lo, hi)
+        assert list(batch) == [qk.integrate_block(g, a, b) for a, b in zip(lo, hi)]
+        assert batch[3] == 0.0
+        assert qk.integrate_block(g, 4.0, 2.0) == pytest.approx(-batch[0], rel=1e-15)
+
+    def test_head_density_singular_derivative(self, op_p3):
+        # p = 3: the density is c0 + c1 u^1.5 + ..., its derivative singular at 0
+        sub = qk.head_substitution(op_p3, make_force(kind="power", q=6), 1.0)
+        U = sub.u_of(1.5)
+        assert qk.integrate_block(sub.density, 0.0, U) == pytest.approx(
+            self._ref(sub.density, 0.0, U), rel=1e-12)
+
+    def test_kinked_table_block(self):
+        op = make_operator(kind="table", points=_TABLE_5)
+        force = make_force(kind="power", q=3)
+        g = qk.shifted_integrand(op, force, 1.0)
+        kinks = _table_kinks(op, force, 1.0, 1.5, 3.0)
+        assert len(kinks) == 2
+        assert qk.integrate_block(g, 1.5, 3.0) == pytest.approx(
+            self._ref(g, 1.5, 3.0, points=kinks), rel=1e-12)
+
+    def test_near_frontier_block(self):
+        # p = 1.5, q one part in 1e6 above the frontier p - 1: the integrand
+        # decays like s^-(1 + 3.3e-7) and the ladder needs every block to 1e-12
+        g = qk.shifted_integrand(make_operator(kind="p-laplace", p=1.5),
+                                 make_force(kind="power", q=0.5 * (1.0 + 1e-6)), 0.0)
+        for a in (1.0, 2.0 ** 40):
+            assert qk.integrate_block(g, a, 2.0 * a) == pytest.approx(
+                self._ref(g, a, 2.0 * a), rel=1e-12)
 
 
 def test_require_converged_raises():

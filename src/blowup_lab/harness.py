@@ -366,10 +366,13 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
     n = int(params.get("n", 2))
     checks: list[CheckResult] = []
     if "r_inner" in params:
-        prof = radial.annulus_barrier(op, force, n, float(params["r_inner"]),
-                                      float(params["r_outer"]))
+        r_inner, r_outer = float(params["r_inner"]), float(params["r_outer"])
+        if not r_outer > r_inner:
+            raise ConfigError(f"an annulus needs r_outer > r_inner, got r_inner = "
+                              f"{r_inner:g}, r_outer = {r_outer:g}")
+        prof = radial.annulus_barrier(op, force, n, r_inner, r_outer)
         checks.append(CheckResult("annulus-blowup-location",
-                                  abs(prof.R - params["r_inner"]) <= 1e-4 * params["r_inner"],
+                                  abs(prof.R - r_inner) <= 1e-4 * r_inner,
                                   prof.R, 1e-4))
         checks.append(CheckResult("decreasing-in-r",
                                   bool(np.all(np.diff(prof.w) <= 1e-12)),

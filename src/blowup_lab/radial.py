@@ -8,6 +8,13 @@ r0 = 1e-6.  Blow-up locations are extrapolated from a finite cap w = 1e8 by
 the tail functional Psi, which is exact in 1D and subdominant-error in the
 radial case.
 
+Only shots whose profile is sampled (`shoot_ball`, the accepted annulus
+shot) keep DOP853's dense interpolant; every other shot integrates to the
+cap event alone.  The ball's center value and the annulus' outer slope are
+found on a log scale, where R is a power of v0 for power forces, by one
+bracketed brentq that shoots each point once; the annulus stops within
+1e-8 (relative) of r_inner.
+
 This doubles as the independent IVP oracle for the implicit-relation
 profiles of the 1D module (n = 1 removes the curvature term).
 """
@@ -21,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from . import ko as ko_mod
 from . import ode1d
@@ -121,21 +129,60 @@ class RadialProfile:
             json.dump(doc, fh, indent=2, sort_keys=True)
 
 
-def _integrate_outward(op, force, n, v0, w_cap, r_span_hint=None):
-    rhs = _rhs(op, force, n)
-    w0, z0 = _prestep(op, force, n, v0, R_START)
+class _Hit(Exception):
+    """A shot landed within the function tolerance; carries its t."""
 
+
+def _increasing_root(g, limit: float, ftol: float, name: str, goal: str) -> float:
+    """t with g(t) = 0 for g increasing in t, |t| <= limit.
+
+    From t = 0 the shots step by log 4 toward the sign change, then brentq
+    (xtol 1e-12) runs on the last step.  Every t is shot once, so the
+    bracket ends cost nothing twice; a shot with |g| <= ftol ends the search.
+    """
+    seen: dict = {}
+
+    def shot(t: float) -> float:
+        if t not in seen:
+            seen[t] = g(t)
+            if abs(seen[t]) <= ftol:
+                raise _Hit(t)
+        return seen[t]
+
+    try:
+        step = math.log(4.0) if shot(0.0) < 0.0 else -math.log(4.0)
+        a = 0.0
+        while abs(a + step) <= limit and shot(a + step) * seen[a] > 0.0:
+            a += step
+        if abs(a + step) > limit:
+            raise BracketError(f"no {name} in [{math.exp(-limit):g}, "
+                               f"{math.exp(limit):g}] {goal}")
+        return brentq(shot, min(a, a + step), max(a, a + step), xtol=1e-12)
+    except _Hit as hit:
+        return hit.args[0]
+
+
+def _shoot(rhs, r_span: tuple, y0: tuple, w_cap: float, dense: bool):
+    """One DOP853 shot toward the event w = w_cap; the dense interpolant is
+    built only when the profile will be sampled."""
     def hit_cap(r, y):
         return y[0] - w_cap
     hit_cap.terminal = True
     hit_cap.direction = 1.0
 
-    r_end = r_span_hint if r_span_hint is not None else 1e6
-    sol = solve_ivp(rhs, (R_START, r_end), (w0, z0), method="DOP853",
-                    rtol=RTOL, atol=ATOL, events=hit_cap, dense_output=True)
+    sol = solve_ivp(rhs, r_span, y0, method="DOP853", rtol=RTOL, atol=ATOL,
+                    events=hit_cap, dense_output=dense)
+    if sol.status < 0:
+        raise BlowupLabError(f"integrator stopped at r = {sol.t[-1]:.6g}, "
+                             f"w = {sol.y[0, -1]:.6g}: {sol.message}")
+    return sol
+
+
+def _integrate_outward(op, force, n, v0, w_cap, dense):
+    sol = _shoot(_rhs(op, force, n), (R_START, 1e6), _prestep(op, force, n, v0, R_START),
+                 w_cap, dense)
     if not sol.t_events[0].size:
-        raise BlowupLabError(
-            f"no blow-up reached by r = {r_end:g} (w ended at {sol.y[0, -1]:.3g})")
+        raise BlowupLabError(f"no blow-up reached by r = 1e+06 (w ended at {sol.y[0, -1]:.3g})")
     return sol
 
 
@@ -146,7 +193,7 @@ def shoot_ball(op: Operator, force: Force, n: int, v0: float,
     if not v0 > 0.0:
         raise ValueError("shoot_ball needs v0 > 0")
     _require_ko(op, force)
-    sol = _integrate_outward(op, force, n, v0, w_cap)
+    sol = _integrate_outward(op, force, n, v0, w_cap, dense=True)
     r_evt = float(sol.t_events[0][0])
     w_evt = float(sol.y_events[0][0][0])
     R = r_evt + ko_mod.psi(op, force, w_evt)
@@ -164,35 +211,24 @@ def blowup_radius(op: Operator, force: Force, n: int, v0: float,
     """R(v0) alone (no sampling); strictly decreasing in v0."""
     _check_operator(op, n)
     _require_ko(op, force)
-    sol = _integrate_outward(op, force, n, v0, w_cap)
+    sol = _integrate_outward(op, force, n, v0, w_cap, dense=False)
     return float(sol.t_events[0][0]) + ko_mod.psi(op, force, float(sol.y_events[0][0][0]))
 
 
 def ball_large_solution(op: Operator, force: Force, n: int, R_target: float,
                         rel_tol: float = 1e-6) -> RadialProfile:
-    """Find v0 with R(v0) = R_target by bracketed root finding on log v0."""
+    """Find v0 with R(v0) = R_target by root finding on t = log v0.
+
+    log R is linear in t for power forces (R(lam v0) = lam^(-(q-p+1)/p) R(v0)),
+    so once bracketed, one secant step lands on the root."""
     _check_operator(op, n)
     if not R_target > 0.0:
         raise ValueError("ball_large_solution needs R_target > 0")
-    lo = hi = 1.0
-    R1 = blowup_radius(op, force, n, 1.0)
-    if R1 > R_target:       # need larger v0
-        while blowup_radius(op, force, n, hi) > R_target:
-            hi *= 4.0
-            if hi > 1e12:
-                raise BracketError("no v0 <= 1e12 reaches the target radius")
-        lo = hi / 4.0
-    else:
-        while blowup_radius(op, force, n, lo) < R_target:
-            lo /= 4.0
-            if lo < 1e-12:
-                raise BracketError("no v0 >= 1e-12 reaches the target radius")
-        hi = lo * 4.0
-    from scipy.optimize import brentq
-    t = brentq(lambda lv: blowup_radius(op, force, n, math.exp(lv)) - R_target,
-               math.log(lo), math.log(hi), xtol=1e-12, rtol=8.9e-16)
-    v0 = math.exp(t)
-    prof = shoot_ball(op, force, n, v0)
+    log_target = math.log(R_target)
+    t = _increasing_root(
+        lambda t: log_target - math.log(blowup_radius(op, force, n, math.exp(t))),
+        math.log(1e12), 0.0, "v0", f"reaches the radius {R_target:g}")
+    prof = shoot_ball(op, force, n, math.exp(t))
     if abs(prof.R - R_target) > rel_tol * R_target:
         raise BlowupLabError(
             f"radius match {prof.R:g} vs {R_target:g} misses rel tol {rel_tol:g}")
@@ -200,10 +236,10 @@ def ball_large_solution(op: Operator, force: Force, n: int, R_target: float,
 
 
 def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
-                    r_outer: float, loc_tol: float = 1e-4,
+                    r_outer: float, loc_tol: float = 1e-8,
                     w_cap: float = W_CAP, n_samples: int = 400) -> RadialProfile:
     """Barrier on the annulus: zero at r_outer, blow-up at r_inner, found by
-    bisection on the outer slope magnitude s (w'(r_outer) = -s)."""
+    root finding on t = log s for the outer slope w'(r_outer) = -s."""
     _check_operator(op, n)
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
@@ -211,59 +247,21 @@ def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
     rhs = _rhs(op, force, n)
     r_floor = 0.25 * r_inner
 
-    def hit_cap(r, y):
-        return y[0] - w_cap
-    hit_cap.terminal = True
-    hit_cap.direction = 1.0
-
-    def inward_blowup(s: float):
-        z0 = op.flux(-s)
-        sol = solve_ivp(rhs, (r_outer, r_floor), (0.0, z0), method="DOP853",
-                        rtol=RTOL, atol=ATOL, events=hit_cap, dense_output=True)
+    def inward_blowup(t: float, dense: bool = False):
+        sol = _shoot(rhs, (r_outer, r_floor), (0.0, op.flux(-math.exp(t))), w_cap, dense)
         if not sol.t_events[0].size:
             return r_floor, sol          # too shallow: no blow-up above the floor
         r_evt = float(sol.t_events[0][0])
         w_evt = float(sol.y_events[0][0][0])
         return r_evt - ko_mod.psi(op, force, w_evt), sol
 
-    # bracket: r_blow(s) increasing in s
-    s_lo = s_hi = 1.0
-    r_b, _ = inward_blowup(1.0)
-    if r_b < r_inner:
-        while True:
-            s_hi *= 4.0
-            if s_hi > 1e10:
-                raise BracketError(
-                    f"no outer slope <= 1e10 blows up at r = {r_inner:g} "
-                    f"(best location {r_b:g})")
-            r_b, _ = inward_blowup(s_hi)
-            if r_b >= r_inner:
-                break
-        s_lo = s_hi / 4.0
-    else:
-        while True:
-            s_lo /= 4.0
-            if s_lo < 1e-10:
-                raise BracketError(
-                    f"every outer slope >= 1e-10 blows up above r = {r_inner:g} "
-                    f"(best location {r_b:g})")
-            r_b, _ = inward_blowup(s_lo)
-            if r_b <= r_inner:
-                break
-        s_hi = s_lo * 4.0
-
-    sol = None
-    for _ in range(200):
-        s_mid = math.sqrt(s_lo * s_hi)
-        r_b, sol = inward_blowup(s_mid)
-        if abs(r_b - r_inner) <= loc_tol * r_inner:
-            break
-        if r_b < r_inner:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-    else:
-        raise BracketError(f"bisection stalled; best blow-up location {r_b:g}")
+    # the blow-up location rises with s
+    t = _increasing_root(lambda t: inward_blowup(t)[0] - r_inner, math.log(1e10),
+                         loc_tol * r_inner, "outer slope", f"blows up at r = {r_inner:g}")
+    r_b, sol = inward_blowup(t, dense=True)
+    if abs(r_b - r_inner) > loc_tol * r_inner:
+        raise BracketError(f"the outer slope converged with the blow-up at r = {r_b:.12g}, "
+                           f"beyond loc_tol = {loc_tol:g} of r = {r_inner:g}")
 
     r_lo_int = float(sol.t_events[0][0]) if sol.t_events[0].size else r_floor
     rs = np.linspace(r_outer, r_lo_int, n_samples)

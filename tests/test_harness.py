@@ -187,6 +187,22 @@ class TestRunners:
         assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
         assert "ell > L" in check.detail
 
+    @pytest.mark.parametrize("r_outer", [1.0, 2.0], ids=["reversed", "equal"])
+    def test_annulus_radii_out_of_order_rejected_before_shooting(self, tmp_path,
+                                                                 monkeypatch, r_outer):
+        def no_shot(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(harness.radial, "solve_ivp", no_shot)
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", params={"n": 2, "r_inner": 2.0, "r_outer": r_outer}))
+        rep = run(cfg, tmp_path)
+        assert rep.status == "fail"
+        assert rep.files == []
+        (check,) = rep.checks
+        assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
+        assert "r_outer > r_inner" in check.detail
+
     def test_ko_check_beta_outside_unit_interval_rejected(self, tmp_path):
         doc = cfg_dict(params={"with_a5": True, "betas": [0.5, 1.5]})
         with pytest.raises(ConfigError, match="betas"):

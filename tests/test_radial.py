@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (BlowupRateFn, DivergenceError, ValidationError,
+from blowup_lab import (BlowupLabError, BlowupRateFn, DivergenceError, ValidationError,
                         annulus_barrier, ball_large_solution, blowup_radius,
                         ell_of_v0, eval_profile, grid_for_ell, local_bound_check,
                         make_force, make_operator, psi, shoot_ball,
@@ -119,6 +119,87 @@ class TestAnnulusBarrier:
         t = 1.0 + 1e-3
         ratio = psi(op_p2, force_cubic, barrier.value(t)) / (t - 1.0)
         assert ratio <= 1.05
+
+
+def _counted(build):
+    """build() under a solve_ivp that counts shots and dense shots."""
+    shots = []
+
+    def solve_ivp(*args, **kwargs):
+        shots.append(kwargs["dense_output"])
+        return real(*args, **kwargs)
+
+    real = radial.solve_ivp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "solve_ivp", solve_ivp)
+        prof = build()
+    return prof, len(shots), sum(shots)
+
+
+ANNULI = [(2.0, 3.0, 2, 1.0, 2.0), (3.0, 5.0, 3, 1.3, 2.6), (2.0, 4.0, 2, 0.7, 2.0)]
+
+
+@pytest.fixture(scope="module", params=ANNULI, ids=["p2-q3-n2", "p3-q5-n3", "p2-q4-n2"])
+def counted_annulus(request):
+    p, q, n, r_inner, r_outer = request.param
+    op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+    return (op, force, r_inner) + _counted(
+        lambda: annulus_barrier(op, force, n, r_inner, r_outer))
+
+
+class TestAnnulusAccuracy:
+    def test_location(self, counted_annulus):
+        _, _, r_inner, prof, _, _ = counted_annulus
+        assert abs(prof.R - r_inner) <= 1e-7 * r_inner
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-4])
+    def test_one_sided_inequality(self, counted_annulus, d):
+        # Psi(w) is the distance to the blow-up in 1D; a location error of
+        # loc_tol * r_inner shows in this ratio once d comes near it
+        op, force, r_inner, prof, _, _ = counted_annulus
+        assert 0.99 <= psi(op, force, prof.value(r_inner + d)) / d <= 1.01
+
+    def test_shot_budget(self, counted_annulus):
+        *_, n_shots, n_dense = counted_annulus
+        assert n_shots <= 10
+        assert n_dense == 1          # only the accepted shot is sampled
+
+
+class TestShotBudget:
+    @pytest.mark.parametrize("p,q,n,R", [(2.0, 3.0, 2, 1.0), (3.0, 5.0, 3, 0.7),
+                                         (2.0, 2.5, 2, 1.0)])
+    def test_ball_large_solution(self, p, q, n, R):
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+        prof, n_shots, n_dense = _counted(lambda: ball_large_solution(op, force, n, R))
+        assert prof.R == pytest.approx(R, rel=1e-6)
+        assert n_shots <= 7
+        assert n_dense == 1
+
+    @pytest.mark.parametrize("operator,n", [
+        ({"kind": "p-laplace", "p": 2}, 2), ({"kind": "p-laplace", "p": 3}, 3),
+        ({"kind": "table", "points": [[0, 0], [0.5, 0.4], [1, 1], [2, 3], [4, 8]]}, 1),
+    ], ids=["p2-n2", "p3-n3", "table-n1"])
+    def test_event_only_shot_matches_dense_shot(self, operator, n, force_cubic):
+        op = make_operator(**operator)
+        for v0 in (0.5, 2.0):
+            assert blowup_radius(op, force_cubic, n, v0) == shoot_ball(
+                op, force_cubic, n, v0).R
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestIntegratorFailure:
+    # e^w overflows long before the cap w = 1e8: DOP853 gives up near w = 64
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ball_names_the_stop(self, op_p2, n):
+        force = make_force(kind="exp-minus-one")
+        for shoot in (shoot_ball, blowup_radius):
+            with pytest.raises(BlowupLabError,
+                               match=r"stopped at r = .*, w = 6\d.*Required step size"):
+                shoot(op_p2, force, n, 1.0)
+
+    def test_annulus_names_the_stop(self, op_p2):
+        with pytest.raises(BlowupLabError, match=r"stopped at r = .*Required step size"):
+            annulus_barrier(op_p2, make_force(kind="exp-minus-one"), 2, 1.0, 2.0)
 
 
 class TestLocalBound:

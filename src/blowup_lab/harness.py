@@ -70,9 +70,10 @@ _PARAMS_SCHEMA = {
         "v0": {"type": "number", "exclusiveMinimum": 0},
         "n_body": {"type": "integer", "minimum": 2},
         "n_edge": {"type": "integer", "minimum": 2},
-        "distances": {"type": "array", "items": {"type": "number"}},
+        "distances": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         # ell-map
-        "v0_grid": {"type": "array", "items": {"type": "number"}},
+        "v0_grid": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 1},
         # dead-core
         "ell_offset": {"type": "number", "exclusiveMinimum": 0},
         "probe_offset": {"type": "number"},
@@ -83,7 +84,7 @@ _PARAMS_SCHEMA = {
         "r_outer": {"type": "number", "exclusiveMinimum": 0},
         "asymptotic_distance": {"type": "number", "exclusiveMinimum": 0},
         # cylinder
-        "ells": {"type": "array", "items": {"type": "number"}},
+        "ells": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "nx": {"type": "integer", "minimum": 8},
         "m_start": {"type": "number", "exclusiveMinimum": 0},
         "max_levels": {"type": "integer", "minimum": 1},
@@ -291,7 +292,6 @@ def _profile_checks(profile, n_probe=20) -> list[CheckResult]:
 def _run_solve_1d(op, force, params, manifest) -> list[CheckResult]:
     if "v0" in params:
         v0 = float(params["v0"])
-        ell = ode1d.ell_of_v0(op, force, v0)
     else:
         ell = float(params.get("ell", 1.0))
         v0 = ode1d.v0_of_ell(op, force, ell)
@@ -306,7 +306,11 @@ def _run_solve_1d(op, force, params, manifest) -> list[CheckResult]:
     manifest.register("profile.json")
     checks = [CheckResult("solved", True, {"v0": v0, "ell": profile.ell})]
     checks.extend(_profile_checks(profile))
-    rt = abs(ode1d.ell_of_v0(op, force, v0) - profile.ell) / profile.ell
+    # each mode measures the inversion it did not run
+    if "v0" in params:
+        rt = abs(ode1d.v0_of_ell(op, force, profile.ell) - v0) / v0
+    else:
+        rt = abs(profile.ell - ell) / ell
     checks.append(CheckResult("ell-round-trip", rt <= 1e-6, rt, 1e-6))
     checks.extend(_expect_checks(params.get("expect", {}),
                                  {"v0": v0, "ell": profile.ell}))
@@ -378,11 +382,10 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
                                   bool(np.all(np.diff(prof.w) <= 1e-12)),
                                   float(np.max(np.diff(prof.w)))))
     elif "R_target" in params:
-        prof = radial.ball_large_solution(op, force, n, float(params["R_target"]))
-        re_shoot = radial.blowup_radius(op, force, n, prof.v0)
+        R_target = float(params["R_target"])
+        prof = radial.ball_large_solution(op, force, n, R_target)
         checks.append(CheckResult("radius-round-trip",
-                                  abs(re_shoot - params["R_target"]) <= 1e-6 * params["R_target"],
-                                  re_shoot, 1e-6))
+                                  abs(prof.R - R_target) <= 1e-6 * R_target, prof.R, 1e-6))
     else:
         v0 = float(params.get("v0", 1.0))
         prof = radial.shoot_ball(op, force, n, v0)

@@ -6,6 +6,8 @@ behaviour of the same integrand at 0+ separates the Osgood regime
 (divergent, solutions cannot leave zero data) from the dead-core regime
 (convergent, with a finite total length L = int_0^inf).  Phi is the inverse
 of Psi and gives the universal boundary blow-up rate Phi(d) at distance d.
+:func:`increasing_root` is the one log-scale root finder behind Phi and every
+other monotone inversion of the lab.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import quadrature as qk
-from .errors import BlowupLabError, DivergenceError, DomainExceededError
+from .errors import BracketError, DivergenceError, DomainExceededError
 from .registry import Force, Operator
 
 
@@ -134,39 +136,66 @@ def classify(op: Operator, force: Force) -> KOReport:
 
 
 # ---------------------------------------------------------------------------
-# the blow-up rate Phi = Psi^-1
+# monotone inversion on a log scale, and the blow-up rate Phi = Psi^-1
 # ---------------------------------------------------------------------------
+
+class _Hit(Exception):
+    """A point landed within the function tolerance; carries its t."""
+
+
+def increasing_root(g, limit: float, ftol: float, name: str, goal: str) -> float:
+    """t with g(t) = 0 for g increasing in t, |t| <= limit.
+
+    t is the log of the sought argument, where power laws are straight lines.
+    From t = 0 the search steps by log 4 toward the sign change, then brentq
+    (xtol 1e-12) runs on the last step.  Every t is evaluated once, so the
+    bracket ends cost nothing twice; a point with |g| <= ftol ends the
+    search.  Raises :class:`BracketError` when no sign change lies within
+    the limit.
+    """
+    seen: dict = {}
+
+    def shot(t: float) -> float:
+        if t not in seen:
+            seen[t] = g(t)
+            if abs(seen[t]) <= ftol:
+                raise _Hit(t)
+        return seen[t]
+
+    try:
+        step = math.log(4.0) if shot(0.0) < 0.0 else -math.log(4.0)
+        a = 0.0
+        while abs(a + step) <= limit and shot(a + step) * seen[a] > 0.0:
+            a += step
+        if abs(a + step) > limit:
+            raise BracketError(f"no {name} in [{math.exp(-limit):g}, "
+                               f"{math.exp(limit):g}] {goal}")
+        return brentq(shot, min(a, a + step), max(a, a + step), xtol=1e-12)
+    except _Hit as hit:
+        return hit.args[0]
+
 
 @dataclass
 class BlowupRateFn:
-    """Psi and its monotone inverse Phi, valid for d in (0, Psi(r_min))."""
+    """Psi and its monotone inverse Phi, for d in [Psi(1e14), Psi(1e-14)]."""
 
     op: Operator
     force: Force
-    r_min: float = 1e-8
-    r_max: float = 1e14
 
     def psi(self, r: float) -> float:
         return psi(self.op, self.force, r)
 
-    def validity_range(self) -> tuple[float, float]:
-        return (self.psi(self.r_max), self.psi(self.r_min))
-
     def phi(self, d: float) -> float:
-        """Invert Psi by bracketed root finding, rel tol 1e-8."""
+        """r with Psi(r) = d, by :func:`increasing_root` on t = log r
+        (log Psi is linear in t for power forces).  Raises
+        :class:`BracketError` when r would leave [1e-14, 1e14], as for
+        d >= L in the dead-core regime."""
         if not d > 0.0:
             raise ValueError("phi needs d > 0")
-        lo, hi = self.r_min, 1.0
-        # Psi decreasing: want Psi(hi) <= d <= Psi(lo)
-        while self.psi(hi) > d:
-            hi *= 4.0
-            if hi > self.r_max:
-                raise BlowupLabError(f"phi({d:g}): no bracket below r_max = {self.r_max:g}")
-        while self.psi(lo) < d:
-            lo /= 4.0
-            if lo < 1e-300:
-                raise BlowupLabError(f"phi({d:g}): d exceeds the validity range")
-        return brentq(lambda r: self.psi(r) - d, lo, hi, rtol=1e-10, xtol=1e-300)
+        log_d = math.log(d)
+        return math.exp(increasing_root(
+            lambda t: log_d - math.log(self.psi(math.exp(t))), math.log(1e14), 0.0,
+            "r", f"has Psi(r) = {d:g}"))
 
 
 def phi(rate: BlowupRateFn, d: float) -> float:

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 
 from . import ko as ko_mod
 from . import quadrature as qk
-from .errors import BracketError, DivergenceError, ProfileDomainError
+from .errors import DivergenceError, ProfileDomainError
 from .registry import Force, Operator
 
 _V_LIMIT = 1e280
@@ -250,14 +250,16 @@ def eval_profile(op: Operator, force: Force, v0: float, x: float) -> float:
 
 @lru_cache(maxsize=64)
 def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
-    """Invert the strictly decreasing map ell(v0); rel tol 1e-8 on v0.
+    """Invert the strictly decreasing map ell(v0) by
+    :func:`ko.increasing_root` on t = log v0 (xtol 1e-12 in t, so about
+    1e-12 relative in v0; log ell is linear in t for power forces).
 
     Cached like :func:`_branch`: every field of a cylinder family asks for
     the same barrier half-length.
 
     In the dead-core regime (0+ integral convergent) returns 0.0 for
-    ell >= L; otherwise brackets within [1e-12, 1e12] and raises
-    :class:`BracketError` when no bracket exists there.
+    ell >= L; otherwise searches [1e-12, 1e12] and raises
+    :class:`BracketError` when ell(v0) = ell has no root there.
     """
     if not ell > 0.0:
         raise ValueError("v0_of_ell needs ell > 0")
@@ -267,23 +269,10 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     except DivergenceError:
         pass    # Osgood regime (no dead core), or a KO failure ell_of_v0 reports
 
-    lo = hi = 1.0
-    e1 = ell_of_v0(op, force, 1.0)
-    if e1 > ell:        # need larger v0 (ell decreasing)
-        while ell_of_v0(op, force, hi) > ell:
-            hi *= 4.0
-            if hi > 1e12:
-                raise BracketError(f"v0_of_ell({ell:g}): no bracket below v0 = 1e12")
-        lo = hi / 4.0
-    else:
-        while ell_of_v0(op, force, lo) < ell:
-            lo /= 4.0
-            if lo < 1e-12:
-                raise BracketError(f"v0_of_ell({ell:g}): no bracket above v0 = 1e-12")
-        hi = lo * 4.0
-    t = brentq(lambda lv: ell_of_v0(op, force, math.exp(lv)) - ell,
-               math.log(lo), math.log(hi), xtol=1e-10, rtol=8.9e-16)
-    return math.exp(t)
+    log_ell = math.log(ell)
+    return math.exp(ko_mod.increasing_root(
+        lambda t: log_ell - math.log(ell_of_v0(op, force, math.exp(t))), math.log(1e12),
+        0.0, "v0", f"has the half-length {ell:g}"))
 
 
 def dead_core_profile(op: Operator, force: Force, ell: float,

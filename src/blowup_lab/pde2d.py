@@ -30,11 +30,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from . import ko as ko_mod
 from . import ode1d
-from .errors import DivergenceError, SolverError, ValidationError
+from .errors import BracketError, DivergenceError, SolverError, ValidationError
 from .registry import Force, Operator
 
 _CHORD_CONTRACTION = 0.5    # a chord step must cut the scaled residual by this
@@ -466,30 +465,26 @@ def gradient_energy(field_: DiscreteField, mask: np.ndarray) -> float:
 
 
 def layer_cap_m(op: Operator, force: Force, grid: Grid2D, cfg: SolverConfig) -> Optional[float]:
-    """The m* with Psi_p(m*) = layer_factor * h, or None when the tail
-    functional diverges (KO fails: no cap, escalation must be caught by the
-    no-plateau detector).
+    """The m* = Phi_p(layer_factor * h), where Psi_p(m*) = layer_factor * h, or
+    None when the tail functional diverges (KO fails: no cap, escalation must
+    be caught by the no-plateau detector).
 
-    The schedule is walked to its first value m with Psi_p(m) <= layer_factor
-    * h; m* is then solved for on [m / m_factor, m] (relative tolerance 1e-10)
-    rather than rounded up to m, so grids of every mesh width stop at the same
-    layer resolution.  A cap at or below m_start is m_start itself."""
-    h = max(grid.hx, grid.hy)
-    target = cfg.layer_factor * h
-    m = cfg.m_start
+    m* is solved for (to about 1e-12 relative) rather than rounded to the
+    doubling schedule, so grids of every mesh width stop at the same layer
+    resolution.  The cap is clamped to the schedule [m_start, m_start *
+    m_factor^max_levels]; when Phi cannot bracket m* in [1e-14, 1e14] (or
+    layer_factor * h reaches a dead core's L), Psi_p(m_start) tells which
+    end it is."""
+    target = cfg.layer_factor * max(grid.hx, grid.hy)
     try:
-        for _ in range(cfg.max_levels):
-            if ko_mod.psi(op, force, m) <= target:
-                break
-            m *= cfg.m_factor
-        else:
-            return m
+        m = ko_mod.BlowupRateFn(op, force).phi(target)
     except DivergenceError:
         return None
-    if m == cfg.m_start:
-        return m
-    return float(brentq(lambda r: ko_mod.psi(op, force, r) - target,
-                        m / cfg.m_factor, m, rtol=1e-10))
+    except BracketError:
+        m = 0.0 if ko_mod.psi(op, force, cfg.m_start) <= target else math.inf
+    with np.errstate(over="ignore"):    # a long schedule may end at inf
+        m_end = cfg.m_start * np.float64(cfg.m_factor) ** cfg.max_levels
+    return float(min(max(m, cfg.m_start), m_end))
 
 
 def escalate_m(grid: Grid2D, op: Operator, force: Force,

@@ -258,8 +258,11 @@ def head_substitution(op: Operator, force: Force, v0: float) -> Optional[HeadSub
         return None
     p = op.p
     if v0 > 0.0:
+        fv0 = force.value(v0)
+        if not fv0 > 0.0:       # f(v0) underflows: no linear head to remove
+            return None
         k, km1, inv_k = p / (p - 1.0), 1.0 / (p - 1.0), (p - 1.0) / p
-        limit0 = k * ((p - 1.0) / (p * force.value(v0))) ** (1.0 / p)
+        limit0 = k * ((p - 1.0) / (p * fv0)) ** (1.0 / p)
     elif force.growth_zero is not None and force.growth_zero + 1.0 < p:
         a = force.growth_zero
         k, km1, inv_k = p / (p - 1.0 - a), (1.0 + a) / (p - 1.0 - a), (p - 1.0 - a) / p

@@ -11,9 +11,9 @@ radial case.
 Only shots whose profile is sampled (`shoot_ball`, the accepted annulus
 shot) keep DOP853's dense interpolant; every other shot integrates to the
 cap event alone.  The ball's center value and the annulus' outer slope are
-found on a log scale, where R is a power of v0 for power forces, by one
-bracketed brentq that shoots each point once; the annulus stops within
-1e-8 (relative) of r_inner.
+found on a log scale, where R is a power of v0 for power forces, by the
+lab's one monotone root finder (:func:`ko.increasing_root`), which shoots
+each point once; the annulus stops within 1e-8 (relative) of r_inner.
 
 This doubles as the independent IVP oracle for the implicit-relation
 profiles of the 1D module (n = 1 removes the curvature term).
@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from . import ko as ko_mod
 from . import ode1d
@@ -129,39 +128,6 @@ class RadialProfile:
             json.dump(doc, fh, indent=2, sort_keys=True)
 
 
-class _Hit(Exception):
-    """A shot landed within the function tolerance; carries its t."""
-
-
-def _increasing_root(g, limit: float, ftol: float, name: str, goal: str) -> float:
-    """t with g(t) = 0 for g increasing in t, |t| <= limit.
-
-    From t = 0 the shots step by log 4 toward the sign change, then brentq
-    (xtol 1e-12) runs on the last step.  Every t is shot once, so the
-    bracket ends cost nothing twice; a shot with |g| <= ftol ends the search.
-    """
-    seen: dict = {}
-
-    def shot(t: float) -> float:
-        if t not in seen:
-            seen[t] = g(t)
-            if abs(seen[t]) <= ftol:
-                raise _Hit(t)
-        return seen[t]
-
-    try:
-        step = math.log(4.0) if shot(0.0) < 0.0 else -math.log(4.0)
-        a = 0.0
-        while abs(a + step) <= limit and shot(a + step) * seen[a] > 0.0:
-            a += step
-        if abs(a + step) > limit:
-            raise BracketError(f"no {name} in [{math.exp(-limit):g}, "
-                               f"{math.exp(limit):g}] {goal}")
-        return brentq(shot, min(a, a + step), max(a, a + step), xtol=1e-12)
-    except _Hit as hit:
-        return hit.args[0]
-
-
 def _shoot(rhs, r_span: tuple, y0: tuple, w_cap: float, dense: bool):
     """One DOP853 shot toward the event w = w_cap; the dense interpolant is
     built only when the profile will be sampled."""
@@ -225,7 +191,7 @@ def ball_large_solution(op: Operator, force: Force, n: int, R_target: float,
     if not R_target > 0.0:
         raise ValueError("ball_large_solution needs R_target > 0")
     log_target = math.log(R_target)
-    t = _increasing_root(
+    t = ko_mod.increasing_root(
         lambda t: log_target - math.log(blowup_radius(op, force, n, math.exp(t))),
         math.log(1e12), 0.0, "v0", f"reaches the radius {R_target:g}")
     prof = shoot_ball(op, force, n, math.exp(t))
@@ -256,8 +222,8 @@ def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
         return r_evt - ko_mod.psi(op, force, w_evt), sol
 
     # the blow-up location rises with s
-    t = _increasing_root(lambda t: inward_blowup(t)[0] - r_inner, math.log(1e10),
-                         loc_tol * r_inner, "outer slope", f"blows up at r = {r_inner:g}")
+    t = ko_mod.increasing_root(lambda t: inward_blowup(t)[0] - r_inner, math.log(1e10),
+                               loc_tol * r_inner, "outer slope", f"blows up at r = {r_inner:g}")
     r_b, sol = inward_blowup(t, dense=True)
     if abs(r_b - r_inner) > loc_tol * r_inner:
         raise BracketError(f"the outer slope converged with the blow-up at r = {r_b:.12g}, "

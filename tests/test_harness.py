@@ -6,8 +6,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup_lab import ConfigError, ExperimentConfig, compare_runs, run, v0_of_ell
-from blowup_lab import cli, harness
+from blowup_lab import (ConfigError, ExperimentConfig, compare_runs, make_force,
+                        make_operator, run, v0_of_ell)
+from blowup_lab import cli, harness, ode1d, radial
 
 
 def cfg_dict(kind="ko-check", force=None, operator=None, params=None):
@@ -90,6 +91,16 @@ class TestRunners:
         assert float(rows[1][1]) == pytest.approx(
             v0_of_ell(op_p2, force_cubic, 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("params", [{"ell": 1.0}, {"v0": 1.0}], ids=["ell", "v0"])
+    def test_ell_round_trip_sees_an_inexact_inversion(self, tmp_path, monkeypatch, params):
+        monkeypatch.setattr(ode1d, "v0_of_ell",
+                            lambda op, force, ell: v0_of_ell(op, force, ell) * (1.0 + 1e-3))
+        rep = run(ExperimentConfig.from_dict(cfg_dict(kind="solve-1d", params=params)),
+                  tmp_path)
+        (check,) = [c for c in rep.checks if c.name == "ell-round-trip"]
+        assert not check.passed
+        assert check.measured > 1e-4
+
     def test_solve_1d_dead_core_config_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="solve-1d",
@@ -123,6 +134,30 @@ class TestRunners:
         rep = run(cfg, tmp_path)
         assert rep.status == "pass"
         assert (tmp_path / "radial.csv").exists()
+
+    def test_radius_round_trip_reads_the_solved_radius(self, tmp_path, monkeypatch):
+        prof = radial.ball_large_solution(make_operator(kind="p-laplace", p=2),
+                                          make_force(kind="power", q=3), 2, 1.0)
+
+        def no_shot(*args, **kwargs):
+            raise AssertionError("blowup_radius called")
+
+        monkeypatch.setattr(radial, "ball_large_solution", lambda *args: prof)
+        monkeypatch.setattr(radial, "blowup_radius", no_shot)
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", params={"n": 2, "R_target": 1.0})), tmp_path)
+        assert rep.status == "pass"
+        (check,) = [c for c in rep.checks if c.name == "radius-round-trip"]
+        assert check.measured == prof.R
+
+    def test_rate_past_dead_core_length_is_reported(self, tmp_path):
+        # Phi(10) does not exist: Psi stays below L = 4.04 for a = 0.4
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", force={"kind": "piecewise-power", "a": 0.4, "b": 3},
+            params={"n": 1, "v0": 1.0, "asymptotic_distance": 10.0})), tmp_path)
+        assert rep.status == "fail"
+        (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
+        assert check.measured == "BracketError"
 
     def test_asymptotics(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(
@@ -255,6 +290,20 @@ class TestRunners:
         with pytest.raises(ConfigError, match=match):
             run(cfg, tmp_path)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("ell-map", {"v0_grid": [1.0, 0.0]}),
+        ("ell-map", {"v0_grid": []}),
+        ("asymptotics", {"distances": []}),
+        ("cylinder", {"ells": []}),
+    ], ids=["v0-grid-zero", "v0-grid-empty", "distances-empty", "ells-empty"])
+    def test_empty_or_nonpositive_grid_is_config_error(self, tmp_path, kind, params):
+        doc = cfg_dict(kind=kind, params=params)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
     def test_build_time_is_timed(self, tmp_path, monkeypatch):
         make_force = harness.make_force
 
@@ -285,6 +334,23 @@ def test_small_cylinder_gives_report_or_config_error(ell, extra, m_start, tol_re
               "tol_res": tol_res, "eps": eps, "layer_factor": layer_factor}
     try:
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", params=params))
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        assert run(cfg, out).status in ("pass", "fail")
+
+
+_GRID_VALUES = st.floats(-1.0, 30.0, allow_nan=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["ell-map", "asymptotics"]),
+       grid=st.lists(_GRID_VALUES, max_size=4))
+def test_random_grid_gives_report_or_config_error(kind, grid):
+    # a schema-valid config ends in a report or a ConfigError, never a traceback
+    key = "v0_grid" if kind == "ell-map" else "distances"
+    try:
+        cfg = ExperimentConfig.from_dict(cfg_dict(kind=kind, params={key: grid}))
     except ConfigError:
         return
     with tempfile.TemporaryDirectory() as out:

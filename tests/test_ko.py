@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (BlowupRateFn, DivergenceError, DomainExceededError,
+from blowup_lab import (BlowupRateFn, BracketError, DivergenceError, DomainExceededError,
                         check_a5, classify, length_scale, make_force,
                         make_operator, phi, psi)
+from blowup_lab import ko
 
 from conftest import psi_power_closed_form
 
@@ -150,6 +151,58 @@ class TestPhi:
         rate = BlowupRateFn(op_p2, force_cubic)
         with pytest.raises(ValueError):
             rate.phi(0.0)
+
+
+def _counted_psi(monkeypatch):
+    calls = []
+
+    def counted(op, force, r):
+        calls.append(r)
+        return psi(op, force, r)
+
+    monkeypatch.setattr(ko, "psi", counted)
+    return calls
+
+
+class TestIncreasingRoot:
+    def test_each_point_evaluated_once(self):
+        ts = []
+
+        def g(t):
+            ts.append(t)
+            return math.tanh(t - 5.3)
+
+        assert ko.increasing_root(g, 20.0, 0.0, "t", "") == pytest.approx(5.3, abs=1e-12)
+        assert len(set(ts)) == len(ts)
+
+    def test_hit_within_ftol_ends_the_search(self):
+        ts = []
+
+        def g(t):
+            ts.append(t)
+            return t - 2.0 * math.log(4.0)
+
+        assert ko.increasing_root(g, 20.0, 1e-9, "t", "") == pytest.approx(
+            2.0 * math.log(4.0), abs=1e-15)
+        assert len(ts) == 3
+
+    def test_no_sign_change_within_limit(self):
+        with pytest.raises(BracketError, match=r"no t in \[0.1, 10\] for the test"):
+            ko.increasing_root(lambda t: t + 10.0, math.log(10.0), 0.0, "t", "for the test")
+
+    def test_phi_budget(self, monkeypatch, op_p2, force_cubic):
+        calls = _counted_psi(monkeypatch)
+        assert BlowupRateFn(op_p2, force_cubic).phi(1e-3) == pytest.approx(
+            math.sqrt(2.0) / 1e-3, rel=1e-8)
+        assert len(calls) <= 12
+
+    def test_phi_beyond_dead_core_length(self, monkeypatch, op_p2, force_dead_core):
+        # Psi(0+) = L, so no r has Psi(r) = 1.5 L
+        L = length_scale(op_p2, force_dead_core)
+        calls = _counted_psi(monkeypatch)
+        with pytest.raises(BracketError):
+            BlowupRateFn(op_p2, force_dead_core).phi(1.5 * L)
+        assert len(calls) <= 30
 
 
 class TestA5:

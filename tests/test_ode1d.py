@@ -68,6 +68,24 @@ class TestV0OfEll:
         assert v0_of_ell(op_p2, force_dead_core, L + 1.0) == 0.0
         assert v0_of_ell(op_p2, force_dead_core, L * 0.5) > 0.0
 
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (3.0, 5.0)])
+    @pytest.mark.parametrize("ell", [0.3, 1.0, 5.0])
+    def test_power_law_inverts_in_few_evaluations(self, monkeypatch, p, q, ell):
+        # log ell is linear in log v0, so the bracketing secant step lands on
+        # the root; the cache is bypassed so every evaluation is counted
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+        seen = []
+
+        def counted(op_, force_, v0):
+            seen.append(v0)
+            return ell_of_v0(op_, force_, v0)
+
+        monkeypatch.setattr(ode1d, "ell_of_v0", counted)
+        v0 = ode1d.v0_of_ell.__wrapped__(op, force, ell)
+        assert ell_of_v0(op, force, v0) == pytest.approx(ell, rel=1e-12)
+        assert len(seen) <= 6
+        assert len(set(seen)) == len(seen)
+
 
 class TestEvalProfile:
     def test_center_value(self, op_p2, force_cubic):

@@ -221,6 +221,19 @@ class TestEscalation:
             SolverConfig().layer_factor * g.hx, rel=1e-8)
         assert m == pytest.approx(m_star, abs=5e-3)
 
+    @pytest.mark.parametrize("force, layer_factor, cap", [
+        ({"kind": "piecewise-power", "a": 0.5, "b": 3}, 100.0, 2.0),   # past L = 4.73
+        ({"kind": "power", "q": 3}, 1e-20, 2.0 * 2.0 ** 24),           # m* above 1e14
+        ({"kind": "power", "q": 1}, 0.5, None),                        # KO fails
+    ], ids=["dead-core-floor", "unbracketed-ceiling", "ko-fails"])
+    def test_layer_cap_clamped_to_the_schedule(self, op_p2, force, layer_factor, cap):
+        cfg = SolverConfig(layer_factor=layer_factor)
+        got = pde2d.layer_cap_m(op_p2, make_force(**force), grid_for_ell(1.0, 65), cfg)
+        if cap is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(cap, rel=1e-9)
+
     def test_chord_steps_reuse_the_factorisation(self, op_p3, monkeypatch):
         # record every level's diagnostics: escalate_m keeps only the last field
         diagnostics = []

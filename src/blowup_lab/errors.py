@@ -26,7 +26,7 @@ class BracketError(BlowupLabError):
 
 
 class ProfileDomainError(BlowupLabError):
-    """A profile was evaluated at or beyond its blow-up location."""
+    """A profile was asked for at or past blow-up, or at a v0 where f(v0) = 0."""
 
 
 class SolverError(BlowupLabError):

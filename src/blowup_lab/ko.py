@@ -87,11 +87,10 @@ def _frontier_note(op: Operator, force: Force) -> Optional[str]:
         e = (force.growth_inf + 1.0) / p
         verdict = "convergent (KO holds)" if e > 1.0 else "divergent (KO fails)"
         parts.append(f"tail exponent (q_inf+1)/p = {e:.6g} vs 1 -> {verdict}")
-    if force.growth_zero is not None:
-        e0 = (force.growth_zero + 1.0) / p
-        verdict = "divergent (Osgood)" if e0 >= 1.0 else "convergent (dead-core side)"
-        parts.append(f"zero exponent (q_0+1)/p = {e0:.6g} vs 1 -> {verdict}")
-    return "; ".join(parts) if parts else None
+    e0 = (force.growth_zero + 1.0) / p
+    verdict = "divergent (Osgood)" if e0 >= 1.0 else "convergent (dead-core side)"
+    parts.append(f"zero exponent (q_0+1)/p = {e0:.6g} vs 1 -> {verdict}")
+    return "; ".join(parts)
 
 
 def classify(op: Operator, force: Force) -> KOReport:

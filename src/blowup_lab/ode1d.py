@@ -20,8 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cubature
-from scipy.optimize import brentq
+from scipy.integrate import cubature, tanhsinh
 
 from . import ko as ko_mod
 from . import quadrature as qk
@@ -84,10 +83,9 @@ class _ImplicitBranch:
     x = I(V), and safeguarded Newton on the implicit relation, with
     dI/dV = 1/B^-1{F(V) - F(v0)}, solves inside the bracket.  The head
     [v0, v0 + h0] is solved in the variable u of
-    :func:`quadrature.head_substitution`, whose density is finite at u = 0;
-    heads without one fall back to bracketed root finding on
-    :func:`quadrature.singular_head`.  The table extends itself on demand
-    toward the blow-up value of x (= ell(v0) for v0 > 0, = L for v0 = 0).
+    :func:`quadrature.head_substitution`, whose density is finite at u = 0,
+    for every operator.  The table extends itself on demand toward the
+    blow-up value of x (= ell(v0) for v0 > 0, = L for v0 = 0).
     """
 
     def __init__(self, op: Operator, force: Force, v0: float):
@@ -120,10 +118,6 @@ class _ImplicitBranch:
         if not 0.0 < x < self.total:
             raise ProfileDomainError(f"coordinate {x:g} outside [0, {self.total:g})")
         if x < self.head_full:
-            if self._sub is None:
-                return brentq(
-                    lambda V: qk.singular_head(self.op, self.force, self.v0, V) - x,
-                    self.v0, self.v0 + self.h0, xtol=1e-300, rtol=1e-14)
             U = self._sub.u_of(self.v0 + self.h0)
             return self._sub.s_of(_invert_integral(
                 self._sub.density, 0.0, U, x, U * x / self.head_full))
@@ -141,19 +135,46 @@ class _ImplicitBranch:
                                  lo + (hi - lo) * target / (self._cum[j] - self._cum[j - 1]))
 
     @cached_property
+    def _kink_gaps(self) -> np.ndarray:
+        """s_k - v0 with F(s_k) - F(v0) = B_k for the operator's kink
+        energies B_k, by :func:`ko.increasing_root` on t = log(s_k - v0)."""
+        return np.array([math.exp(ko_mod.increasing_root(
+            lambda t, b=b: qk.primitive_gap(self.force, self.v0, math.exp(t)) - b,
+            math.log(1e300), 0.0, "kink", f"at the energy {b:g}"))
+            for b in self.op.energy_knots])
+
+    def _tanh_sinh_head(self, V: float) -> float:
+        """int_{v0}^{V} by scipy's tanh-sinh in the gap t = s - v0 (nodes next
+        to the singular endpoint keep full precision), one piece per kink."""
+        gap = V - self.v0
+        edges = np.concatenate(([0.0], self._kink_gaps[self._kink_gaps < gap], [gap]))
+
+        def integrand(t):       # tanhsinh passes arrays
+            y = qk.primitive_gap(self.force, self.v0, t)
+            out = np.zeros_like(y)
+            pos = y > 0.0
+            out[pos] = 1.0 / self.op.energy_inverse(y[pos])
+            return out
+
+        return float(np.sum(tanhsinh(integrand, edges[:-1], edges[1:],
+                                     rtol=1e-12, atol=0.0).integral))
+
+    @cached_property
     def _oracle_head(self) -> float:
-        return qk.singular_head(self.op, self.force, self.v0, self.v0 + self.h0, substitute=False)
+        return self._tanh_sinh_head(self.v0 + self.h0)
 
     def integral_to(self, V: float) -> float:
         """Independent re-quadrature of I(V) on scipy alone (no table, head
         substitution or ``integrate_block``): tanh-sinh on the head, then one
-        Gauss-Kronrod ``cubature`` vectorised over doubling blocks up to V."""
+        Gauss-Kronrod ``cubature`` vectorised over doubling blocks up to V,
+        both split at the kinks s_k, which neither rule resolves to 1e-12."""
         if V <= self.v0 + self.h0:
-            return qk.singular_head(self.op, self.force, self.v0, V, substitute=False)
+            return self._tanh_sinh_head(V)
         knots = [self.v0 + self.h0]
         while knots[-1] < V:
             knots.append(min(2.0 * knots[-1], V))
-        lo, w = np.array(knots[:-1]), np.diff(knots)
+        knots = np.union1d(knots, [s for s in self.v0 + self._kink_gaps if knots[0] < s < V])
+        lo, w = knots[:-1], np.diff(knots)
         blocks = cubature(lambda tau: self._g(lo + tau * w) * w, [0.0], [1.0], rule="gk21",
                           rtol=qk.BLOCK_EPSREL, atol=0.0).estimate
         return self._oracle_head + float(np.sum(blocks))

@@ -17,9 +17,9 @@ lower endpoint s = v0.  Strategy:
   convergent cases of interest give ratios below 1 - 3e-7, so the rule
   separates them with two decades of margin.
 * the 0+ endpoint: the same ladder with halving blocks [e/2, e].
-* the s = v0 endpoint (exponent 1/p for p-laplace): exact removal by the
-  substitution s = v0 + u^k, k = p/(p-1); scipy's tanh-sinh for general
-  operators and for the v0 = 0 endpoint.
+* the s = v0 endpoint: exact removal by the substitution s = v0 + u^k, with
+  k keyed on the order r of B(x) ~ c x^r at 0 (k = r/(r-1) for v0 > 0,
+  r/(r-1-a) at the dead-core endpoint v0 = 0), for every operator.
 """
 from __future__ import annotations
 
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import tanhsinh
 from scipy.optimize import brentq
 
-from .errors import DivergenceError, DomainExceededError
+from .errors import DivergenceError, DomainExceededError, ProfileDomainError
 from .registry import Force, Operator
 
 BLOCK_EPSREL = 1e-12
@@ -244,31 +243,28 @@ class HeadSubstitution:
         return self.v0 + u ** self.k
 
 
-def head_substitution(op: Operator, force: Force, v0: float) -> Optional[HeadSubstitution]:
-    """The power substitution that removes the head singularity, or None.
+def head_substitution(op: Operator, force: Force, v0: float) -> HeadSubstitution:
+    """The power substitution that removes the head singularity, keyed on
+    B(x) ~ c x^r at 0 (``op.order_zero``, ``op.coef_zero``): the integrand
+    behaves like (F(s) - F(v0))^(-1/r) near s = v0, so
 
-    p-laplace only, where B^-1(y) = (p y / (p-1))^(1/p), so the integrand
-    behaves like (F(s) - F(v0))^(-1/p) near s = v0:
-
-    * v0 > 0: F(s) - F(v0) ~ f(v0)(s - v0), so k = p/(p-1);
-    * v0 = 0 with f(t) ~ t^a near 0 (``growth_zero`` = a) and a + 1 < p:
-      F(s) ~ s^(a+1), so k = p/(p-1-a).
+    * v0 > 0: F(s) - F(v0) ~ f(v0)(s - v0) and k = r/(r-1); raises
+      :class:`ProfileDomainError` when f(v0) underflows to 0;
+    * v0 = 0 with f(t) ~ t^a near 0 (``growth_zero`` = a): F(s) ~ s^(a+1) and
+      k = r/(r-1-a); raises :class:`DivergenceError` (Osgood) when a + 1 >= r.
     """
-    if op.kind != "p-laplace":
-        return None
-    p = op.p
+    r, a = op.order_zero, force.growth_zero
     if v0 > 0.0:
         fv0 = force.value(v0)
-        if not fv0 > 0.0:       # f(v0) underflows: no linear head to remove
-            return None
-        k, km1, inv_k = p / (p - 1.0), 1.0 / (p - 1.0), (p - 1.0) / p
-        limit0 = k * ((p - 1.0) / (p * fv0)) ** (1.0 / p)
-    elif force.growth_zero is not None and force.growth_zero + 1.0 < p:
-        a = force.growth_zero
-        k, km1, inv_k = p / (p - 1.0 - a), (1.0 + a) / (p - 1.0 - a), (p - 1.0 - a) / p
+        if not fv0 > 0.0:
+            raise ProfileDomainError(f"f(v0) = 0 at v0 = {v0:g} (underflow): no head to integrate")
+        k, km1, inv_k = r / (r - 1.0), 1.0 / (r - 1.0), (r - 1.0) / r
+        limit0 = k * (op.coef_zero / fv0) ** (1.0 / r)
+    elif a + 1.0 < r:
+        k, km1, inv_k = r / (r - 1.0 - a), (1.0 + a) / (r - 1.0 - a), (r - 1.0 - a) / r
         limit0 = 0.0    # F(u^k) = 0 only once u^k underflows
     else:
-        return None
+        raise DivergenceError(f"the 0+ head diverges (Osgood): f ~ t^{a:g}, B ~ x^{r:g} at 0")
     einv = op.energy_inverse
 
     def density(u):
@@ -283,39 +279,17 @@ def head_substitution(op: Operator, force: Force, v0: float) -> Optional[HeadSub
     return HeadSubstitution(v0, k, inv_k, density)
 
 
-def singular_head(op: Operator, force: Force, v0: float, upper: float,
-                  *, substitute: bool = True) -> float:
-    """int_{v0}^{upper} ds / B^-1{F(s) - F(v0)} with the singular lower endpoint.
-
-    For p-laplace with v0 > 0 the substitution of :func:`head_substitution`
-    removes the (s - v0)^(-1/p) singularity exactly.  Otherwise (v0 = 0, or
-    ``substitute=False``) scipy's tanh-sinh, independent of the kernel and
-    of the substituted Newton solve that ``ode1d`` runs on the head.
-    """
+def singular_head(op: Operator, force: Force, v0: float, upper: float) -> float:
+    """int_{v0}^{upper} ds / B^-1{F(s) - F(v0)} with the singular lower endpoint,
+    as ``integrate_block`` over the density of :func:`head_substitution`."""
     if upper <= v0:
         return 0.0
     sup = op.energy_sup
-    if not math.isinf(sup):
-        if force.primitive(upper) - force.primitive(v0) >= sup:
-            raise DomainExceededError(
-                f"F({upper:g}) - F({v0:g}) reaches the energy ceiling B_sup = {sup:g}")
-
-    sub = head_substitution(op, force, v0) if substitute and v0 > 0.0 else None
-    if sub is not None:
-        return integrate_block(sub.density, 0.0, sub.u_of(upper))
-
-    # tanh-sinh in the gap t = s - v0: nodes next to the singular endpoint keep
-    # full precision (s itself would round to the ulp of v0)
-    einv = op.energy_inverse
-
-    def integrand(t):
-        y = np.atleast_1d(primitive_gap(force, v0, t))
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        out[pos] = 1.0 / einv(y[pos])
-        return out.reshape(np.shape(t))
-
-    return float(tanhsinh(integrand, 0.0, upper - v0, rtol=1e-12, atol=0.0).integral)
+    if sup < math.inf and force.primitive(upper) - force.primitive(v0) >= sup:
+        raise DomainExceededError(
+            f"F({upper:g}) - F({v0:g}) reaches the energy ceiling B_sup = {sup:g}")
+    sub = head_substitution(op, force, v0)
+    return integrate_block(sub.density, 0.0, sub.u_of(upper))
 
 
 def shifted_tail(op: Operator, force: Force, v0: float, start: float,

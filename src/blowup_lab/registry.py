@@ -39,14 +39,14 @@ class Force:
     """A nonlinearity f with its exact primitive F and growth metadata.
 
     ``growth_zero`` / ``growth_inf`` are the power-law exponents of f near 0
-    and near infinity when known analytically (None otherwise, e.g. the
-    superpolynomial tail of exp-minus-one).
+    (1 for a table, linear there) and near infinity (None when f outgrows
+    every power, as exp-minus-one does).
     """
 
     kind: str
     value: Callable[[np.ndarray | float], np.ndarray | float]
     primitive: Callable[[np.ndarray | float], np.ndarray | float]
-    growth_zero: Optional[float]
+    growth_zero: float
     growth_inf: Optional[float]
     params: dict = field(default_factory=dict)
 
@@ -64,6 +64,7 @@ class Operator:
     ``energy_sup`` is B_sup; finite ceilings (mean curvature) make
     ``energy_inverse`` a partial function and consumers must check the
     ceiling before integrating, otherwise :class:`DomainExceededError`.
+    The constructors set the metadata below from the kind.
     """
 
     kind: str
@@ -73,6 +74,9 @@ class Operator:
     energy: Callable               # B(x)
     energy_inverse: Callable       # B^-1(y) on [0, B_sup)
     energy_sup: float              # B_sup, may be math.inf
+    order_zero: float              # r in B(x) ~ c x^r near 0
+    coef_zero: float               # c in B(x) ~ c x^r near 0
+    energy_knots: tuple = ()       # B_k where B^-1 has a kink (a table's interior knots)
     params: dict = field(default_factory=dict)
 
     @property
@@ -143,8 +147,9 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
         raise ValidationError("table force abscissae must be strictly increasing")
     if np.any(np.diff(ft) < 0):
         raise ValidationError("table force values must be nondecreasing")
-    if not (ft[-1] > ft[-2] > 0):
-        raise ValidationError("table force must be strictly increasing on its last segment")
+    if not (ft[1] > 0 and ft[-1] > ft[-2]):     # f > 0 on (0, inf), f ~ t near 0
+        raise ValidationError("table force must be positive on its first segment "
+                              "and strictly increasing on its last")
 
     tail_exp = (math.log(ft[-1]) - math.log(ft[-2])) / (math.log(t[-1]) - math.log(t[-2]))
     tail_coef = ft[-1] / t[-1] ** tail_exp
@@ -168,7 +173,7 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
         tail = Fk[-1] + tail_coef * (over ** (tail_exp + 1.0) - t[-1] ** (tail_exp + 1.0)) / (tail_exp + 1.0)
         return np.where(x <= t[-1], inside, tail)
 
-    return Force("table", f, F, None, tail_exp,
+    return Force("table", f, F, 1.0, tail_exp,
                  {"points": [[float(a), float(b)] for a, b in pts]})
 
 
@@ -237,7 +242,7 @@ def _p_laplace(p: float) -> Operator:
     Ainv = _elementwise(lambda z: np.copysign(np.abs(z) ** (1.0 / pm1), z))
     B = _elementwise(lambda x: pm1 / p * np.abs(x) ** p)
     Binv = _elementwise(lambda y: (p * y / pm1) ** (1.0 / p))
-    return Operator("p-laplace", A, Ap, Ainv, B, Binv, math.inf, {"p": float(p)})
+    return Operator("p-laplace", A, Ap, Ainv, B, Binv, math.inf, p, pm1 / p, (), {"p": float(p)})
 
 
 def _mean_curvature() -> Operator:
@@ -253,7 +258,7 @@ def _mean_curvature() -> Operator:
             raise DomainExceededError(f"B^-1 argument {np.max(y)} >= B_sup = 1")
         return np.sqrt(y * (2.0 - y)) / (1.0 - y)
 
-    return Operator("mean-curvature", A, Ap, Ainv, B, Binv, 1.0, {})
+    return Operator("mean-curvature", A, Ap, Ainv, B, Binv, 1.0, 2.0, 0.5)
 
 
 def _table_operator(points: Sequence[Sequence[float]]) -> Operator:
@@ -309,7 +314,8 @@ def _table_operator(points: Sequence[Sequence[float]]) -> Operator:
         k = np.minimum(np.searchsorted(Bk, y, side="right") - 1, len(slopes) - 1)
         return np.sqrt(r[k] ** 2 + 2.0 * (y - Bk[k]) / slopes[k])
 
-    return Operator("table", A, Ap, Ainv, B, Binv, math.inf,
+    return Operator("table", A, Ap, Ainv, B, Binv, math.inf, 2.0, float(0.5 * slopes[0]),
+                    tuple(Bk[1:-1].tolist()),
                     {"points": [[float(u), float(v)] for u, v in pts]})
 
 

@@ -159,6 +159,16 @@ class TestRunners:
         (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
         assert check.measured == "BracketError"
 
+    @pytest.mark.parametrize("v0", [1e-120, 1e-300])
+    def test_underflowing_force_at_v0_is_reported(self, tmp_path, v0):
+        # f(v0) = v0^3 underflows to 0, so the head has no linear onset
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="solve-1d", params={"v0": v0})), tmp_path)
+        assert rep.status == "fail"
+        (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
+        assert check.measured == "ProfileDomainError"
+        assert "f(v0) = 0" in check.detail
+
     def test_asymptotics(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="asymptotics", params={"v0": 1.0, "distances": [1e-2, 1e-3]}))
@@ -284,7 +294,9 @@ class TestRunners:
     @pytest.mark.parametrize("force, operator, match", [
         (None, {"kind": "table", "points": [[0, 0], [1, 2], [2, 1]]}, "A' > 0"),
         ({"kind": "power"}, None, "lacks parameter 'q'"),
-    ], ids=["falling-table-operator", "power-without-q"])
+        ({"kind": "table", "points": [[0, 0], [1e-7, 0], [1, 1], [2, 3]]}, None,
+         "first segment"),
+    ], ids=["falling-table-operator", "power-without-q", "table-force-zero-on-first-segment"])
     def test_construction_error_is_config_error(self, tmp_path, force, operator, match):
         cfg = ExperimentConfig.from_dict(cfg_dict(force=force, operator=operator))
         with pytest.raises(ConfigError, match=match):

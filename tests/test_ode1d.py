@@ -265,8 +265,8 @@ class TestDecaySweep:
 _TABLE_OPERATOR = {"kind": "table",
                    "points": [[0, 0], [0.5, 0.6], [1, 1.5], [2, 4], [4, 10]]}
 
-# (operator, force, v0); the last one has no head substitution and takes the
-# bracketed fallback on singular_head
+# (operator, force, v0); every head, the table operator's included, is solved
+# in the variable of its power substitution
 _INVERSION_CASES = [
     ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3}, 0.3),
     ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3}, 2.0),
@@ -310,7 +310,7 @@ class TestInversion:
     @pytest.mark.parametrize("case", _INVERSION_CASES, ids=_INVERSION_IDS)
     def test_matches_bracketed_root(self, case):
         br, g = _branch_for(case)
-        assert (br._sub is None) == (case[0]["kind"] == "table")
+        assert br._sub is not None
         points = {"knot": br._cum[3], "head-full": br.head_full,
                   "mid-head": 0.5 * br.head_full, "tiny": 1e-12 * br.total,
                   "near-end": br.total * (1.0 - 1e-6)}
@@ -339,8 +339,8 @@ class TestInversion:
         x = br.total * (1.0 - 1e-6)
         assert abs(br.integral_to(br.upper_value(x)) - x) <= 1e-12 * x
 
-    @pytest.mark.parametrize("case", [_INVERSION_CASES[i] for i in (0, 3, 5)],
-                             ids=[_INVERSION_IDS[i] for i in (0, 3, 5)])
+    @pytest.mark.parametrize("case", [_INVERSION_CASES[i] for i in (0, 3, 5, 7)],
+                             ids=[_INVERSION_IDS[i] for i in (0, 3, 5, 7)])
     def test_integral_to_independent_of_kernel(self, case, monkeypatch):
         # the oracle of every implicit-relation check must not grade the
         # kernel with itself
@@ -370,3 +370,75 @@ class TestInversion:
         force = make_force(kind="power", q=3)
         prof = large_profile(op, force, 1.0)
         assert calls["n"] / len(prof.samples) <= 6.0
+
+
+_TABLE_5 = [[0, 0], [0.5, 0.4], [1, 1], [2, 3], [4, 8]]
+
+
+@pytest.fixture(scope="module")
+def table_reference():
+    """V with I(V) = x for the 5-knot table operator, f = t^3, v0 = 1, at two
+    points (one in the head, one past it), to 30 digits: mpmath quadrature
+    in s = 1 + u^2, split at the u of every kink, with the exact
+    segment-wise B^-1, and findroot on x."""
+    import mpmath as mp
+    with mp.workdps(30):
+        r = [mp.mpf(a) for a, _ in _TABLE_5]
+        A = [mp.mpf(b) for _, b in _TABLE_5]
+        c = [(A[i + 1] - A[i]) / (r[i + 1] - r[i]) for i in range(4)]
+        Bk = [mp.mpf(0)]
+        for i in range(4):
+            Bk.append(Bk[-1] + c[i] * (r[i + 1] ** 2 - r[i] ** 2) / 2)
+
+        def binv(y):
+            k = max(i for i in range(4) if Bk[i] <= y)
+            return mp.sqrt(r[k] ** 2 + 2 * (y - Bk[k]) / c[k])
+
+        def density(u):
+            w = u * u   # F(1 + w) - F(1) = ((1 + w)^4 - 1)/4 without cancellation
+            return 2 * u / binv(w * (4 + w * (6 + w * (4 + w))) / 4)
+
+        kinks = [mp.sqrt((1 + 4 * b) ** mp.mpf(0.25) - 1) for b in Bk[1:4]]
+
+        def integral(V):
+            U = mp.sqrt(V - 1)
+            return mp.quad(density, [mp.mpf(0)] + [u for u in kinks if u < U] + [U])
+
+        return {x: float(mp.findroot(lambda V: integral(V) - mp.mpf(x), mp.mpf(V0)))
+                for x, V0 in ((0.5348, 1.19), (1.364, 2.45))}
+
+
+class TestTableOperatorProfile:
+    """The 5-knot table operator with f = t^3 and v0 = 1: the integrand has
+    kinks wherever F(s) - F(v0) crosses a knot energy, two of them in the
+    head [1, 1.5]."""
+
+    @staticmethod
+    def _branch():
+        return ode1d._ImplicitBranch(make_operator(kind="table", points=_TABLE_5),
+                                     make_force(kind="power", q=3), 1.0)
+
+    def test_matches_kink_split_reference(self, table_reference):
+        br = self._branch()
+        assert br.head_full > 0.5348
+        for x, ref in table_reference.items():
+            assert br.upper_value(x) == pytest.approx(ref, rel=1e-12), x
+
+    def test_oracle_splits_at_the_kinks(self, table_reference):
+        br = self._branch()
+        for x, ref in table_reference.items():
+            assert abs(br.integral_to(ref) - x) <= 1e-12, x
+
+    def test_profile_takes_one_singular_head(self, monkeypatch):
+        calls = {"n": 0}
+        singular_head = qk.singular_head
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return singular_head(*args, **kwargs)
+
+        monkeypatch.setattr(qk, "singular_head", counted)
+        prof = large_profile(make_operator(kind="table", points=_TABLE_5),
+                             make_force(kind="power", q=3), 1.0)
+        assert calls["n"] <= 1
+        assert len(prof.samples) == 201

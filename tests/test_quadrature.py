@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from blowup_lab import DivergenceError, DomainExceededError, make_force, make_operator
-from blowup_lab import quadrature as qk
+from blowup_lab import ode1d, quadrature as qk
 
 from conftest import psi_power_closed_form
 
@@ -87,7 +87,7 @@ class TestSingularHead:
         assert sub == pytest.approx(ref, rel=1e-10)
 
     def test_general_operator_path(self, op_mc):
-        # mean curvature forces the tanh-sinh branch; stay below the ceiling
+        # stay below the ceiling
         import mpmath as mp
         force = make_force(kind="power", q=3)
         v0, upper = 0.5, 0.9
@@ -101,16 +101,20 @@ class TestSingularHead:
 
     @pytest.mark.parametrize("p,a", [(2.0, 0.4), (3.0, 0.9)])
     def test_dead_core_substitution_vs_tanh_sinh(self, p, a):
-        # s = u^k with k = p/(p-1-a) against the tanh-sinh head at v0 = 0
+        # s = u^k with k = p/(p-1-a) against the oracle's tanh-sinh head at v0 = 0
         op = make_operator(kind="p-laplace", p=p)
         force = make_force(kind="piecewise-power", a=a, b=3)
         sub = qk.head_substitution(op, force, 0.0)
         assert sub.k == pytest.approx(p / (p - 1.0 - a), rel=1e-15)
         val = qk.integrate_block(sub.density, 0.0, sub.u_of(0.5))
-        assert val == pytest.approx(qk.singular_head(op, force, 0.0, 0.5), rel=1e-12)
-        # Osgood side (a + 1 >= p) and non-p-laplace heads have no substitution
-        assert qk.head_substitution(op, make_force(kind="power", q=p - 1.0), 0.0) is None
-        assert qk.head_substitution(make_operator(kind="mean-curvature"), force, 0.0) is None
+        oracle = ode1d._ImplicitBranch(op, force, 0.0)._tanh_sinh_head(0.5)
+        assert val == pytest.approx(oracle, rel=1e-12)
+        # the Osgood side (a + 1 >= p) has no integrable head; mean curvature
+        # has B(x) ~ x^2/2, so r = 2
+        with pytest.raises(DivergenceError):
+            qk.head_substitution(op, make_force(kind="power", q=p - 1.0), 0.0)
+        mc = qk.head_substitution(make_operator(kind="mean-curvature"), force, 0.0)
+        assert mc.k == pytest.approx(2.0 / (1.0 - a), rel=1e-15)
 
     def test_empty_interval(self, op_p2, force_cubic):
         assert qk.singular_head(op_p2, force_cubic, 1.0, 1.0) == 0.0

@@ -28,8 +28,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--verbose", action="store_true")
 
     p_cmp = sub.add_parser("compare", help="diff two experiment reports")
-    p_cmp.add_argument("report_a")
-    p_cmp.add_argument("report_b")
+    p_cmp.add_argument("report_a", help="a report.json or the run directory holding it")
+    p_cmp.add_argument("report_b", help="a report.json or the run directory holding it")
 
     sub.add_parser("schema", help="print the config JSON schema")
 

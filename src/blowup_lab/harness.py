@@ -543,10 +543,9 @@ def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     distances = [float(d) for d in params.get("distances", [1e-2, 1e-3, 1e-4])]
     ell = ode1d.ell_of_v0(op, force, v0)
     rate = ko_mod.BlowupRateFn(op, force)
-    rows = []
-    for d in distances:
-        v = ode1d.eval_profile(op, force, v0, ell - d)
-        rows.append((d, v, ko_mod.psi(op, force, v) / d, v / rate.phi(d)))
+    values = ode1d.eval_profile(op, force, v0, ell - np.array(distances)).tolist()
+    rows = [(d, v, ko_mod.psi(op, force, v) / d, v / rate.phi(d))
+            for d, v in zip(distances, values)]
     with open(manifest.path("asymptotics.csv"), "w") as fh:
         fh.write("distance,value,psi_ratio,phi_ratio\n")
         for row in rows:
@@ -624,12 +623,17 @@ class RunDiff:
 
 
 def _load_report(source) -> dict:
+    """A report, its dict, or the path of its report.json or run directory."""
     if isinstance(source, ExperimentReport):
         return source.to_dict()
     if isinstance(source, dict):
         return source
-    with open(source) as fh:
-        return json.load(fh)
+    path = Path(source) / "report.json" if Path(source).is_dir() else Path(source)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
 
 
 def _diff_value(a, b):

@@ -6,10 +6,11 @@ ends and minimum v0 = v(0) satisfies
     int_{v0}^{v(x)} ds / B^-1{F(s) - F(v0)} = |x|,
 
 and the blow-up half-length is ell(v0) = int_{v0}^inf of the same integrand.
-This module evaluates profiles by safeguarded Newton on the implicit
-relation, bracketed by a cumulative table of that integral, maps ell <-> v0,
-and builds dead-core profiles (v0 = 0, flat zero core of half-width ell - L)
-when the 0+ integral converges.
+This module evaluates profiles by one safeguarded Newton iteration on the
+implicit relation, batched over every sample point and bracketed by a
+cumulative table of that integral, maps ell <-> v0, and builds dead-core
+profiles (v0 = 0, flat zero core of half-width ell - L) when the 0+ integral
+converges.
 """
 from __future__ import annotations
 
@@ -47,33 +48,40 @@ def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
     return head + tail
 
 
-def _invert_integral(h, a: float, b: float, target: float, z: float) -> float:
-    """z in [a, b] with int_a^z h = target, for h > 0 and the root in [a, b].
+def _invert_integral(h, a, b, target, z):
+    """z in [a, b] with int_a^z h = target, for h > 0 and the root in [a, b],
+    elementwise over arrays of (a, b, target, start z).
 
     Safeguarded Newton from the start z: each step
     z += (target - int_a^z h) / h(z) advances the integral by one quadrature
     from the old iterate to the new one; a step that leaves the bracket
-    bisects it instead.  Stops once a step is below _NEWTON_RTOL * |z| (a
-    zero step included), never on the bracket width.
+    bisects it instead.  A point leaves the batch once its step is below
+    _NEWTON_RTOL * |z| (a zero step included), never on the bracket width.
+    Each step is one h(z) and one ``integrate_block`` call over the points
+    left; their rows are independent, so no point depends on the others.
     """
+    a, b, target, z = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, target, z))
+    out, live = z.copy(), np.arange(z.size)
     acc = qk.integrate_block(h, a, z)
     for _ in range(_NEWTON_MAX_STEPS):
         r = target - acc
-        if r == 0.0:
-            return z
-        if r > 0.0:
-            a = z
-        else:
-            b = z
+        moving = r != 0.0
+        out[live[~moving]] = z[~moving]
+        live, a, b, target, z, r, acc = (v[moving] for v in (live, a, b, target, z, r, acc))
+        a, b = np.where(r > 0.0, z, a), np.where(r > 0.0, b, z)
         d = h(z)
-        z_new = z + r / d if d > 0.0 else math.nan   # h = 0 past overflow: bisect
-        if not a <= z_new <= b:
-            z_new = 0.5 * (a + b)
-        if abs(z_new - z) <= _NEWTON_RTOL * abs(z):
-            return z_new
-        acc += qk.integrate_block(h, z, z_new)
+        with np.errstate(divide="ignore", over="ignore"):
+            z_new = np.where(d > 0.0, z + r / d, math.nan)   # h = 0 past overflow: bisect
+        z_new = np.where((a <= z_new) & (z_new <= b), z_new, 0.5 * (a + b))
+        moving = ~(np.abs(z_new - z) <= _NEWTON_RTOL * np.abs(z))
+        out[live[~moving]] = z_new[~moving]
+        live, a, b, target, z, z_new, acc = (v[moving] for v in (live, a, b, target, z, z_new, acc))
+        if not live.size:
+            return out
+        acc = acc + qk.integrate_block(h, z, z_new)
         z = z_new
-    return z
+    out[live] = z
+    return out
 
 
 class _ImplicitBranch:
@@ -84,8 +92,10 @@ class _ImplicitBranch:
     dI/dV = 1/B^-1{F(V) - F(v0)}, solves inside the bracket.  The head
     [v0, v0 + h0] is solved in the variable u of
     :func:`quadrature.head_substitution`, whose density is finite at u = 0,
-    for every operator.  The table extends itself on demand toward the
-    blow-up value of x (= ell(v0) for v0 > 0, = L for v0 = 0).
+    for every operator.  ``upper_value`` has one array body: all head points
+    are one Newton batch in u, all others one batch in V.  The table extends
+    itself on demand toward the blow-up value of x (= ell(v0) for v0 > 0,
+    = L for v0 = 0).
     """
 
     def __init__(self, op: Operator, force: Force, v0: float):
@@ -111,28 +121,37 @@ class _ImplicitBranch:
                 self._knots.append(nxt)
                 self._cum.append(self._cum[-1] + seg)
 
-    def upper_value(self, x: float) -> float:
-        """V with I(V) = x, for 0 <= x < total."""
-        if x == 0.0:
-            return self.v0
-        if not 0.0 < x < self.total:
-            raise ProfileDomainError(f"coordinate {x:g} outside [0, {self.total:g})")
-        if x < self.head_full:
+    def upper_value(self, x):
+        """V with I(V) = x, for 0 <= x < total, elementwise (a float for scalar x)."""
+        xa = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(xa)
+        bad = ~((0.0 <= xs) & (xs < self.total))
+        if bad.any():
+            raise ProfileDomainError(f"coordinate {xs[bad][0]:g} outside [0, {self.total:g})")
+        v = np.full(xs.shape, self.v0)
+        head = (0.0 < xs) & (xs < self.head_full)
+        if head.any():
             U = self._sub.u_of(self.v0 + self.h0)
-            return self._sub.s_of(_invert_integral(
-                self._sub.density, 0.0, U, x, U * x / self.head_full))
-        self._cover(x)
-        if self._cum[-1] < x:
-            raise ProfileDomainError(
-                f"coordinate {x:g} is within {self.total - x:.3g} of blow-up; "
-                "beyond the supported value range")
-        j = int(np.searchsorted(self._cum, x))
-        if self._cum[j] == x:
-            return self._knots[j]
-        lo, hi = self._knots[j - 1], self._knots[j]
-        target = x - self._cum[j - 1]
-        return _invert_integral(self._g, lo, hi, target,
-                                 lo + (hi - lo) * target / (self._cum[j] - self._cum[j - 1]))
+            v[head] = self._sub.s_of(_invert_integral(
+                self._sub.density, 0.0, U, xs[head], U * xs[head] / self.head_full))
+        rest = xs >= self.head_full
+        if rest.any():
+            xr = xs[rest]
+            self._cover(xr.max())
+            if self._cum[-1] < xr.max():
+                raise ProfileDomainError(
+                    f"coordinate {xr.max():g} is within {self.total - xr.max():.3g} of blow-up; "
+                    "beyond the supported value range")
+            cum, knots = np.array(self._cum), np.array(self._knots)
+            j = np.searchsorted(cum, xr)
+            vr = knots[j]                   # exact where cum[j] == x
+            inner = cum[j] != xr
+            j = j[inner]
+            lo, hi, target = knots[j - 1], knots[j], xr[inner] - cum[j - 1]
+            vr[inner] = _invert_integral(self._g, lo, hi, target,
+                                         lo + (hi - lo) * target / (cum[j] - cum[j - 1]))
+            v[rest] = vr
+        return v if xa.ndim else float(v[0])
 
     @cached_property
     def _kink_gaps(self) -> np.ndarray:
@@ -201,27 +220,23 @@ class Profile1D:
     samples: tuple              # ((x, v), ...) on [0, x_max], x_max < ell
     dead_core: Optional[tuple]  # (-core, core) or None
 
-    def value(self, x: float) -> float:
-        ax = abs(x)
-        if ax >= self.ell:
-            raise ProfileDomainError(f"|x| = {ax:g} >= blow-up half-length {self.ell:g}")
-        if self.dead_core is not None:
-            core = self.dead_core[1]
-            if ax <= core:
-                return 0.0
-            return _branch(self.op, self.force, 0.0).upper_value(ax - core)
-        return _branch(self.op, self.force, self.v0).upper_value(ax)
+    def value(self, x):
+        """v(x), elementwise over an array of x (a float for scalar x)."""
+        ax = np.abs(np.asarray(x, dtype=float))
+        if not np.all(ax < self.ell):      # NaN included
+            raise ProfileDomainError(f"|x| = {np.max(ax):g} >= blow-up half-length {self.ell:g}")
+        core = self.dead_core[1] if self.dead_core else 0.0
+        v = np.full(ax.shape, self.v0)
+        v[ax > core] = _branch(self.op, self.force, self.v0).upper_value(ax[ax > core] - core)
+        return v if v.ndim else float(v)
 
     def implicit_residual(self, x: float) -> float:
-        """|I(value(x)) - shifted x| by fresh quadrature; the relation check."""
-        ax = abs(x)
-        v = self.value(x)
-        if self.dead_core is not None:
-            core = self.dead_core[1]
-            if ax <= core:
-                return 0.0
-            return abs(_branch(self.op, self.force, 0.0).integral_to(v) - (ax - core))
-        return abs(_branch(self.op, self.force, self.v0).integral_to(v) - ax)
+        """|I(value(x)) - shifted x| by fresh quadrature; the relation check
+        (0 inside a dead core)."""
+        shifted = abs(x) - (self.dead_core[1] if self.dead_core else 0.0)
+        if shifted <= 0.0 and self.dead_core:
+            return 0.0
+        return abs(_branch(self.op, self.force, self.v0).integral_to(self.value(x)) - shifted)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -254,18 +269,19 @@ def large_profile(op: Operator, force: Force, v0: float,
     """Construct the even large solution with minimum v0 (sampled on [0, x_max])."""
     br = _branch(op, force, v0)
     xs = _sample_grid(br.total, n_body, n_edge)
-    samples = tuple((float(x), br.upper_value(float(x))) for x in xs)
+    samples = tuple(zip(xs.tolist(), br.upper_value(xs).tolist()))
     return Profile1D(op, force, v0, br.total, samples, None)
 
 
-def eval_profile(op: Operator, force: Force, v0: float, x: float) -> float:
-    """v(x) for the large solution with minimum v0; even in x."""
+def eval_profile(op: Operator, force: Force, v0: float, x):
+    """v(x) for the large solution with minimum v0; even in x, elementwise
+    over an array of x (a float for scalar x)."""
     if not v0 > 0.0:
         raise ValueError("eval_profile needs v0 > 0 (see dead_core_profile)")
     br = _branch(op, force, v0)
-    ax = abs(x)
-    if ax >= br.total:
-        raise ProfileDomainError(f"|x| = {ax:g} >= ell(v0) = {br.total:g}")
+    ax = np.abs(x)
+    if np.any(ax >= br.total):
+        raise ProfileDomainError(f"|x| = {np.max(ax):g} >= ell(v0) = {br.total:g}")
     return br.upper_value(ax)
 
 
@@ -308,13 +324,10 @@ def dead_core_profile(op: Operator, force: Force, ell: float,
     if not ell > L:
         raise ValueError(f"dead core needs ell > L = {L:g}, got ell = {ell:g}")
     core = ell - L
-    br = _branch(op, force, 0.0)
     xs = _sample_grid(ell, n_body, n_edge)
-    samples = []
-    for x in xs:
-        x = float(x)
-        samples.append((x, 0.0 if x <= core else br.upper_value(x - core)))
-    return Profile1D(op, force, 0.0, ell, tuple(samples), (-core, core))
+    vs = np.zeros(xs.size)
+    vs[xs > core] = _branch(op, force, 0.0).upper_value(xs[xs > core] - core)
+    return Profile1D(op, force, 0.0, ell, tuple(zip(xs.tolist(), vs.tolist())), (-core, core))
 
 
 @dataclass(frozen=True)

@@ -669,7 +669,7 @@ def cross_section_compare(field_: DiscreteField, profile: ode1d.Profile1D,
     """Mid-slice against the 1D cross-section large solution."""
     xs, mid = field_.mid_slice()
     mask = np.abs(xs) <= x_window + 1e-12
-    v = np.array([profile.value(float(x)) for x in xs[mask]])
+    v = profile.value(xs[mask])
     err_mid = float(np.max(np.abs(mid[mask] - v)))
     ell = field_.grid.ell
     half = ell / 2.0

@@ -239,8 +239,11 @@ class HeadSubstitution:
     def u_of(self, s: float) -> float:
         return (s - self.v0) ** self.inv_k
 
-    def s_of(self, u: float) -> float:
-        return self.v0 + u ** self.k
+    def s_of(self, u):
+        """v0 + u^k elementwise (a float for scalar u), by Python's pow: for
+        about 5 % of inputs numpy's power differs from it in the last ulp."""
+        s = np.array([self.v0 + w ** self.k for w in np.atleast_1d(u).tolist()])
+        return s if np.ndim(u) else float(s[0])
 
 
 def head_substitution(op: Operator, force: Force, v0: float) -> HeadSubstitution:

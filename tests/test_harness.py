@@ -369,6 +369,32 @@ def test_random_grid_gives_report_or_config_error(kind, grid):
         assert run(cfg, out).status in ("pass", "fail")
 
 
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["solve-1d", "dead-core"]),
+       length=st.floats(1e-3, 20.0) | st.none(),
+       n_body=st.integers(2, 400), n_edge=st.integers(2, 400),
+       probe_offset=st.floats(-5.0, 5.0, allow_nan=False) | st.none())
+def test_random_profile_gives_report_or_config_error(kind, length, n_body, n_edge,
+                                                     probe_offset):
+    # a schema-valid config ends in a report or a ConfigError, never a traceback
+    params = {"n_body": n_body, "n_edge": n_edge}
+    force = {"kind": "power", "q": 3}
+    if kind == "dead-core":
+        force = {"kind": "piecewise-power", "a": 0.5, "b": 3}
+        if probe_offset is not None:
+            params["probe_offset"] = probe_offset
+        if length is not None:
+            params["ell_offset" if length < 2.0 else "ell"] = length
+    elif length is not None:
+        params["ell"] = length
+    try:
+        cfg = ExperimentConfig.from_dict(cfg_dict(kind=kind, force=force, params=params))
+        with tempfile.TemporaryDirectory() as out:
+            assert run(cfg, out).status in ("pass", "fail")
+    except ConfigError:
+        pass
+
+
 class TestCompareAndDeterminism:
     def test_identical_runs_empty_diff(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="solve-1d", params={"ell": 1.0}))
@@ -412,6 +438,26 @@ class TestCompareAndDeterminism:
                             tmp_path / "b" / "report.json")
         assert diff.identical
 
+    def test_compare_run_directories(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(cfg_dict())
+        run(cfg, tmp_path / "a")
+        run(cfg, tmp_path / "b")
+        assert compare_runs(tmp_path / "a", tmp_path / "b").identical
+
+    @pytest.mark.parametrize("broken", ["missing", "not-json", "empty-dir"])
+    def test_compare_unreadable_report_is_config_error(self, tmp_path, broken):
+        a = run(ExperimentConfig.from_dict(cfg_dict()), tmp_path / "a")
+        path = tmp_path / "b"
+        if broken == "missing":
+            path = tmp_path / "nope.json"
+        elif broken == "not-json":
+            path = tmp_path / "bad.json"
+            path.write_text("{not json")
+        else:
+            path.mkdir()
+        with pytest.raises(ConfigError, match="cannot read report"):
+            compare_runs(a, path)
+
 
 class TestCli:
     def write_cfg(self, tmp_path, doc):
@@ -448,6 +494,14 @@ class TestCli:
         code = cli.main(["compare", str(tmp_path / "a" / "report.json"),
                          str(tmp_path / "b" / "report.json")])
         assert code == 0
+
+    def test_compare_cli_run_directories(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, cfg_dict())
+        cli.main(["run", path, "--out", str(tmp_path / "a")])
+        cli.main(["run", path, "--out", str(tmp_path / "b")])
+        assert cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+        assert cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "nope")]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_verbose_run(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, cfg_dict())

@@ -372,6 +372,70 @@ class TestInversion:
         assert calls["n"] / len(prof.samples) <= 6.0
 
 
+def _strictly_increasing_xs(br):
+    return np.unique(np.concatenate((np.linspace(0.0, br.total, 400, endpoint=False),
+                                     br._cum, br.total * (1.0 - np.logspace(-2.0, -6.0, 9)))))
+
+
+class TestBatchedInversion:
+    @pytest.mark.parametrize("case", [_INVERSION_CASES[i] for i in (0, 3, 6)],
+                             ids=[_INVERSION_IDS[i] for i in (0, 3, 6)])
+    def test_array_equals_scalar_calls(self, case):
+        # head points, knots and near-end points; separate branches, so the
+        # table each one grows on demand differs too
+        xs = _strictly_increasing_xs(_branch_for(case)[0])
+        batched = _branch_for(case)[0].upper_value(xs)
+        br = _branch_for(case)[0]
+        assert batched.tolist() == [br.upper_value(float(x)) for x in xs]
+
+    def test_scalar_in_float_out(self):
+        br, _ = _branch_for(_INVERSION_CASES[0])
+        assert type(br.upper_value(0.5 * br.total)) is float
+        assert type(br.upper_value(np.float64(0.0))) is float
+        assert br.upper_value(np.array([0.5 * br.total])).shape == (1,)
+
+    def test_kernel_calls_per_sample(self, monkeypatch):
+        calls = {"n": 0}
+        for name in ("integrate_block", "singular_head"):
+            fn = getattr(qk, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls["n"] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(qk, name, counted)
+        prof = large_profile(make_operator(kind="p-laplace", p=2),
+                             make_force(kind="power", q=3), 1.0)
+        assert calls["n"] / len(prof.samples) <= 0.25
+
+    @pytest.mark.parametrize("where", ["below", "at-total", "beyond"])
+    def test_one_point_outside_the_domain_is_named(self, where):
+        br, _ = _branch_for(_INVERSION_CASES[0])
+        bad = {"below": -0.25, "at-total": br.total, "beyond": 2.0 * br.total}[where]
+        xs = np.array([0.0, 0.5 * br.head_full, bad, 0.5 * br.total])
+        with pytest.raises(ProfileDomainError, match=f"coordinate {bad:g} outside"):
+            br.upper_value(xs)
+
+    def test_dead_core_samples_inside_the_core_are_zero(self, op_p2, force_dead_core):
+        prof = dead_core_profile(op_p2, force_dead_core,
+                                 length_scale(op_p2, force_dead_core) + 0.5)
+        core = prof.dead_core[1]
+        inside = [v for x, v in prof.samples if x <= core]
+        outside = [v for x, v in prof.samples if x > core]
+        assert len(inside) > 10 and all(v == 0.0 for v in inside)
+        assert all(type(v) is float for v in inside)
+        assert all(v > 0.0 for v in outside)
+
+    def test_profile_value_of_an_array(self, op_p2, force_dead_core):
+        prof = dead_core_profile(op_p2, force_dead_core,
+                                 length_scale(op_p2, force_dead_core) + 0.5)
+        xs = np.linspace(-0.99 * prof.ell, 0.99 * prof.ell, 41)
+        assert prof.value(xs).tolist() == [prof.value(float(x)) for x in xs]
+        for bad in (prof.ell, -prof.ell, math.nan):
+            with pytest.raises(ProfileDomainError):
+                prof.value(np.array([0.0, bad]))
+
+
 _TABLE_5 = [[0, 0], [0.5, 0.4], [1, 1], [2, 3], [4, 8]]
 
 

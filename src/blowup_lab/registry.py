@@ -36,8 +36,11 @@ def _elementwise(body: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
 @dataclass(frozen=True, eq=False)
 class Force:
-    """A nonlinearity f with its exact primitive F and growth metadata.
+    """A nonlinearity f with its exact primitive F, its derivative f' and
+    growth metadata.
 
+    ``derivative`` is f' in closed form, for a table the exact segment slope
+    (right-continuous at the knots); the 2D solver's Jacobians use it.
     ``growth_zero`` / ``growth_inf`` are the power-law exponents of f near 0
     (1 for a table, linear there) and near infinity (None when f outgrows
     every power, as exp-minus-one does).
@@ -46,6 +49,7 @@ class Force:
     kind: str
     value: Callable[[np.ndarray | float], np.ndarray | float]
     primitive: Callable[[np.ndarray | float], np.ndarray | float]
+    derivative: Callable[[np.ndarray | float], np.ndarray | float]
     growth_zero: float
     growth_inf: Optional[float]
     params: dict = field(default_factory=dict)
@@ -104,13 +108,14 @@ def _power_force(q: float) -> Force:
 
     f = _elementwise(lambda t: t ** q)
     F = _elementwise(lambda t: t ** (q + 1.0) / (q + 1.0))
-    return Force("power", f, F, q, q, {"q": float(q)})
+    fp = _elementwise(lambda t: q * np.maximum(t, 1e-300) ** (q - 1.0))
+    return Force("power", f, F, fp, q, q, {"q": float(q)})
 
 
 def _exp_minus_one_force() -> Force:
     f = _elementwise(np.expm1)
     F = _elementwise(lambda t: np.expm1(t) - t)     # exp(t) - t - 1, stable near 0
-    return Force("exp-minus-one", f, F, 1.0, None, {})
+    return Force("exp-minus-one", f, F, _elementwise(np.exp), 1.0, None, {})
 
 
 def _piecewise_power_force(a: float, b: float) -> Force:
@@ -131,7 +136,9 @@ def _piecewise_power_force(a: float, b: float) -> Force:
         high = F_knee + (np.where(t >= 1.0, t, 1.0) ** (b + 1.0) - 1.0) / (b + 1.0)
         return np.where(t <= 1.0, low, high)
 
-    return Force("piecewise-power", f, F, a, b, {"a": float(a), "b": float(b)})
+    fp = _elementwise(lambda t: np.where(t <= 1.0, a * np.maximum(t, 1e-300) ** (a - 1.0),
+                                         b * np.maximum(t, 1e-300) ** (b - 1.0)))
+    return Force("piecewise-power", f, F, fp, a, b, {"a": float(a), "b": float(b)})
 
 
 def _table_force(points: Sequence[Sequence[float]]) -> Force:
@@ -153,6 +160,7 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
 
     tail_exp = (math.log(ft[-1]) - math.log(ft[-2])) / (math.log(t[-1]) - math.log(t[-2]))
     tail_coef = ft[-1] / t[-1] ** tail_exp
+    slopes = np.diff(ft) / np.diff(t)
 
     # exact primitive of the piecewise-linear interpolant at the knots
     Fk = np.concatenate(([0.0], np.cumsum(0.5 * (ft[1:] + ft[:-1]) * np.diff(t))))
@@ -167,13 +175,18 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
         xi = np.clip(x, 0.0, t[-1])
         k = np.clip(np.searchsorted(t, xi, side="right") - 1, 0, len(t) - 2)
         dt = xi - t[k]
-        slope = (ft[k + 1] - ft[k]) / (t[k + 1] - t[k])
-        inside = Fk[k] + ft[k] * dt + 0.5 * slope * dt * dt
+        inside = Fk[k] + ft[k] * dt + 0.5 * slopes[k] * dt * dt
         over = np.maximum(x, t[-1])
         tail = Fk[-1] + tail_coef * (over ** (tail_exp + 1.0) - t[-1] ** (tail_exp + 1.0)) / (tail_exp + 1.0)
         return np.where(x <= t[-1], inside, tail)
 
-    return Force("table", f, F, 1.0, tail_exp,
+    @_elementwise
+    def fp(x):
+        k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+        over = np.maximum(x, t[-1])
+        return np.where(x < t[-1], slopes[k], tail_exp * tail_coef * over ** (tail_exp - 1.0))
+
+    return Force("table", f, F, fp, 1.0, tail_exp,
                  {"points": [[float(a), float(b)] for a, b in pts]})
 
 

@@ -283,9 +283,11 @@ class TestRunners:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cylinder_overflowing_eps_reports_solver_error(self, tmp_path):
-        # eps^2 overflows in the discrete cross-section's Jacobian
+        # eps^2 = inf makes gamma = inf for p = 3 and the flat start's flux NaN
         cfg = ExperimentConfig.from_dict(cfg_dict(
-            kind="cylinder", params={"ells": [1.0, 2.0], "nx": 17, "eps": 1e300}))
+            kind="cylinder", force={"kind": "power", "q": 6},
+            operator={"kind": "p-laplace", "p": 3},
+            params={"ells": [1.0, 2.0], "nx": 17, "eps": 1e300}))
         rep = run(cfg, tmp_path)
         assert rep.status == "fail"
         failed = [c for c in rep.checks if c.name == "experiment-completed"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (Grid2D, SolverConfig, ValidationError, cylinder_family,
+from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, cylinder_family,
                         escalate_m, grid_for_ell, large_profile, make_force,
                         make_operator, residual, solve_dirichlet, v0_of_ell)
 from blowup_lab import pde2d
@@ -35,21 +35,27 @@ class TestResidual:
         lap = R[1:-1, 1:-1] + u[1:-1, 1:-1]   # add f(u) = u back
         assert np.max(np.abs(lap - 4.0)) < 1e-11
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_jacobian_matches_finite_differences(self, p, force_cubic):
+    @pytest.mark.parametrize("p, force", [
+        (1.5, {"kind": "power", "q": 3}),
+        (2.0, {"kind": "power", "q": 3}),
+        (3.0, {"kind": "power", "q": 3}),
+        # u in [1, 2] meets two segments and the power-law tail past t = 1.6
+        (3.0, {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1.2, 1.5], [1.6, 4.0]]}),
+    ], ids=["1.5", "2.0", "3.0", "3.0-table"])
+    def test_jacobian_matches_finite_differences(self, p, force):
         rng = np.random.default_rng(2)
         g = Grid2D(1.2, 8, 9)
-        op = make_operator(kind="p-laplace", p=p)
+        force = make_force(force)
         u = 1.0 + rng.random((g.nx, g.ny))
-        J = _assemble_jacobian(u, g, p, 1e-8, force_cubic).toarray()
-        R0, _ = _residual_interior(u, g, p, 1e-8, force_cubic)
+        J = _assemble_jacobian(u, g, p, 1e-8, force).toarray()
+        R0, _ = _residual_interior(u, g, p, 1e-8, force)
         h = 1e-7
         cols = []
         for i in range(1, g.nx - 1):
             for j in range(1, g.ny - 1):
                 up = u.copy()
                 up[i, j] += h
-                Rp, _ = _residual_interior(up, g, p, 1e-8, force_cubic)
+                Rp, _ = _residual_interior(up, g, p, 1e-8, force)
                 cols.append((Rp - R0).ravel() / h)
         Jfd = np.array(cols).T
         assert np.max(np.abs(J - Jfd)) <= 1e-5 * np.max(np.abs(J))
@@ -135,14 +141,38 @@ class TestSolveDirichlet:
         center = fld.values[8, 8]
         assert 0.0 < center < 2.0
 
-    def test_singular_jacobian_takes_the_rescue(self, op_p2, force_cubic):
-        # eps^2 underflows on the flat start, so the Jacobian holds NaNs and
-        # cannot be factored; the Gauss-Seidel rescue builds gradients instead
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, 2.0,
-                                  SolverConfig(eps=1e-300))
+    def test_jacobian_finite_where_eps_underflows(self, op_p2, force_cubic):
+        # eps^2 underflows to 0 on the flat start, where w = 0 on every face;
+        # the flux derivatives read (p - 2) gamma / w as 0 there
+        g = grid_for_ell(1.0, 17)
+        u = np.full((g.nx, g.ny), 2.0)
+        for p in (2.0, 3.0):
+            J = _assemble_jacobian(u, g, p, 1e-300, force_cubic)
+            assert np.all(np.isfinite(J.data))
+        fld = solve_dirichlet(g, op_p2, force_cubic, 2.0, SolverConfig(eps=1e-300))
+        assert fld.diagnostics["gs_rescues"] == 0
+        assert fld.diagnostics["final_residual"] <= 1e-9
+
+    def test_overflowing_eps_raises(self, op_p3):
+        # eps^2 = inf makes gamma = inf, and inf * 0 a NaN flux on the flat
+        # start: a non-finite residual must not pass the convergence test
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="non-finite residual"):
+                solve_dirichlet(grid_for_ell(1.0, 17), op_p3, make_force(kind="power", q=6),
+                                2.0, SolverConfig(eps=1e300))
+
+    def test_flat_start_at_large_m_takes_the_rescue(self, op_p2, force_cubic):
+        # in the flat interior |R| / max(1, f(u)) = 1 for any flat u, so the
+        # damped Newton step from u = m stalls and the Gauss-Seidel rescue is live
+        fld = solve_dirichlet(grid_for_ell(1.0, 65), op_p2, force_cubic, 100.0)
         assert fld.diagnostics["gs_rescues"] == 1
         assert fld.diagnostics["final_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("m", [0.0, 2.0])
+    def test_diagnostics_keep_the_traced_keys(self, op_p2, force_cubic, m):
+        # bench/tracing.py reads these three keys of every solve
+        fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, m)
+        assert {"iterations", "gs_rescues", "clip_activations"} <= fld.diagnostics.keys()
 
     def test_rejects_general_operator(self, op_mc, force_cubic):
         with pytest.raises(ValidationError):

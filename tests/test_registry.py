@@ -49,6 +49,29 @@ class TestForces:
         # power-law continuation past the last knot
         assert f.value(8.0) == pytest.approx(8.0 ** f.growth_inf, rel=1e-12)
 
+    @pytest.mark.parametrize("spec, ts", [
+        ({"kind": "power", "q": 3}, [0.3, 1.0, 7.0]),
+        ({"kind": "power", "q": 0.5}, [0.3, 1.0, 7.0]),
+        ({"kind": "exp-minus-one"}, [0.3, 1.0, 7.0]),
+        ({"kind": "piecewise-power", "a": 0.5, "b": 3}, [0.3, 0.9, 1.1, 7.0]),
+        # one point on each of the four segments, then two in the power-law tail
+        ({"kind": "table", "points": [[0, 0], [0.5, 0.25], [1, 1], [2, 8], [4, 64]]},
+         [0.2, 0.7, 1.5, 3.0, 5.0, 9.0]),
+    ], ids=["power", "sqrt", "exp-minus-one", "piecewise-power", "table"])
+    def test_derivative_matches_centered_difference(self, spec, ts):
+        f = make_force(spec)
+        t = np.array(ts)
+        h = 1e-6 * t
+        fd = (f.value(t + h) - f.value(t - h)) / (2.0 * h)
+        np.testing.assert_allclose(f.derivative(t), fd, rtol=1e-7)
+        assert isinstance(f.derivative(ts[0]), float)
+
+    def test_table_derivative_is_right_continuous_at_knots(self):
+        f = make_force(kind="table", points=[[0, 0], [0.5, 0.25], [1, 1], [2, 8], [4, 64]])
+        np.testing.assert_array_equal(f.derivative(np.array([0.0, 0.5, 1.0, 2.0])),
+                                      [0.5, 1.5, 7.0, 28.0])
+        assert f.derivative(4.0) == pytest.approx(48.0, rel=1e-12)   # the tail is t^3
+
     def test_rejects_bad_forces(self):
         with pytest.raises(ValidationError):
             make_force(kind="power", q=-1)

@@ -142,11 +142,11 @@ class _Hit(Exception):
     """A point landed within the function tolerance; carries its t."""
 
 
-def increasing_root(g, limit: float, ftol: float, name: str, goal: str) -> float:
+def increasing_root(g, limit: float, ftol: float, name: str, goal: str, start=0.0) -> float:
     """t with g(t) = 0 for g increasing in t, |t| <= limit.
 
     t is the log of the sought argument, where power laws are straight lines.
-    From t = 0 the search steps by log 4 toward the sign change, then brentq
+    From t = start the search steps by log 4 toward the sign change, then brentq
     (xtol 1e-12) runs on the last step.  Every t is evaluated once, so the
     bracket ends cost nothing twice; a point with |g| <= ftol ends the
     search.  Raises :class:`BracketError` when no sign change lies within
@@ -162,8 +162,8 @@ def increasing_root(g, limit: float, ftol: float, name: str, goal: str) -> float
         return seen[t]
 
     try:
-        step = math.log(4.0) if shot(0.0) < 0.0 else -math.log(4.0)
-        a = 0.0
+        step = math.log(4.0) if shot(start) < 0.0 else -math.log(4.0)
+        a = start
         while abs(a + step) <= limit and shot(a + step) * seen[a] > 0.0:
             a += step
         if abs(a + step) > limit:
@@ -185,16 +185,20 @@ class BlowupRateFn:
         return psi(self.op, self.force, r)
 
     def phi(self, d: float) -> float:
-        """r with Psi(r) = d, by :func:`increasing_root` on t = log r
-        (log Psi is linear in t for power forces).  Raises
-        :class:`BracketError` when r would leave [1e-14, 1e14], as for
-        d >= L in the dead-core regime."""
+        """r with Psi(r) = d, by :func:`increasing_root` on t = log r, from the
+        log-log secant through Psi(1) and Psi(e) when f grows like a power (log
+        Psi is then linear in t), else from t = 0.  Raises :class:`BracketError`
+        when r would leave [1e-14, 1e14], as for d >= L in the dead-core regime."""
         if not d > 0.0:
             raise ValueError("phi needs d > 0")
-        log_d = math.log(d)
+        log_d, limit = math.log(d), math.log(1e14)
+        start = 0.0
+        if self.force.growth_inf is not None:
+            at_1 = math.log(self.psi(1.0))
+            start = min(max((log_d - at_1) / (math.log(self.psi(math.e)) - at_1), -limit), limit)
         return math.exp(increasing_root(
-            lambda t: log_d - math.log(self.psi(math.exp(t))), math.log(1e14), 0.0,
-            "r", f"has Psi(r) = {d:g}"))
+            lambda t: log_d - math.log(self.psi(math.exp(t))), limit, 0.0,
+            "r", f"has Psi(r) = {d:g}", start))
 
 
 def phi(rate: BlowupRateFn, d: float) -> float:

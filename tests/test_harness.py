@@ -150,6 +150,18 @@ class TestRunners:
         (check,) = [c for c in rep.checks if c.name == "radius-round-trip"]
         assert check.measured == prof.R
 
+    def test_radius_round_trip_can_fail(self, tmp_path, monkeypatch):
+        real = harness.ko_mod.increasing_root
+
+        def off_target(g, limit, ftol, name, goal, start=0.0):
+            return real(g, limit, ftol, name, goal, start) + (1e-3 if name == "v0" else 0.0)
+
+        monkeypatch.setattr(harness.ko_mod, "increasing_root", off_target)
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", params={"n": 2, "R_target": 1.0})), tmp_path)
+        failed = [c.name for c in rep.checks if not c.passed]
+        assert failed == ["radius-round-trip"]
+
     def test_rate_past_dead_core_length_is_reported(self, tmp_path):
         # Phi(10) does not exist: Psi stays below L = 4.04 for a = 0.4
         rep = run(ExperimentConfig.from_dict(cfg_dict(
@@ -355,6 +367,34 @@ def test_small_cylinder_gives_report_or_config_error(ell, extra, m_start, tol_re
 
 
 _GRID_VALUES = st.floats(-1.0, 30.0, allow_nan=False)
+
+
+_RADIAL_FORCES = st.one_of(
+    st.floats(1.5, 6.0).map(lambda q: {"kind": "power", "q": q}),
+    st.just({"kind": "exp-minus-one"}),
+    st.tuples(st.floats(0.3, 2.0), st.floats(1.5, 6.0)).map(
+        lambda ab: {"kind": "piecewise-power", "a": ab[0], "b": ab[1]}),
+    st.just({"kind": "table", "points": [[0, 0], [0.5, 0.3], [1, 1], [2, 5], [4, 30]]}))
+_RADIAL_MODES = st.one_of(
+    st.floats(0.05, 20.0).map(lambda v0: {"v0": v0}),
+    st.floats(0.2, 5.0).map(lambda R: {"R_target": R}),
+    st.tuples(st.floats(0.2, 3.0), st.floats(1.1, 4.0)).map(
+        lambda rr: {"r_inner": rr[0], "r_outer": rr[0] * rr[1]}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing shots end as reports
+@settings(max_examples=10, deadline=None)
+@given(force=_RADIAL_FORCES, p=st.floats(1.5, 4.0), n=st.integers(1, 3), mode=_RADIAL_MODES)
+def test_random_radial_gives_report_or_config_error(force, p, n, mode):
+    # a schema-valid config ends in a report or a ConfigError, never a traceback
+    try:
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", force=force, operator={"kind": "p-laplace", "p": p},
+            params={"n": n, **mode}))
+        with tempfile.TemporaryDirectory() as out:
+            assert run(cfg, out).status in ("pass", "fail")
+    except ConfigError:
+        pass
 
 
 @settings(max_examples=12, deadline=None)

@@ -186,6 +186,17 @@ class TestIncreasingRoot:
             2.0 * math.log(4.0), abs=1e-15)
         assert len(ts) == 3
 
+    def test_search_begins_at_start(self):
+        ts = []
+
+        def g(t):
+            ts.append(t)
+            return math.tanh(t - 5.3)
+
+        assert ko.increasing_root(g, 20.0, 0.0, "t", "", start=5.0) == pytest.approx(
+            5.3, abs=1e-12)
+        assert ts[:2] == [5.0, 5.0 + math.log(4.0)]
+
     def test_no_sign_change_within_limit(self):
         with pytest.raises(BracketError, match=r"no t in \[0.1, 10\] for the test"):
             ko.increasing_root(lambda t: t + 10.0, math.log(10.0), 0.0, "t", "for the test")
@@ -195,6 +206,13 @@ class TestIncreasingRoot:
         assert BlowupRateFn(op_p2, force_cubic).phi(1e-3) == pytest.approx(
             math.sqrt(2.0) / 1e-3, rel=1e-8)
         assert len(calls) <= 12
+
+    def test_phi_starts_on_the_secant(self, monkeypatch, op_p3, force_cubic):
+        # Psi(w) = 3 (8/3)^(1/3) w^(-1/3), so Phi(d) = 72 / d^3; from t = 0 the
+        # search took 21 Psi calls
+        calls = _counted_psi(monkeypatch)
+        assert BlowupRateFn(op_p3, force_cubic).phi(1e-3) == pytest.approx(72e9, rel=1e-10)
+        assert len(calls) <= 10
 
     def test_phi_beyond_dead_core_length(self, monkeypatch, op_p2, force_dead_core):
         # Psi(0+) = L, so no r has Psi(r) = 1.5 L

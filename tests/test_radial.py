@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (BlowupLabError, BlowupRateFn, DivergenceError, ValidationError,
-                        annulus_barrier, ball_large_solution, blowup_radius,
-                        ell_of_v0, eval_profile, grid_for_ell, local_bound_check,
-                        make_force, make_operator, psi, shoot_ball,
-                        solve_dirichlet, v0_of_ell)
+from blowup_lab import (BlowupLabError, BlowupRateFn, DivergenceError, ExperimentConfig,
+                        ValidationError, annulus_barrier, ball_large_solution,
+                        blowup_radius, ell_of_v0, eval_profile, grid_for_ell,
+                        local_bound_check, make_force, make_operator, psi, run,
+                        shoot_ball, solve_dirichlet, v0_of_ell)
 from blowup_lab import radial
 
 
@@ -122,16 +122,16 @@ class TestAnnulusBarrier:
 
 
 def _counted(build):
-    """build() under a solve_ivp that counts shots and dense shots."""
+    """build() under a shot function that counts shots and dense shots."""
     shots = []
 
-    def solve_ivp(*args, **kwargs):
-        shots.append(kwargs["dense_output"])
-        return real(*args, **kwargs)
+    def shoot(*args):
+        shots.append(args[-1])
+        return real(*args)
 
-    real = radial.solve_ivp
+    real = radial._shoot
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radial, "solve_ivp", solve_ivp)
+        mp.setattr(radial, "_shoot", shoot)
         prof = build()
     return prof, len(shots), sum(shots)
 
@@ -185,21 +185,90 @@ class TestShotBudget:
             assert blowup_radius(op, force_cubic, n, v0) == shoot_ball(
                 op, force_cubic, n, v0).R
 
+    def test_rhs_calls_per_shot(self, op_p2, force_cubic):
+        # a shot in r alone needs 3,389 calls here, 80 % of them past w = 10
+        calls = []
+
+        def solve_ivp(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            calls.append(sol.nfev)
+            return sol
+
+        real = radial.solve_ivp
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "solve_ivp", solve_ivp)
+            blowup_radius(op_p2, force_cubic, 2, 1.0)
+        assert sum(calls) <= 1500
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestIntegratorFailure:
-    # e^w overflows long before the cap w = 1e8: DOP853 gives up near w = 64
+    # w^3 overflows at w = 5.6e102, long before the explicit cap w = 1e200
     @pytest.mark.parametrize("n", [1, 2])
-    def test_ball_names_the_stop(self, op_p2, n):
-        force = make_force(kind="exp-minus-one")
+    def test_ball_names_the_stop(self, op_p2, force_cubic, n):
         for shoot in (shoot_ball, blowup_radius):
             with pytest.raises(BlowupLabError,
-                               match=r"stopped at r = .*, w = 6\d.*Required step size"):
-                shoot(op_p2, force, n, 1.0)
+                               match=r"stopped at r = .*, w = 5\.6\d*e\+102: Required step"):
+                shoot(op_p2, force_cubic, n, 1.0, w_cap=1e200)
 
-    def test_annulus_names_the_stop(self, op_p2):
+    def test_annulus_names_the_stop(self, op_p2, force_cubic):
         with pytest.raises(BlowupLabError, match=r"stopped at r = .*Required step size"):
-            annulus_barrier(op_p2, make_force(kind="exp-minus-one"), 2, 1.0, 2.0)
+            annulus_barrier(op_p2, force_cubic, 2, 1.0, 2.0, w_cap=1e200)
+
+
+def _radial_report(tmp_path, force, operator, **params):
+    return run(ExperimentConfig.from_dict({"kind": "radial", "force": force,
+                                           "operator": operator, "params": params}),
+               tmp_path)
+
+
+class TestExponentialForce:
+    # Psi(1e8) = 0 in floating point: the shots end where Psi = 1e-14, at
+    # w = 65.2 for p = 2 and w = 99.6 for p = 3, far from the overflow of e^w
+    @pytest.mark.parametrize("p,w_end", [(2.0, 65.1655), (3.0, 99.5989)])
+    def test_end_point(self, p, w_end):
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="exp-minus-one")
+        w, psi_end = radial._end_point(op, force, radial.W_CAP)
+        assert w == pytest.approx(w_end, rel=1e-5)
+        assert psi_end == pytest.approx(1e-14, rel=1e-9)
+        # the cap-stability re-shot ends where Psi = 1e-16
+        w2, psi2 = radial._end_point(op, force, 100.0 * radial.W_CAP)
+        assert w2 > w and psi2 == pytest.approx(1e-16, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ball_passes(self, tmp_path, p, n):
+        rep = _radial_report(tmp_path, {"kind": "exp-minus-one"},
+                             {"kind": "p-laplace", "p": p}, n=n, v0=1.0)
+        assert rep.status == "pass", [c.to_dict() for c in rep.checks]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_annulus_passes(self, tmp_path, n):
+        rep = _radial_report(tmp_path, {"kind": "exp-minus-one"},
+                             {"kind": "p-laplace", "p": 2}, n=n, r_inner=1.0, r_outer=2.0)
+        assert rep.status == "pass", [c.to_dict() for c in rep.checks]
+        assert abs(rep.checks[0].measured["R"] - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_n1_matches_ell_of_v0(self, p):
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="exp-minus-one")
+        for v0 in (0.5, 1.0, 2.0):
+            assert blowup_radius(op, force, 1, v0) == pytest.approx(
+                ell_of_v0(op, force, v0), rel=1e-9)
+
+
+# a seeded 10-knot table of the general-operator benchmark: a shot in r alone
+# gives up near w = 1.1e9 on its q = 4 re-shot to w = 1e10
+_TABLE = [[0.0, 0.0], [0.128, 0.17], [0.297, 0.499], [0.541, 0.933], [1.095, 1.98],
+          [1.801, 3.183], [3.061, 5.297], [6.562, 8.608], [12.453, 19.97], [20.724, 27.172]]
+
+
+def test_table_shot_is_cap_stable_at_q4(tmp_path):
+    rep = _radial_report(tmp_path, {"kind": "power", "q": 4.0},
+                         {"kind": "table", "points": _TABLE}, n=1, v0=1.0)
+    assert rep.status == "pass", [c.to_dict() for c in rep.checks]
+    (check,) = [c for c in rep.checks if c.name == "blowup-radius-cap-stable"]
+    assert check.measured <= 1e-14
 
 
 class TestLocalBound:

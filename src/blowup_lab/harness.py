@@ -22,7 +22,7 @@ import jsonschema
 
 from . import ko as ko_mod
 from . import ode1d, pde2d, radial
-from .errors import BlowupLabError, ConfigError, ValidationError
+from .errors import BlowupLabError, BracketError, ConfigError, ValidationError
 from .registry import Force, Operator, make_force, make_operator
 
 KINDS = ("ko-check", "solve-1d", "ell-map", "dead-core", "radial",
@@ -404,9 +404,16 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
                                   float(np.min(np.diff(prof.w)))))
         d = float(params.get("asymptotic_distance", 1e-3))
         rate = ko_mod.BlowupRateFn(op, force)
-        ratio = prof.value(prof.R - d) / rate.phi(d)
-        checks.append(CheckResult("boundary-asymptotic-ratio",
-                                  0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]"))
+        phi_d, ratio, detail = rate.phi(d), None, ""
+        psi_end = prof.R - prof.r[-1]       # the shot ends Psi(w_end) short of R
+        try:    # grade inside a shot, never on an extrapolation past its end
+            graded = prof if psi_end <= d / 10.0 else radial.shoot_ball(
+                op, force, n, prof.v0, w_cap=rate.phi(d / 10.0))
+            ratio = graded.value(graded.R - d) / phi_d
+        except BracketError:
+            detail = f"Psi(w_end) = {psi_end:.3g} > d/10 and no Phi(d/10) for d = {d:g}"
+        checks.append(CheckResult("boundary-asymptotic-ratio", ratio is not None
+                                  and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     checks.insert(0, CheckResult("profile", True, {"n": n, "v0": prof.v0, "R": prof.R}))
     return checks
 

@@ -8,13 +8,14 @@ _flux_derivatives for every Jacobian.  For p = 2 the scheme is exactly the
 5-point Laplacian.  Solved by chord/damped Newton on the exact Jacobian
 (9-point, or 5-point for p = 2, where the tangential entries vanish) with a
 red-black nonlinear Gauss-Seidel fallback for the degenerate flat start.
-Within one solve the sparse LU of the last Jacobian is kept: a full-length
-chord step with it is accepted when it at least halves the scaled residual
+The sparse LU of the last Jacobian is kept, also across m levels: a chord
+step with it is accepted when it at least halves the scaled residual
 (_CHORD_CONTRACTION); otherwise the Jacobian is refactored at the current
 iterate for a damped Newton step.  Both reject a trial outside [0, m].
 
 Boundary blow-up is approached through finite constant data m, doubled per
-level with warm starts.  A fixed grid cannot follow the boundary layer once
+level as a continuation in m (Allgower & Georg 1990, ch. 2) with a tangent
+predictor.  A fixed grid cannot follow the boundary layer once
 its width Psi_p(m) drops below the mesh size - past that point the discrete
 solution at boundary-adjacent nodes grows without bound (there is no
 discrete analogue of the interior blow-up bound), so besides the increment
@@ -274,36 +275,47 @@ def _assemble_jacobian(u, grid, p, eps, force):
         shape=(N, N)).tocsc()
 
 
-def _gauss_seidel(u, grid, p, eps, force, m, nsweeps):
+def _jacobian_times(u, v, grid, p, eps, force):
+    """The derivative of the interior residual at u along a whole field v
+    (boundary nodes included), without assembling the Jacobian."""
+    dF = []
+    for uu, vv, hn, ht in ((u, v, grid.hx, grid.hy), (u.T, v.T, grid.hy, grid.hx)):
+        dF_dgn, dF_dgt = _flux_derivatives(*_face_differences(uu, hn, ht), p, eps)
+        dgn, dgt = _face_differences(vv, hn, ht)
+        dF.append(dF_dgn * dgn + dF_dgt * dgt)
+    dFx, dFy = dF[0], dF[1].T
+    return ((dFx[1:, :] - dFx[:-1, :]) / grid.hx + (dFy[:, 1:] - dFy[:, :-1]) / grid.hy
+            - force.derivative(u[1:-1, 1:-1]) * v[1:-1, 1:-1])
+
+
+def _gauss_seidel(u, grid, p, eps, force, nsweeps):
     """Red-black sweeps with one frozen-coefficient scalar Newton step per
-    node; builds usable gradients when the flat start stalls Newton."""
-    nx, ny = grid.nx, grid.ny
+    node; builds usable gradients when the flat start stalls Newton.  Each
+    half-sweep takes the differences and gammas once, on the x- and y-faces."""
     hx, hy = grid.hx, grid.hy
-    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    interior = np.zeros((nx, ny), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    colors = [((I + J) % 2 == 0) & interior, ((I + J) % 2 == 1) & interior]
+    I, J = np.meshgrid(np.arange(grid.nx - 2), np.arange(grid.ny - 2), indexing="ij")
+    colors = [(I + J) % 2 == 0, (I + J) % 2 == 1]
     u = u.copy()
+    inner = u[1:-1, 1:-1]               # a view: the sweeps update u in place
     for _ in range(nsweeps):
         for color in colors:
-            uN = np.roll(u, -1, 1); uS = np.roll(u, 1, 1)
-            uE = np.roll(u, -1, 0); uW = np.roll(u, 1, 0)
-            gE = (uE - u) / hx; gW = (u - uW) / hx
-            gN = (uN - u) / hy; gS = (u - uS) / hy
-            gamE, gamW, gamN, gamS = (_face_gamma(g, 0.0, p, eps) for g in (gE, gW, gN, gS))
-            fu = force.value(np.maximum(u, 0.0))
-            R = (gamE * gE - gamW * gW) / hx + (gamN * gN - gamS * gS) / hy - fu
-            aP = ((gamE + gamW) / hx ** 2 + (gamN + gamS) / hy ** 2
-                  + force.derivative(np.maximum(u, 0.0)))
-            u = np.where(color, u + R / aP, u)
-    u[0, :] = m; u[-1, :] = m; u[:, 0] = m; u[:, -1] = m
+            gx = (u[1:, 1:-1] - u[:-1, 1:-1]) / hx
+            gy = (u[1:-1, 1:] - u[1:-1, :-1]) / hy
+            gamx, gamy = _face_gamma(gx, 0.0, p, eps), _face_gamma(gy, 0.0, p, eps)
+            pos = np.maximum(inner, 0.0)
+            R = ((gamx[1:] * gx[1:] - gamx[:-1] * gx[:-1]) / hx
+                 + (gamy[:, 1:] * gy[:, 1:] - gamy[:, :-1] * gy[:, :-1]) / hy - force.value(pos))
+            aP = ((gamx[1:] + gamx[:-1]) / hx ** 2 + (gamy[:, 1:] + gamy[:, :-1]) / hy ** 2
+                  + force.derivative(pos))
+            np.copyto(inner, inner + R / aP, where=color)
     return u
 
 
 def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
                     cfg: SolverConfig = SolverConfig(),
-                    initial: Optional[np.ndarray] = None) -> DiscreteField:
-    """Converged field for boundary data m, from u = m (or the warm start).
+                    initial: Optional[np.ndarray] = None, *,
+                    factor: Optional[list] = None) -> DiscreteField:
+    """Converged field for boundary data m, from u = m (or the given start).
 
     Chord/damped Newton (Kelley 2003, ch. 2 and 5) with one acceptance rule:
     a trial that leaves [0, m] or has a non-finite residual is rejected like
@@ -314,9 +326,11 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
     (MMD ordering on A^T + A) at the current iterate for a damped Newton
     step: halvings until the scaled residual falls, and a red-black
     Gauss-Seidel rescue when no halving helps.  The LU is dropped after a
-    damped step with alpha < 1 and after a rescue.  ``iterations`` counts
-    accepted steps of either kind, ``factorizations`` the LUs; the final
-    scaled residual lands just under ``tol_res``."""
+    damped step with alpha < 1 and after a rescue.  The one-slot list
+    ``factor`` carries an LU in (tried first) and the last LU out, and is
+    emptied before each factorisation.  ``iterations`` counts accepted steps
+    of either kind, ``factorizations`` the LUs; the final scaled residual
+    lands just under ``tol_res``."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
     if m < 0.0:
@@ -341,7 +355,7 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
 
     gs_rescues = 0
     factorizations = 0
-    lu = None
+    lu = [None] if factor is None else factor      # the one slot for the LU
     R, fu = _residual_interior(u, grid, p, cfg.eps, force)
     rn = _scaled_norm(R, fu)
     it = 0
@@ -350,19 +364,19 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
             raise SolverError(
                 f"no convergence in {cfg.max_newton} Newton iterations "
                 f"(m = {m:g}, last scaled residual {rn:.3e})")
-        if lu is not None:
+        if lu[0] is not None:
             u_try = u.copy()
-            u_try[1:-1, 1:-1] += lu.solve(-R.ravel()).reshape(R.shape)
+            u_try[1:-1, 1:-1] += lu[0].solve(-R.ravel()).reshape(R.shape)
             R_try, rn_try = score(u_try)
             if rn_try <= _CHORD_CONTRACTION * rn:
                 u, R, rn = u_try, R_try, rn_try
                 it += 1
                 continue
-        lu = None       # free the old factor before the new one is built
-        lu = spla.splu(_assemble_jacobian(u, grid, p, cfg.eps, force),
-                       permc_spec="MMD_AT_PLUS_A")
+        lu[0] = None    # free the old factor before the new one is built
+        lu[0] = spla.splu(_assemble_jacobian(u, grid, p, cfg.eps, force),
+                          permc_spec="MMD_AT_PLUS_A")
         factorizations += 1
-        delta = lu.solve(-R.ravel()).reshape(R.shape)
+        delta = lu[0].solve(-R.ravel()).reshape(R.shape)
         alpha = 1.0
         for _ in range(cfg.max_halvings):
             u_try = u.copy()
@@ -371,15 +385,15 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
             if rn_try < rn:
                 u, R, rn = u_try, R_try, rn_try
                 if alpha < 1.0:
-                    lu = None
+                    lu[0] = None
                 break
             alpha *= 0.5
         else:
-            lu = None
+            lu[0] = None
             gs_rescues += 1
             if gs_rescues > 5:
                 raise SolverError(f"Newton stalled despite Gauss-Seidel rescues (m = {m:g})")
-            u = _gauss_seidel(u, grid, p, cfg.eps, force, m, cfg.gs_sweeps)
+            u = _gauss_seidel(u, grid, p, cfg.eps, force, cfg.gs_sweeps)
             np.clip(u, 0.0, m, out=u)
             R, fu = _residual_interior(u, grid, p, cfg.eps, force)
             rn = _scaled_norm(R, fu)
@@ -452,8 +466,11 @@ def layer_cap_m(op: Operator, force: Force, grid: Grid2D, cfg: SolverConfig) -> 
 
 def escalate_m(grid: Grid2D, op: Operator, force: Force,
                cfg: SolverConfig = SolverConfig()) -> EscalationResult:
-    """Escalate the boundary data m (doubling, warm starts) toward the
-    blow-up limit.  Stops at the increment plateau on the interior compact K
+    """Escalate the boundary data m (doubling) toward the blow-up limit.
+    Each level starts from the tangent predictor u_prev + (m - m_prev) du/dm,
+    J du/dm = -J e (e = 1 on the boundary), solved with the previous level's
+    last LU, which its solve then reuses; without an LU, from u_prev.  Stops
+    at the increment plateau on the interior compact K
     or at the layer-resolution cap m* of :func:`layer_cap_m`, whichever comes
     first; a doubling that would pass m* steps to m* instead, so a capped
     escalation ends exactly at Psi_p(m) = layer_factor * h.  A schedule that
@@ -462,6 +479,7 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
     m_cap = layer_cap_m(op, force, grid, cfg)
+    lu = [None]         # the last LU of a level, carried into the next
     mask = None
     prev = None
     levels: list[EscalationLevel] = []
@@ -470,8 +488,13 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
     stop = "schedule-exhausted"
     sup_incs: list[float] = []
     for _ in range(cfg.max_levels):
-        field_ = solve_dirichlet(grid, op, force, m,
-                                 cfg, initial=None if prev is None else prev.values)
+        start = None if prev is None else prev.values
+        if prev is not None and lu[0] is not None:      # the tangent predictor
+            e = np.pad(np.zeros((grid.nx - 2, grid.ny - 2)), 1, constant_values=1.0)
+            Je = _jacobian_times(start, e, grid, op.p, cfg.eps, force)
+            du = np.pad(lu[0].solve(-Je.ravel()).reshape(Je.shape), 1)
+            start = start + (m - prev.m) * (e + du)
+        field_ = solve_dirichlet(grid, op, force, m, cfg, initial=start, factor=lu)
         if mask is None:
             mask = field_.compact_mask(cfg.compact_scale)
         center = float(field_.values[(grid.nx - 1) // 2, (grid.ny - 1) // 2])
@@ -522,17 +545,12 @@ def cylinder_family(op: Operator, force: Force, ells: Sequence[float],
                     ) -> tuple[list[DiscreteField], CylinderReport]:
     """Escalated fields on (-1,1) x (-ell, ell) for increasing ell, with the
     anti-monotonicity check on shared y-nodes (grids nest for integer ell)."""
-    fields = []
-    reasons = []
-    for grid in family_grids(ells, nx):
-        res = escalate_m(grid, op, force, cfg)
-        fields.append(res.field)
-        reasons.append(res.stop_reason)
-
+    results = [escalate_m(grid, op, force, cfg) for grid in family_grids(ells, nx)]
+    fields = [res.field for res in results]
     worst = max(0.0, ell_monotonicity_violation(fields))
     defects = tuple(symmetry_defect(f) for f in fields)
     report = CylinderReport(tuple(float(e) for e in ells), worst <= 1e-6, worst,
-                            defects, tuple(reasons))
+                            defects, tuple(res.stop_reason for res in results))
     return fields, report
 
 

@@ -235,9 +235,14 @@ def ball_large_solution(op: Operator, force: Force, n: int,
     if not R_target > 0.0:
         raise ValueError("ball_large_solution needs R_target > 0")
     log_target = math.log(R_target)
-    t = ko_mod.increasing_root(
-        lambda t: log_target - math.log(blowup_radius(op, force, n, math.exp(t))),
-        math.log(1e12), 0.0, "v0", f"reaches the radius {R_target:g}")
+    w_end, goal = _end_point(op, force, W_CAP)[0], f"reaches the radius {R_target:g}"
+
+    def g(t: float) -> float:       # no shot starts past its end point w_end
+        if math.exp(t) >= w_end:
+            raise BracketError(f"no v0 below the shots' end point {w_end:g} {goal}")
+        return log_target - math.log(blowup_radius(op, force, n, math.exp(t)))
+
+    t = ko_mod.increasing_root(g, math.log(1e12), 0.0, "v0", goal)
     return shoot_ball(op, force, n, math.exp(t))
 
 

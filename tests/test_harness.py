@@ -171,6 +171,46 @@ class TestRunners:
         (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
         assert check.measured == "BracketError"
 
+    def test_asymptotic_ratio_is_graded_inside_the_shot(self, tmp_path):
+        # a slow tail near the KO frontier: the shot to w = 1e8 ends
+        # Psi(1e8) = 4.7e-3 short of R, past R - d for d = 1e-3
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", force={"kind": "power", "q": 2.98},
+            operator={"kind": "p-laplace", "p": 2.92},
+            params={"n": 2, "R_target": 0.5})), tmp_path)
+        (check,) = [c for c in rep.checks if c.name == "boundary-asymptotic-ratio"]
+        assert check.passed
+        assert check.measured == pytest.approx(1.0, abs=1e-3)
+
+    def test_asymptotic_ratio_without_a_long_shot_fails_plainly(self, tmp_path, monkeypatch):
+        real = harness.ko_mod.BlowupRateFn.phi
+
+        def no_phi_below(self, d):
+            if d < 1e-3:
+                raise harness.BracketError("not bracketed")
+            return real(self, d)
+
+        monkeypatch.setattr(harness.ko_mod.BlowupRateFn, "phi", no_phi_below)
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", force={"kind": "power", "q": 2.98},
+            operator={"kind": "p-laplace", "p": 2.92},
+            params={"n": 2, "R_target": 0.5})), tmp_path)
+        (check,) = [c for c in rep.checks if c.name == "boundary-asymptotic-ratio"]
+        assert not check.passed and check.measured is None
+        assert "d = 0.001" in check.detail and "Psi(w_end) = 0.0047" in check.detail
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ball_radius_search_stops_below_the_end_point(self, tmp_path):
+        # R(v0) ~ v0^(-0.011): no v0 below the shots' end point reaches R = 1
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", force={"kind": "piecewise-power", "a": 1, "b": 2.94},
+            operator={"kind": "p-laplace", "p": 3.9},
+            params={"n": 3, "R_target": 1.0})), tmp_path)
+        (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
+        assert check.measured == "BracketError"
+        assert "reaches the radius 1" in check.detail
+        assert "integrator" not in check.detail
+
     @pytest.mark.parametrize("v0", [1e-120, 1e-300])
     def test_underflowing_force_at_v0_is_reported(self, tmp_path, v0):
         # f(v0) = v0^3 underflows to 0, so the head has no linear onset

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, cyli
                         escalate_m, grid_for_ell, large_profile, make_force,
                         make_operator, residual, solve_dirichlet, v0_of_ell)
 from blowup_lab import pde2d
-from blowup_lab.pde2d import DiscreteField, _assemble_jacobian, _residual_interior
+from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _face_gamma, _gauss_seidel,
+                              _jacobian_times, _residual_interior)
 
 from conftest import psi_power_closed_form
 
@@ -59,6 +61,38 @@ class TestResidual:
                 cols.append((Rp - R0).ravel() / h)
         Jfd = np.array(cols).T
         assert np.max(np.abs(J - Jfd)) <= 1e-5 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("p, force", [
+        (1.5, {"kind": "power", "q": 3}),
+        (2.0, {"kind": "power", "q": 3}),
+        (3.0, {"kind": "power", "q": 3}),
+        (3.0, {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1.2, 1.5], [1.6, 4.0]]}),
+    ], ids=["1.5", "2.0", "3.0", "3.0-table"])
+    def test_jacobian_times_matches_the_assembled_jacobian(self, p, force):
+        rng = np.random.default_rng(4)
+        g = Grid2D(1.2, 8, 9)
+        force = make_force(force)
+        u = 1.0 + rng.random((g.nx, g.ny))
+        v = np.zeros_like(u)
+        v[1:-1, 1:-1] = rng.standard_normal((g.nx - 2, g.ny - 2))
+        Jv = _assemble_jacobian(u, g, p, 1e-8, force) @ v[1:-1, 1:-1].ravel()
+        got = _jacobian_times(u, v, g, p, 1e-8, force).ravel()
+        assert np.max(np.abs(got - Jv)) <= 1e-13 * np.max(np.abs(Jv))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_jacobian_times_boundary_direction_is_the_m_derivative(self, p, force_cubic):
+        # along e (1 on the boundary, 0 inside) J e is dR/dm at a fixed interior
+        rng = np.random.default_rng(5)
+        g = Grid2D(1.0, 9, 10)
+        u = 1.0 + rng.random((g.nx, g.ny))
+        e = np.ones_like(u)
+        e[1:-1, 1:-1] = 0.0
+        h = 1e-5
+        Rp, _ = _residual_interior(u + h * e, g, p, 1e-8, force_cubic)
+        Rm, _ = _residual_interior(u - h * e, g, p, 1e-8, force_cubic)
+        fd = (Rp - Rm) / (2.0 * h)
+        got = _jacobian_times(u, e, g, p, 1e-8, force_cubic)
+        assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(fd))
 
     def test_jacobian_five_point_pattern_for_p2(self, force_cubic):
         # the tangential entries vanish identically for p = 2 and are not stored
@@ -174,6 +208,35 @@ class TestSolveDirichlet:
         fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, m)
         assert {"iterations", "gs_rescues", "clip_activations"} <= fld.diagnostics.keys()
 
+    @pytest.mark.parametrize("p, m", [(1.5, 4.0), (2.0, 32.0), (3.0, 2.0)])
+    def test_gauss_seidel_sweep_is_the_per_node_update(self, p, m, force_cubic):
+        # one red-black sweep, bit for bit, against a plain loop over the nodes
+        g = Grid2D(1.0, 9, 11)
+        rng = np.random.default_rng(6)
+        u = np.full((g.nx, g.ny), m)
+        u[1:-1, 1:-1] = m * rng.random((g.nx - 2, g.ny - 2))
+        eps, hx, hy = 1e-8, g.hx, g.hy
+
+        def gam(d):
+            return _face_gamma(np.array([d]), 0.0, p, eps)[0]
+
+        ref = u.copy()
+        for color in (0, 1):
+            for i in range(1, g.nx - 1):
+                for j in range(1, g.ny - 1):
+                    if (i + j) % 2 != color:
+                        continue
+                    c = ref[i, j]
+                    gE, gW = (ref[i + 1, j] - c) / hx, (c - ref[i - 1, j]) / hx
+                    gN, gS = (ref[i, j + 1] - c) / hy, (c - ref[i, j - 1]) / hy
+                    R = ((gam(gE) * gE - gam(gW) * gW) / hx
+                         + (gam(gN) * gN - gam(gS) * gS) / hy - force_cubic.value(max(c, 0.0)))
+                    aP = ((gam(gE) + gam(gW)) / hx ** 2 + (gam(gN) + gam(gS)) / hy ** 2
+                          + force_cubic.derivative(max(c, 0.0)))
+                    ref[i, j] = c + R / aP
+        got = _gauss_seidel(u, g, p, eps, force_cubic, 1)
+        assert np.array_equal(got, ref)
+
     def test_rejects_general_operator(self, op_mc, force_cubic):
         with pytest.raises(ValidationError):
             solve_dirichlet(grid_for_ell(1.0, 17), op_mc, force_cubic, 1.0)
@@ -280,6 +343,57 @@ class TestEscalation:
         assert len(diagnostics) == len(res.levels)
         assert any(d["factorizations"] < d["iterations"] for d in diagnostics)
         assert all(d["final_residual"] <= cfg.tol_res for d in diagnostics)
+
+
+class TestContinuation:
+    @staticmethod
+    def recorded_levels(monkeypatch):
+        diagnostics = []
+        solve = pde2d.solve_dirichlet
+
+        def recorded(*args, **kwargs):
+            fld = solve(*args, **kwargs)
+            diagnostics.append(fld.diagnostics)
+            return fld
+
+        monkeypatch.setattr(pde2d, "solve_dirichlet", recorded)
+        return diagnostics
+
+    def test_predictor_is_exact_for_a_linear_problem(self, op_p2, monkeypatch):
+        # p = 2 with f(u) = u: the residual is linear in (u, m), so each level
+        # after the first starts on its solution
+        diagnostics = self.recorded_levels(monkeypatch)
+        res = escalate_m(grid_for_ell(1.0, 33), op_p2, make_force(kind="power", q=1),
+                         SolverConfig(max_levels=7))
+        assert len(res.levels) == 7
+        assert [d["iterations"] for d in diagnostics] == [1, 0, 0, 0, 0, 0, 0]
+
+    def test_factorisation_budget(self, op_p2, force_cubic, monkeypatch):
+        diagnostics = self.recorded_levels(monkeypatch)
+        res = escalate_m(grid_for_ell(1.0, 65), op_p2, force_cubic)
+        assert res.stop_reason == "layer-cap"
+        assert sum(d["factorizations"] for d in diagnostics) <= len(res.levels) + 1
+        assert all(d["final_residual"] <= SolverConfig().tol_res for d in diagnostics)
+
+    def test_one_factor_alive_at_a_time(self, op_p3, monkeypatch):
+        class Factor:       # SuperLU takes no weak references; this wrapper does
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        alive = []
+        built = []
+        splu = pde2d.spla.splu
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            factor = Factor(splu(*args, **kwargs))
+            built.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(pde2d.spla, "splu", tracked)
+        cylinder_family(op_p3, make_force(kind="power", q=6), [1.0, 2.0], nx=17)
+        assert len(built) > 2
+        assert max(alive) == 0
 
 
 def test_discrete_cross_section_solves_three_point_scheme(op_p2, force_cubic):

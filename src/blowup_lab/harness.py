@@ -1,19 +1,19 @@
-"""Experiment orchestration: JSON configs in, CSV artifacts and reports out.
+"""Experiment orchestration: JSON configs in, CSV/JSON artifacts and reports out.
 
 One config file describes one experiment (kind + force + operator + numeric
-parameters).  ``run`` dispatches to the computational modules, records one
-pass/fail entry per check (a failing check never aborts the rest), writes
-every artifact through a manifest with content hashes, and keeps wall-clock
-timings in a separate section so that reports stay comparable across runs.
-Runs are seedless and deterministic: identical configs produce byte-identical
-CSV artifacts.
+parameters).  ``run`` dispatches to the computational modules and records one
+pass/fail entry per check (a failing check never aborts the rest).  Each
+artifact is written by one ``_Manifest.add``, which also hashes it into
+``report.files``; the bytes come from :mod:`blowup_lab.artifacts`.  Wall-clock
+timings sit in a separate section so that reports stay comparable across runs.
+Runs are seedless and deterministic: identical configs give identical bytes.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,6 +22,7 @@ import jsonschema
 
 from . import ko as ko_mod
 from . import ode1d, pde2d, radial
+from .artifacts import write_csv, write_json
 from .errors import BlowupLabError, BracketError, ConfigError, ValidationError
 from .registry import Force, Operator, make_force, make_operator
 
@@ -152,9 +153,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "force": self.force, "operator": self.operator,
-                "params": self.params, "output_dir": self.output_dir,
-                "deterministic": self.deterministic}
+        return asdict(self)
 
 
 @dataclass
@@ -166,8 +165,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "measured": self.measured,
-                "tolerance": self.tolerance, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -189,8 +187,7 @@ class ExperimentReport:
                 "status": self.status}
 
     def write(self, out_dir: Path) -> None:
-        with open(out_dir / "report.json", "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(out_dir / "report.json", self.to_dict())
         lines = [f"experiment: {self.kind}", f"status: {self.status}", ""]
         for c in self.checks:
             state = "PASS" if c.passed else "FAIL"
@@ -201,8 +198,7 @@ class ExperimentReport:
         lines.append("files:")
         for f in self.files:
             lines.append(f"  {f['path']}  sha256:{f['sha256'][:16]}")
-        with open(out_dir / "summary.txt", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
 def _fmt(v) -> str:
@@ -216,12 +212,12 @@ class _Manifest:
         self.out_dir = out_dir
         self.entries: list[dict] = []
 
-    def path(self, name: str) -> Path:
-        return self.out_dir / name
-
-    def register(self, name: str) -> None:
-        digest = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
-        self.entries.append({"path": name, "sha256": digest})
+    def add(self, name: str, write, *args) -> None:
+        """``write(out_dir/name, *args)``, then record the file's sha256."""
+        path = self.out_dir / name
+        write(path, *args)
+        self.entries.append({"path": name,
+                             "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
 
 
 def _build(config: ExperimentConfig) -> tuple[Operator, Force]:
@@ -248,7 +244,7 @@ def _expect_checks(expect: dict, measured: dict) -> list[CheckResult]:
 def _run_ko_check(op, force, params, manifest) -> list[CheckResult]:
     report = ko_mod.classify(op, force)
     checks = []
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     if report.osgood_holds is not None:
         checks.append(CheckResult(
             "osgood-a3-exclusive", report.osgood_holds != report.a3_holds,
@@ -261,11 +257,9 @@ def _run_ko_check(op, force, params, manifest) -> list[CheckResult]:
     if params.get("with_a5"):
         betas = params.get("betas", [0.25, 0.5, 0.75])
         a5 = ko_mod.check_a5(force, op, betas)
-        doc["a5"] = json.loads(a5.to_json())
+        doc["a5"] = a5.to_dict()
         measured["a5_likely"] = a5.likely_holds
-    with open(manifest.path("ko_report.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    manifest.register("ko_report.json")
+    manifest.add("ko_report.json", write_json, doc)
     checks.extend(_expect_checks(params.get("expect", {}), measured))
     checks.insert(0, CheckResult("classified", True, measured))
     return checks
@@ -300,10 +294,8 @@ def _run_solve_1d(op, force, params, manifest) -> list[CheckResult]:
                 f"ell = {ell:g} lies in the dead-core regime; use kind 'dead-core'")
     profile = ode1d.large_profile(op, force, v0,
                                   params.get("n_body", 161), params.get("n_edge", 40))
-    profile.to_csv(manifest.path("profile.csv"))
-    profile.to_json(manifest.path("profile.json"))
-    manifest.register("profile.csv")
-    manifest.register("profile.json")
+    manifest.add("profile.csv", profile.to_csv)
+    manifest.add("profile.json", profile.to_json)
     checks = [CheckResult("solved", True, {"v0": v0, "ell": profile.ell})]
     checks.extend(_profile_checks(profile))
     # each mode measures the inversion it did not run
@@ -321,11 +313,7 @@ def _run_ell_map(op, force, params, manifest) -> list[CheckResult]:
     v0s = [float(v) for v in params.get("v0_grid",
                                         list(np.logspace(-1.5, 1.5, 10)))]
     ells = [ode1d.ell_of_v0(op, force, v) for v in v0s]
-    with open(manifest.path("ell_map.csv"), "w") as fh:
-        fh.write("v0,ell\n")
-        for v, e in zip(v0s, ells):
-            fh.write(f"{format(v, '.17g')},{format(e, '.17g')}\n")
-    manifest.register("ell_map.csv")
+    manifest.add("ell_map.csv", write_csv, "v0,ell", zip(v0s, ells))
     strictly_dec = all(b < a for a, b in zip(ells, ells[1:]))
     checks = [CheckResult("ell-strictly-decreasing", strictly_dec,
                           {"first": ells[0], "last": ells[-1]})]
@@ -345,10 +333,8 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
     L_refined = ko_mod.length_scale(op, force, max_blocks=56)
     profile = ode1d.dead_core_profile(op, force, ell,
                                       params.get("n_body", 161), params.get("n_edge", 40))
-    profile.to_csv(manifest.path("profile.csv"))
-    profile.to_json(manifest.path("profile.json"))
-    manifest.register("profile.csv")
-    manifest.register("profile.json")
+    manifest.add("profile.csv", profile.to_csv)
+    manifest.add("profile.json", profile.to_json)
     core = profile.dead_core[1]
     cap_rel = abs(L_refined - L) / L
     checks = [
@@ -364,6 +350,19 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
     checks.append(CheckResult("implicit-relation-outside-core", res <= 1e-8, res, 1e-8))
     checks.extend(_expect_checks(params.get("expect", {}), {"L": L, "core": core}))
     return checks
+
+
+def _boundary_ratio(op, force, prof, rate, d) -> tuple[Optional[float], str]:
+    """(w(R - d) / Phi(d), detail) for a ball profile, graded inside a shot,
+    never on an extrapolation past its end; (None, why) without such a shot."""
+    phi_d = rate.phi(d)
+    psi_end = prof.R - prof.r[-1]       # the shot ends Psi(w_end) short of R
+    try:
+        graded = prof if psi_end <= d / 10.0 else radial.shoot_ball(
+            op, force, prof.n, prof.v0, w_cap=rate.phi(d / 10.0))
+        return graded.value(graded.R - d) / phi_d, ""
+    except BracketError:
+        return None, f"Psi(w_end) = {psi_end:.3g} > d/10 and no Phi(d/10) for d = {d:g}"
 
 
 def _run_radial(op, force, params, manifest) -> list[CheckResult]:
@@ -392,26 +391,16 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
         cap2 = radial.blowup_radius(op, force, n, v0, w_cap=radial.W_CAP * 100.0)
         rel = abs(cap2 - prof.R) / prof.R
         checks.append(CheckResult("blowup-radius-cap-stable", rel <= 1e-6, rel, 1e-6))
-    prof.to_csv(manifest.path("radial.csv"))
-    prof.to_json(manifest.path("radial.json"))
-    manifest.register("radial.csv")
-    manifest.register("radial.json")
+    manifest.add("radial.csv", prof.to_csv)
+    manifest.add("radial.json", prof.to_json)
     if prof.kind == "ball":
         pts = np.linspace(0.2 * prof.R, min(0.9 * prof.R, prof.r[-1]), 25)
         res = float(np.max(np.abs(prof.residual(pts))))
         checks.append(CheckResult("equation-residual", res <= 1e-6, res, 1e-6))
         checks.append(CheckResult("nondecreasing", bool(np.all(np.diff(prof.w) >= -1e-12)),
                                   float(np.min(np.diff(prof.w)))))
-        d = float(params.get("asymptotic_distance", 1e-3))
-        rate = ko_mod.BlowupRateFn(op, force)
-        phi_d, ratio, detail = rate.phi(d), None, ""
-        psi_end = prof.R - prof.r[-1]       # the shot ends Psi(w_end) short of R
-        try:    # grade inside a shot, never on an extrapolation past its end
-            graded = prof if psi_end <= d / 10.0 else radial.shoot_ball(
-                op, force, n, prof.v0, w_cap=rate.phi(d / 10.0))
-            ratio = graded.value(graded.R - d) / phi_d
-        except BracketError:
-            detail = f"Psi(w_end) = {psi_end:.3g} > d/10 and no Phi(d/10) for d = {d:g}"
+        ratio, detail = _boundary_ratio(op, force, prof, ko_mod.BlowupRateFn(op, force),
+                                        float(params.get("asymptotic_distance", 1e-3)))
         checks.append(CheckResult("boundary-asymptotic-ratio", ratio is not None
                                   and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     checks.insert(0, CheckResult("profile", True, {"n": n, "v0": prof.v0, "R": prof.R}))
@@ -446,19 +435,13 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
         results.append(res)
         fields.append(res.field)
         tag = format(ell, "g")
-        res.field.to_csv(manifest.path(f"field_ell{tag}.csv"))
-        res.field.to_json(manifest.path(f"field_ell{tag}.json"))
-        pde2d.mid_slice_to_csv(res.field, manifest.path(f"mid_slice_ell{tag}.csv"))
-        for name in (f"field_ell{tag}.csv", f"field_ell{tag}.json", f"mid_slice_ell{tag}.csv"):
-            manifest.register(name)
-        with open(manifest.path(f"escalation_ell{tag}.csv"), "w") as fh:
-            fh.write("m,center,sup_increment_K,min_increment,grad_energy_K,iterations\n")
-            for lv in res.levels:
-                fh.write(",".join("" if v is None else format(float(v), ".17g")
-                                  for v in (lv.m, lv.center, lv.sup_increment_K,
-                                            lv.min_increment, lv.grad_energy_K,
-                                            lv.iterations)) + "\n")
-        manifest.register(f"escalation_ell{tag}.csv")
+        manifest.add(f"field_ell{tag}.csv", res.field.to_csv)
+        manifest.add(f"field_ell{tag}.json", res.field.to_json)
+        manifest.add(f"mid_slice_ell{tag}.csv",
+                     lambda path: pde2d.mid_slice_to_csv(res.field, path))
+        manifest.add(f"escalation_ell{tag}.csv", write_csv,
+                     "m,center,sup_increment_K,min_increment,grad_energy_K,iterations",
+                     map(astuple, res.levels))
 
         increments = [lv.min_increment for lv in res.levels[1:]]
         if increments:      # none when m_start is already at the layer cap
@@ -494,16 +477,11 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     # cross-section comparison against the 1D profile on (-1, 1)
     v0_cross = ode1d.v0_of_ell(op, force, 1.0)
     profile = ode1d.large_profile(op, force, v0_cross)
-    errors = []
-    with open(manifest.path("cross_section_errors.csv"), "w") as fh:
-        fh.write("ell,sup_error,rel_error,quarter_slice_error\n")
-        for ell, f_ in zip(ells, fields):
-            cmp_ = pde2d.cross_section_compare(f_, profile)
-            errors.append(cmp_)
-            fh.write(f"{format(ell, '.17g')},{format(cmp_.sup_error_mid, '.17g')},"
-                     f"{format(cmp_.rel_error_mid, '.17g')},"
-                     f"{format(cmp_.sup_error_quarter, '.17g')}\n")
-    manifest.register("cross_section_errors.csv")
+    errors = [pde2d.cross_section_compare(f_, profile) for f_ in fields]
+    manifest.add("cross_section_errors.csv", write_csv,
+                 "ell,sup_error,rel_error,quarter_slice_error",
+                 [(ell, c.sup_error_mid, c.rel_error_mid, c.sup_error_quarter)
+                  for ell, c in zip(ells, errors)])
     # ell-convergence is measured against the limit the discrete mid-slice
     # tends to, the y-independent solution w of the same scheme; against v,
     # the error at ell >= 2 is the cross-section's own discretisation error
@@ -553,11 +531,7 @@ def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     values = ode1d.eval_profile(op, force, v0, ell - np.array(distances)).tolist()
     rows = [(d, v, ko_mod.psi(op, force, v) / d, v / rate.phi(d))
             for d, v in zip(distances, values)]
-    with open(manifest.path("asymptotics.csv"), "w") as fh:
-        fh.write("distance,value,psi_ratio,phi_ratio\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
-    manifest.register("asymptotics.csv")
+    manifest.add("asymptotics.csv", write_csv, "distance,value,psi_ratio,phi_ratio", rows)
     finest = rows[-1]
     checks = [
         CheckResult("profile", True, {"v0": v0, "ell": ell}),
@@ -569,10 +543,10 @@ def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     if "R_target" in params:
         n = int(params.get("n", 2))
         prof = radial.ball_large_solution(op, force, n, float(params["R_target"]))
-        d = float(params.get("asymptotic_distance", 1e-3))
-        ratio = prof.value(prof.R - d) / rate.phi(d)
-        checks.append(CheckResult("radial-phi-ratio", 0.97 <= ratio <= 1.03,
-                                  ratio, "[0.97, 1.03]"))
+        ratio, detail = _boundary_ratio(op, force, prof, rate,
+                                        float(params.get("asymptotic_distance", 1e-3)))
+        checks.append(CheckResult("radial-phi-ratio", ratio is not None
+                                  and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     return checks
 
 

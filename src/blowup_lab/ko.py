@@ -11,9 +11,8 @@ other monotone inversion of the lab.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,15 +66,8 @@ class KOReport:
     frontier: Optional[str]
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "ko_holds": self.ko_holds,
-            "osgood_holds": self.osgood_holds,
-            "a3_holds": self.a3_holds,
-            "L": self.L,
-            "frontier": self.frontier,
-            "diagnostics": self.diagnostics,
-        }, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _frontier_note(op: Operator, force: Force) -> Optional[str]:
@@ -224,13 +216,8 @@ class A5Report:
     t_grid: tuple
     ratios: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "betas": list(self.betas),
-            "infima": list(self.infima),
-            "margins": list(self.margins),
-            "likely_holds": self.likely_holds,
-        }, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {k: getattr(self, k) for k in ("betas", "infima", "margins", "likely_holds")}
 
 
 def check_a5(force: Force, op: Operator, betas: Sequence[float],

@@ -14,7 +14,6 @@ converges.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,6 +24,7 @@ from scipy.integrate import cubature, tanhsinh
 
 from . import ko as ko_mod
 from . import quadrature as qk
+from .artifacts import write_csv, write_json
 from .errors import DivergenceError, ProfileDomainError
 from .registry import Force, Operator
 
@@ -155,12 +155,14 @@ class _ImplicitBranch:
 
     @cached_property
     def _kink_gaps(self) -> np.ndarray:
-        """s_k - v0 with F(s_k) - F(v0) = B_k for the operator's kink
-        energies B_k, by :func:`ko.increasing_root` on t = log(s_k - v0)."""
-        return np.array([math.exp(ko_mod.increasing_root(
+        """Sorted gaps s_k - v0 to the integrand's kinks: F(s_k) - F(v0) = B_k
+        for the operator's kink energies B_k, by :func:`ko.increasing_root`
+        on t = log(s_k - v0), and the force's knots t_k > v0."""
+        energy = [math.exp(ko_mod.increasing_root(
             lambda t, b=b: qk.primitive_gap(self.force, self.v0, math.exp(t)) - b,
             math.log(1e300), 0.0, "kink", f"at the energy {b:g}"))
-            for b in self.op.energy_knots])
+            for b in self.op.energy_knots]
+        return np.sort(energy + [t - self.v0 for t in self.force.knots if t > self.v0])
 
     def _tanh_sinh_head(self, V: float) -> float:
         """int_{v0}^{V} by scipy's tanh-sinh in the gap t = s - v0 (nodes next
@@ -239,22 +241,17 @@ class Profile1D:
         return abs(_branch(self.op, self.force, self.v0).integral_to(self.value(x)) - shifted)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,v\n")
-            for x, v in self.samples:
-                fh.write(f"{format(float(x), '.17g')},{format(float(v), '.17g')}\n")
+        write_csv(path, "x,v", self.samples)
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "v0": self.v0,
             "ell": self.ell,
             "dead_core": list(self.dead_core) if self.dead_core else None,
             "operator": self.op.describe(),
             "force": self.force.describe(),
             "samples": [[float(x), float(v)] for x, v in self.samples],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        })
 
 
 def _sample_grid(ell: float, n_body: int, n_edge: int) -> np.ndarray:

@@ -24,7 +24,6 @@ the doubling that would pass m* steps to m* itself.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,6 +35,7 @@ from scipy.linalg import solve_banded
 
 from . import ko as ko_mod
 from . import ode1d
+from .artifacts import write_csv, write_json
 from .errors import BracketError, DivergenceError, SolverError, ValidationError
 from .registry import Force, Operator
 
@@ -144,33 +144,20 @@ class DiscreteField:
         return (np.abs(X) <= scale) & (np.abs(Y) <= scale * self.grid.ell)
 
     def to_csv(self, path) -> None:
-        xs, ys = self.grid.x_nodes, self.grid.y_nodes
-        with open(path, "w") as fh:
-            fh.write("x,y,u\n")
-            for i in range(self.grid.nx):
-                for j in range(self.grid.ny):
-                    fh.write(f"{format(float(xs[i]), '.17g')},"
-                             f"{format(float(ys[j]), '.17g')},"
-                             f"{format(float(self.values[i, j]), '.17g')}\n")
+        X, Y = np.meshgrid(self.grid.x_nodes, self.grid.y_nodes, indexing="ij")
+        write_csv(path, "x,y,u", zip(X.ravel(), Y.ravel(), self.values.ravel()))
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "grid": {"ell": self.grid.ell, "nx": self.grid.nx, "ny": self.grid.ny},
             "m": self.m, "eps": self.eps,
             "operator": self.op.describe(), "force": self.force.describe(),
-            "diagnostics": {k: v for k, v in sorted(self.diagnostics.items())
-                            if k != "wall_time"},
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            "diagnostics": self.diagnostics,
+        })
 
 
 def mid_slice_to_csv(field_: DiscreteField, path) -> None:
-    xs, mid = field_.mid_slice()
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for x, u in zip(xs, mid):
-            fh.write(f"{format(float(x), '.17g')},{format(float(u), '.17g')}\n")
+    write_csv(path, "x,u", zip(*field_.mid_slice()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +412,6 @@ class EscalationResult:
     levels: tuple
     stop_reason: str            # "plateau" | "layer-cap" | "schedule-exhausted"
     ko_violated: bool
-
-    def table(self) -> list[dict]:
-        return [level.__dict__ for level in self.levels]
 
 
 def gradient_energy(field_: DiscreteField, mask: np.ndarray) -> float:

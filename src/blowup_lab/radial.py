@@ -24,7 +24,6 @@ profiles of the 1D module (n = 1 removes the curvature term).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +34,7 @@ from scipy.integrate import quad, solve_ivp
 
 from . import ko as ko_mod
 from . import ode1d
+from .artifacts import write_csv, write_json
 from .errors import BlowupLabError, BracketError, DivergenceError, ValidationError
 from .registry import Force, Operator
 
@@ -176,19 +176,14 @@ class RadialProfile:
         return (dz + (self.n - 1) / r * z - fw) / np.maximum(1.0, fw)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,w,wprime\n")
-            for r, w, wp in zip(self.r, self.w, self.wprime):
-                fh.write(",".join(format(float(v), ".17g") for v in (r, w, wp)) + "\n")
+        write_csv(path, "r,w,wprime", zip(self.r, self.w, self.wprime))
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "n": self.n, "v0": self.v0, "R": self.R, "kind": self.kind,
             "annulus": list(self.annulus) if self.annulus else None,
             "operator": self.op.describe(), "force": self.force.describe(),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        })
 
 
 def _integrate_outward(op, force, n, v0, w_cap, dense):

@@ -43,7 +43,7 @@ class Force:
     (right-continuous at the knots); the 2D solver's Jacobians use it.
     ``growth_zero`` / ``growth_inf`` are the power-law exponents of f near 0
     (1 for a table, linear there) and near infinity (None when f outgrows
-    every power, as exp-minus-one does).
+    every power, as exp-minus-one does).  ``knots`` are the kinks t > 0 of f.
     """
 
     kind: str
@@ -52,6 +52,7 @@ class Force:
     derivative: Callable[[np.ndarray | float], np.ndarray | float]
     growth_zero: float
     growth_inf: Optional[float]
+    knots: tuple = ()              # a table's abscissae, the piecewise-power knee
     params: dict = field(default_factory=dict)
 
     def __call__(self, t):
@@ -109,13 +110,13 @@ def _power_force(q: float) -> Force:
     f = _elementwise(lambda t: t ** q)
     F = _elementwise(lambda t: t ** (q + 1.0) / (q + 1.0))
     fp = _elementwise(lambda t: q * np.maximum(t, 1e-300) ** (q - 1.0))
-    return Force("power", f, F, fp, q, q, {"q": float(q)})
+    return Force("power", f, F, fp, q, q, (), {"q": float(q)})
 
 
 def _exp_minus_one_force() -> Force:
     f = _elementwise(np.expm1)
     F = _elementwise(lambda t: np.expm1(t) - t)     # exp(t) - t - 1, stable near 0
-    return Force("exp-minus-one", f, F, _elementwise(np.exp), 1.0, None, {})
+    return Force("exp-minus-one", f, F, _elementwise(np.exp), 1.0, None)
 
 
 def _piecewise_power_force(a: float, b: float) -> Force:
@@ -138,7 +139,7 @@ def _piecewise_power_force(a: float, b: float) -> Force:
 
     fp = _elementwise(lambda t: np.where(t <= 1.0, a * np.maximum(t, 1e-300) ** (a - 1.0),
                                          b * np.maximum(t, 1e-300) ** (b - 1.0)))
-    return Force("piecewise-power", f, F, fp, a, b, {"a": float(a), "b": float(b)})
+    return Force("piecewise-power", f, F, fp, a, b, (1.0,), {"a": float(a), "b": float(b)})
 
 
 def _table_force(points: Sequence[Sequence[float]]) -> Force:
@@ -186,7 +187,7 @@ def _table_force(points: Sequence[Sequence[float]]) -> Force:
         over = np.maximum(x, t[-1])
         return np.where(x < t[-1], slopes[k], tail_exp * tail_coef * over ** (tail_exp - 1.0))
 
-    return Force("table", f, F, fp, 1.0, tail_exp,
+    return Force("table", f, F, fp, 1.0, tail_exp, tuple(t[1:].tolist()),
                  {"points": [[float(a), float(b)] for a, b in pts]})
 
 

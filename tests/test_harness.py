@@ -182,6 +182,16 @@ class TestRunners:
         assert check.passed
         assert check.measured == pytest.approx(1.0, abs=1e-3)
 
+    def test_asymptotics_radial_ratio_is_graded_inside_the_shot(self, tmp_path):
+        # the config of the radial test above, through the asymptotics kind
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="asymptotics", force={"kind": "power", "q": 2.98},
+            operator={"kind": "p-laplace", "p": 2.92},
+            params={"n": 2, "R_target": 0.5})), tmp_path)
+        (check,) = [c for c in rep.checks if c.name == "radial-phi-ratio"]
+        assert check.passed
+        assert check.measured == pytest.approx(1.0, abs=1e-3)
+
     def test_asymptotic_ratio_without_a_long_shot_fails_plainly(self, tmp_path, monkeypatch):
         real = harness.ko_mod.BlowupRateFn.phi
 

@@ -111,7 +111,7 @@ class TestClassify:
         assert "2" in rep.frontier  # (3+1)/2
 
     def test_json_keys(self, op_p2, force_cubic):
-        doc = json.loads(classify(op_p2, force_cubic).to_json())
+        doc = json.loads(json.dumps(classify(op_p2, force_cubic).to_dict()))
         assert set(doc) == {"ko_holds", "osgood_holds", "a3_holds", "L",
                             "frontier", "diagnostics"}
 

@@ -506,3 +506,61 @@ class TestTableOperatorProfile:
                              make_force(kind="power", q=3), 1.0)
         assert calls["n"] <= 1
         assert len(prof.samples) == 201
+
+
+_FORCE_TABLE = [[0, 0], [0.5, 0.3], [1, 1], [2, 5], [4, 30]]
+
+
+@pytest.fixture(scope="module")
+def table_force_reference():
+    """I(V) for the 5-knot table operator with the table force above and
+    v0 = 0.3, at two V in the head [0.3, 0.8], to 30 digits: mpmath
+    quadrature in s = v0 + u^2, split at the u of every kink (the force's
+    knots and the operator's knot energies), with exact F(v0 + w) - F(v0)
+    and the exact segment-wise B^-1."""
+    import mpmath as mp
+    with mp.workdps(30):
+        r = [mp.mpf(a) for a, _ in _TABLE_5]
+        A = [mp.mpf(b) for _, b in _TABLE_5]
+        c = [(A[i + 1] - A[i]) / (r[i + 1] - r[i]) for i in range(4)]
+        Bk = [mp.mpf(0)]
+        for i in range(4):
+            Bk.append(Bk[-1] + c[i] * (r[i + 1] ** 2 - r[i] ** 2) / 2)
+
+        def binv(y):
+            k = max(i for i in range(4) if Bk[i] <= y)
+            return mp.sqrt(r[k] ** 2 + 2 * (y - Bk[k]) / c[k])
+
+        t = [mp.mpf(a) for a, _ in _FORCE_TABLE]
+        f = [mp.mpf(b) for _, b in _FORCE_TABLE]
+        v0 = mp.mpf("0.3")
+
+        def gap(w):     # F(v0 + w) - F(v0) as a sum of positive segment terms
+            out = mp.mpf(0)
+            for i in range(4):
+                lo, hi = max(0, t[i] - v0), min(w, t[i + 1] - v0)
+                if hi > lo:
+                    slope = (f[i + 1] - f[i]) / (t[i + 1] - t[i])
+                    out += (f[i] + slope * (v0 + lo - t[i])) * (hi - lo) \
+                        + slope * (hi - lo) ** 2 / 2
+            return out
+
+        kinks = sorted([mp.sqrt(tk - v0) for tk in t[1:]]
+                       + [mp.sqrt(mp.findroot(lambda w, b=b: gap(w) - b, (0, 4),
+                                              solver="bisect")) for b in Bk[1:4]])
+
+        def integral(V):
+            U = mp.sqrt(mp.mpf(V) - v0)
+            return mp.quad(lambda u: 2 * u / binv(gap(u * u)),
+                           [mp.mpf(0)] + [u for u in kinks if u < U] + [U])
+
+        return {V: float(integral(V)) for V in (0.5022, 0.586)}
+
+
+def test_oracle_splits_at_the_force_knots(table_force_reference):
+    # the force's knee at 0.5 lies inside the head; without a split there
+    # tanh-sinh misses I(0.5022) by 6e-10
+    br = ode1d._ImplicitBranch(make_operator(kind="table", points=_TABLE_5),
+                               make_force(kind="table", points=_FORCE_TABLE), 0.3)
+    for V, ref in table_force_reference.items():
+        assert abs(br.integral_to(V) - ref) <= 1e-12, V

@@ -72,6 +72,13 @@ class TestForces:
                                       [0.5, 1.5, 7.0, 28.0])
         assert f.derivative(4.0) == pytest.approx(48.0, rel=1e-12)   # the tail is t^3
 
+    def test_knots_are_the_kinks_of_f(self):
+        table = make_force(kind="table", points=[[0, 0], [0.5, 0.25], [1, 1], [2, 8]])
+        assert table.knots == (0.5, 1.0, 2.0)
+        assert make_force(kind="piecewise-power", a=0.5, b=3).knots == (1.0,)
+        assert make_force(kind="power", q=3).knots == ()
+        assert make_force(kind="exp-minus-one").knots == ()
+
     def test_rejects_bad_forces(self):
         with pytest.raises(ValidationError):
             make_force(kind="power", q=-1)

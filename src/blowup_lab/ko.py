@@ -223,19 +223,22 @@ class A5Report:
 def check_a5(force: Force, op: Operator, betas: Sequence[float],
              t_lo: float = 1e2, t_hi: float = 1e6, n_t: int = 17,
              margin: float = 1e-3) -> A5Report:
-    """Evaluate Psi(beta*t)/Psi(t) on a log grid and report running infima."""
+    """Evaluate Psi(beta*t)/Psi(t) on a log grid, where Psi(t) > 0, and report running infima."""
     for b in betas:
         if not 0.0 < b < 1.0:
             raise ValueError(f"beta must lie in (0,1), got {b}")
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
     psi_t = {float(t): psi(op, force, float(t)) for t in ts}
+    ts = [t for t, v in psi_t.items() if v > 0.0]
+    if not ts:
+        raise DomainExceededError(f"Psi(t) reads 0 from t = {t_lo:g}: F(t) overflows")
     infima, margins, ratios = [], [], {}
     for b in betas:
-        rs = [psi(op, force, b * float(t)) / psi_t[float(t)] for t in ts]
+        rs = [psi(op, force, b * t) / psi_t[t] for t in ts]
         ratios[b] = rs
         inf_tail = min(rs[len(rs) // 2:])   # sampled infimum on the grid tail
         infima.append(min(rs))
         margins.append(inf_tail - 1.0)
     likely = all(m > margin for m in margins)
     return A5Report(tuple(float(b) for b in betas), tuple(infima), tuple(margins),
-                    likely, tuple(float(t) for t in ts), ratios)
+                    likely, tuple(ts), ratios)

@@ -355,6 +355,30 @@ class TestRunners:
         failed = [c for c in rep.checks if c.name == "experiment-completed"]
         assert [c.measured for c in failed] == ["SolverError"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cylinder_failed_layer_shot_reports_solver_error(self, tmp_path):
+        # F(1000) = e^1000 overflows: the p = 3 boundary-layer start cannot be shot
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", force={"kind": "exp-minus-one"},
+            operator={"kind": "p-laplace", "p": 3},
+            params={"ells": [1.0, 2.0], "nx": 17, "m_start": 1000.0}))
+        rep = run(cfg, tmp_path)
+        assert rep.status == "fail"
+        (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
+        assert check.measured == "SolverError"
+        assert "boundary-layer shot failed" in check.detail
+
+    def test_cylinder_far_past_the_layer_cap_completes(self, tmp_path):
+        # m_start 482 lies far past m*: one level, solved after one restart
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", force={"kind": "power", "q": 5.73},
+            operator={"kind": "p-laplace", "p": 2.98},
+            params={"ells": [1.0, 2.0], "nx": 17, "m_start": 482.0}))
+        rep = run(cfg, tmp_path)
+        names = [c.name for c in rep.checks]
+        assert "experiment-completed" not in names
+        assert {"symmetry-ell1", "symmetry-ell2", "ell-anti-monotone"} <= set(names)
+
     @pytest.mark.parametrize("force, operator, match", [
         (None, {"kind": "table", "points": [[0, 0], [1, 2], [2, 1]]}, "A' > 0"),
         ({"kind": "power"}, None, "lacks parameter 'q'"),
@@ -419,12 +443,29 @@ def test_small_cylinder_gives_report_or_config_error(ell, extra, m_start, tol_re
 _GRID_VALUES = st.floats(-1.0, 30.0, allow_nan=False)
 
 
-_RADIAL_FORCES = st.one_of(
+_FORCES = st.one_of(
     st.floats(1.5, 6.0).map(lambda q: {"kind": "power", "q": q}),
     st.just({"kind": "exp-minus-one"}),
     st.tuples(st.floats(0.3, 2.0), st.floats(1.5, 6.0)).map(
         lambda ab: {"kind": "piecewise-power", "a": ab[0], "b": ab[1]}),
     st.just({"kind": "table", "points": [[0, 0], [0.5, 0.3], [1, 1], [2, 5], [4, 30]]}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing shots end as reports
+@settings(max_examples=10, deadline=None)
+@given(force=_FORCES, p=st.floats(1.5, 4.0), m_start=st.floats(1e-3, 1e3))
+def test_random_cylinder_gives_report_or_config_error(force, p, m_start):
+    # a schema-valid config ends in a report or a ConfigError, never a traceback
+    try:
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", force=force, operator={"kind": "p-laplace", "p": p},
+            params={"ells": [1.0, 2.0], "nx": 17, "m_start": m_start}))
+        with tempfile.TemporaryDirectory() as out:
+            assert run(cfg, out).status in ("pass", "fail")
+    except ConfigError:
+        pass
+
+
 _RADIAL_MODES = st.one_of(
     st.floats(0.05, 20.0).map(lambda v0: {"v0": v0}),
     st.floats(0.2, 5.0).map(lambda R: {"R_target": R}),
@@ -434,13 +475,38 @@ _RADIAL_MODES = st.one_of(
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing shots end as reports
 @settings(max_examples=10, deadline=None)
-@given(force=_RADIAL_FORCES, p=st.floats(1.5, 4.0), n=st.integers(1, 3), mode=_RADIAL_MODES)
+@given(force=_FORCES, p=st.floats(1.5, 4.0), n=st.integers(1, 3), mode=_RADIAL_MODES)
 def test_random_radial_gives_report_or_config_error(force, p, n, mode):
     # a schema-valid config ends in a report or a ConfigError, never a traceback
     try:
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="radial", force=force, operator={"kind": "p-laplace", "p": p},
             params={"n": n, **mode}))
+        with tempfile.TemporaryDirectory() as out:
+            assert run(cfg, out).status in ("pass", "fail")
+    except ConfigError:
+        pass
+
+
+_OPERATORS = st.one_of(
+    st.floats(1.2, 5.0).map(lambda p: {"kind": "p-laplace", "p": p}),
+    st.just({"kind": "mean-curvature"}),
+    st.just({"kind": "table", "points": [[0, 0], [0.5, 0.4], [1, 1], [2, 3], [4, 8]]}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing quadratures end as reports
+@settings(max_examples=10, deadline=None)
+@given(force=_FORCES, operator=_OPERATORS, with_a5=st.booleans(),
+       betas=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      min_size=1, max_size=3) | st.none())
+def test_random_ko_check_gives_report_or_config_error(force, operator, with_a5, betas):
+    # a schema-valid config ends in a report or a ConfigError, never a traceback
+    params = {"with_a5": with_a5}
+    if betas is not None:
+        params["betas"] = betas
+    try:
+        cfg = ExperimentConfig.from_dict(cfg_dict(force=force, operator=operator,
+                                                  params=params))
         with tempfile.TemporaryDirectory() as out:
             assert run(cfg, out).status in ("pass", "fail")
     except ConfigError:

@@ -244,6 +244,21 @@ class TestA5:
         assert rep.margins[0] < 1e-3
         assert rep.margins[0] == pytest.approx(2.0 ** (1e-6 / 2.0) - 1.0, abs=1e-5)
 
+    def test_exponential_grid_ends_where_psi_reads_zero(self, op_p2):
+        # F(t) = e^t - t - 1 overflows past t ~ 710, where Psi(t) reads 0;
+        # below that the ratio is about e^{(1 - beta) t / 2}, e at t = 100
+        rep = check_a5(make_force(kind="exp-minus-one"), op_p2, [0.98])
+        assert rep.t_grid[0] == 100.0 and rep.t_grid[-1] < 710.0
+        assert rep.infima[0] == pytest.approx(math.e, rel=1e-6)
+        assert rep.likely_holds
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_psi_zero_on_the_whole_grid_raises(self, op_p2):
+        # the table's tail t^16.6 from f(2) = 1e305 overflows F well below t = 100
+        f = make_force(kind="table", points=[[0, 0], [1, 1e300], [2, 1e305]])
+        with pytest.raises(DomainExceededError, match="reads 0"):
+            check_a5(f, op_p2, [0.5])
+
     def test_rejects_bad_beta(self, op_p2, force_cubic):
         with pytest.raises(ValueError):
             check_a5(force_cubic, op_p2, [1.5])

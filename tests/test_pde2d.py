@@ -8,8 +8,8 @@ from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, cyli
                         escalate_m, grid_for_ell, large_profile, make_force,
                         make_operator, residual, solve_dirichlet, v0_of_ell)
 from blowup_lab import pde2d
-from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _face_gamma, _gauss_seidel,
-                              _jacobian_times, _residual_interior)
+from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _jacobian_times,
+                              _residual_interior)
 
 from conftest import psi_power_closed_form
 
@@ -168,10 +168,12 @@ class TestSolveDirichlet:
         assert np.min(b.values - a.values) >= -1e-10
 
     def test_p3_first_level_converges(self, op_p3):
-        # flat start is degenerate for p > 2; Gauss-Seidel rescue must kick in
+        # the flat start is degenerate for p > 2 (gamma = eps^(p-2)); the
+        # boundary-layer profile start converges without a restart
         f6 = make_force(kind="power", q=6)
         fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p3, f6, 2.0)
         assert fld.diagnostics["final_residual"] <= 1e-9
+        assert fld.diagnostics["gs_rescues"] == 0
         center = fld.values[8, 8]
         assert 0.0 < center < 2.0
 
@@ -197,7 +199,7 @@ class TestSolveDirichlet:
 
     def test_flat_start_at_large_m_takes_the_rescue(self, op_p2, force_cubic):
         # in the flat interior |R| / max(1, f(u)) = 1 for any flat u, so the
-        # damped Newton step from u = m stalls and the Gauss-Seidel rescue is live
+        # damped Newton step from u = m stalls and the restart is live
         fld = solve_dirichlet(grid_for_ell(1.0, 65), op_p2, force_cubic, 100.0)
         assert fld.diagnostics["gs_rescues"] == 1
         assert fld.diagnostics["final_residual"] <= 1e-9
@@ -207,35 +209,6 @@ class TestSolveDirichlet:
         # bench/tracing.py reads these three keys of every solve
         fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, m)
         assert {"iterations", "gs_rescues", "clip_activations"} <= fld.diagnostics.keys()
-
-    @pytest.mark.parametrize("p, m", [(1.5, 4.0), (2.0, 32.0), (3.0, 2.0)])
-    def test_gauss_seidel_sweep_is_the_per_node_update(self, p, m, force_cubic):
-        # one red-black sweep, bit for bit, against a plain loop over the nodes
-        g = Grid2D(1.0, 9, 11)
-        rng = np.random.default_rng(6)
-        u = np.full((g.nx, g.ny), m)
-        u[1:-1, 1:-1] = m * rng.random((g.nx - 2, g.ny - 2))
-        eps, hx, hy = 1e-8, g.hx, g.hy
-
-        def gam(d):
-            return _face_gamma(np.array([d]), 0.0, p, eps)[0]
-
-        ref = u.copy()
-        for color in (0, 1):
-            for i in range(1, g.nx - 1):
-                for j in range(1, g.ny - 1):
-                    if (i + j) % 2 != color:
-                        continue
-                    c = ref[i, j]
-                    gE, gW = (ref[i + 1, j] - c) / hx, (c - ref[i - 1, j]) / hx
-                    gN, gS = (ref[i, j + 1] - c) / hy, (c - ref[i, j - 1]) / hy
-                    R = ((gam(gE) * gE - gam(gW) * gW) / hx
-                         + (gam(gN) * gN - gam(gS) * gS) / hy - force_cubic.value(max(c, 0.0)))
-                    aP = ((gam(gE) + gam(gW)) / hx ** 2 + (gam(gN) + gam(gS)) / hy ** 2
-                          + force_cubic.derivative(max(c, 0.0)))
-                    ref[i, j] = c + R / aP
-        got = _gauss_seidel(u, g, p, eps, force_cubic, 1)
-        assert np.array_equal(got, ref)
 
     def test_rejects_general_operator(self, op_mc, force_cubic):
         with pytest.raises(ValidationError):
@@ -252,6 +225,72 @@ class TestSolveDirichlet:
         b = solve_dirichlet(g, op_p3, f6, 8.0, SolverConfig(eps=1e-9))
         mask = a.compact_mask(0.75)
         assert float(np.max(np.abs(a.values - b.values)[mask])) <= 1e-6
+
+
+class TestLayerProfile:
+    @staticmethod
+    def distances(g):
+        X, Y = np.meshgrid(g.x_nodes, g.y_nodes, indexing="ij")
+        return np.minimum(1.0 - np.abs(X), g.ell - np.abs(Y))
+
+    @pytest.mark.parametrize("m", [2.0, 100.0])
+    @pytest.mark.parametrize("g", [grid_for_ell(2.0, 65), Grid2D(1.3, 9, 12)],
+                             ids=["nested", "hx-ne-hy"])
+    def test_p2_q3_closed_form(self, op_p2, force_cubic, m, g):
+        # U' = -sqrt(2 F(U)) = -U^2/sqrt(2) gives U(d) = m / (1 + m d / sqrt(2))
+        U = pde2d._layer_profile(g, op_p2, force_cubic, m)
+        exact = m / (1.0 + m * self.distances(g) / math.sqrt(2.0))
+        np.testing.assert_allclose(U, exact, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 6.0)])
+    @pytest.mark.parametrize("ell", [1.0, 2.0])
+    def test_below_the_converged_field(self, p, q, ell):
+        # a subsolution with data m: equal to m on the boundary, below the field
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+        g = grid_for_ell(ell, 65)
+        U = pde2d._layer_profile(g, op, force, 2.0)
+        fld = solve_dirichlet(g, op, force, 2.0)
+        boundary = self.distances(g) == 0.0
+        assert np.all(U[boundary] == 2.0)
+        assert np.all(U <= fld.values)
+
+    def test_failed_shot_raises(self, op_p3):
+        # F(1000) = e^1000 overflows: the shot stops at its first step
+        with pytest.raises(SolverError, match="boundary-layer shot failed"):
+            pde2d._layer_profile(grid_for_ell(1.0, 17), op_p3,
+                                 make_force(kind="exp-minus-one"), 1000.0)
+
+    def test_stall_from_the_profile_raises(self, force_cubic):
+        # p = 1.2 stalls from u = m and again after the restart from the
+        # profile, there at a scaled residual of about 2e-9
+        op = make_operator(kind="p-laplace", p=1.2)
+        with pytest.raises(SolverError, match="stalled from the boundary-layer profile"):
+            solve_dirichlet(grid_for_ell(1.0, 33), op, force_cubic, 2.0)
+
+    @pytest.mark.parametrize("force, p, m, center", [
+        ({"kind": "power", "q": 5.73}, 2.98, 482.0, 1.692050331463194),
+        ({"kind": "exp-minus-one"}, 1.5, 375.0, 1.663994217925638),
+        ({"kind": "exp-minus-one"}, 3.9, 284.0, 6.429071911826298),
+        ({"kind": "piecewise-power", "a": 0.3, "b": 5.59}, 1.5, 348.0, 1.1626307194454542),
+    ], ids=["power-p2.98", "exp-p1.5", "exp-p3.9", "piecewise-p1.5"])
+    def test_overshoot_into_a_flat_interior_converges(self, force, p, m, center):
+        # far past the layer cap the first full step from the profile lands on a
+        # flat interior, where a trial scaled by its own f reads 1 at any level;
+        # after the restart the scaling is frozen and the solve converges to the
+        # centre that the red-black Gauss-Seidel rescue reached
+        op = make_operator(kind="p-laplace", p=p)
+        fld = solve_dirichlet(grid_for_ell(1.0, 17), op, make_force(**force), m)
+        assert fld.diagnostics["gs_rescues"] == 1
+        assert fld.diagnostics["final_residual"] <= SolverConfig().tol_res
+        assert fld.values[8, 8] == pytest.approx(center, rel=1e-9)
+
+    def test_p4_first_level_budget(self):
+        # from u = m this level took 10 LUs and a rescue
+        op, force = make_operator(kind="p-laplace", p=4), make_force(kind="power", q=6)
+        fld = solve_dirichlet(grid_for_ell(1.0, 33), op, force, SolverConfig().m_start)
+        assert fld.diagnostics["factorizations"] <= 4
+        assert fld.diagnostics["gs_rescues"] == 0
+        assert fld.diagnostics["final_residual"] <= SolverConfig().tol_res
 
 
 class TestEscalation:
@@ -374,6 +413,12 @@ class TestContinuation:
         assert res.stop_reason == "layer-cap"
         assert sum(d["factorizations"] for d in diagnostics) <= len(res.levels) + 1
         assert all(d["final_residual"] <= SolverConfig().tol_res for d in diagnostics)
+
+    def test_p3_escalation_takes_no_restart(self, op_p3, monkeypatch):
+        diagnostics = self.recorded_levels(monkeypatch)
+        res = escalate_m(grid_for_ell(1.0, 65), op_p3, make_force(kind="power", q=6))
+        assert res.stop_reason == "layer-cap"
+        assert [d["gs_rescues"] for d in diagnostics] == [0] * len(res.levels)
 
     def test_one_factor_alive_at_a_time(self, op_p3, monkeypatch):
         class Factor:       # SuperLU takes no weak references; this wrapper does

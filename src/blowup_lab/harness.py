@@ -71,7 +71,8 @@ _PARAMS_SCHEMA = {
         "v0": {"type": "number", "exclusiveMinimum": 0},
         "n_body": {"type": "integer", "minimum": 2},
         "n_edge": {"type": "integer", "minimum": 2},
-        "distances": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "distances": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                      "minItems": 1},
         # ell-map
         "v0_grid": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1},
@@ -85,7 +86,8 @@ _PARAMS_SCHEMA = {
         "r_outer": {"type": "number", "exclusiveMinimum": 0},
         "asymptotic_distance": {"type": "number", "exclusiveMinimum": 0},
         # cylinder
-        "ells": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "ells": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                 "minItems": 1},
         "nx": {"type": "integer", "minimum": 8},
         "m_start": {"type": "number", "exclusiveMinimum": 0},
         "max_levels": {"type": "integer", "minimum": 1},
@@ -428,12 +430,10 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
         raise ConfigError(f"cylinder family: {exc}") from exc
 
     checks: list[CheckResult] = []
-    fields = []
     results = []
     for ell, grid in zip(ells, grids):
         res = pde2d.escalate_m(grid, op, force, cfg)
         results.append(res)
-        fields.append(res.field)
         tag = format(ell, "g")
         manifest.add(f"field_ell{tag}.csv", res.field.to_csv)
         manifest.add(f"field_ell{tag}.json", res.field.to_json)
@@ -462,6 +462,7 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
                                       {"final_energy": energies[-1],
                                        "last_rel_increment": rel[-1] if rel else None}))
 
+    fields = [r.field for r in results]
     violated = any(r.ko_violated for r in results)
     checks.append(CheckResult("ko-violation-flag", violated == expect_violation,
                               violated, expect_violation,
@@ -486,12 +487,11 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     # tends to, the y-independent solution w of the same scheme; against v,
     # the error at ell >= 2 is the cross-section's own discretisation error
     # w - v, which need not shrink with ell
+    window = grids[0].window        # the family shares its x-nodes
     limit_errors = []
-    for cmp_, f_ in zip(errors, fields):
-        xs, mid = f_.mid_slice()
-        window = np.abs(xs) <= cmp_.x_window + 1e-12
-        w = pde2d.discrete_cross_section(f_)
-        limit_errors.append(float(np.max(np.abs(mid - w)[window])))
+    for f_ in fields:
+        gap = f_.mid_slice()[1] - pde2d.discrete_cross_section(f_)
+        limit_errors.append(float(np.max(np.abs(gap[window]))))
     decreasing = all(b < a for a, b in zip(limit_errors, limit_errors[1:]))
     checks.append(CheckResult("cross-section-error-decreasing", decreasing, limit_errors))
     cs_tol = float(params.get("cross_section_tol", 0.05))
@@ -509,15 +509,9 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     # translation invariance at the largest ell
     if len(fields) > 1:
         y_shift = float(params.get("translation_y", 1.0))
-        f_last = fields[-1]
-        xs = f_last.grid.x_nodes
-        mask = np.abs(xs) <= 0.9 + 1e-12
-        _, mid_last = f_last.mid_slice()
-        shifted = f_last.slice_at(y_shift)
-        trans = float(np.max(np.abs(shifted[mask] - mid_last[mask])))
-        xs_p, mid_prev = fields[-2].mid_slice()
-        decrement = float(np.max(np.abs(
-            mid_prev[np.abs(xs_p) <= 0.9 + 1e-12] - mid_last[mask])))
+        mid_last = fields[-1].mid_slice()[1]
+        trans = float(np.max(np.abs(fields[-1].slice_at(y_shift) - mid_last)[window]))
+        decrement = float(np.max(np.abs(fields[-2].mid_slice()[1] - mid_last)[window]))
         checks.append(CheckResult("translation-invariance", trans < decrement,
                                   {"slice_diff": trans, "ell_decrement": decrement}))
     return checks

@@ -43,6 +43,11 @@ from .errors import BracketError, DivergenceError, SolverError, ValidationError
 from .registry import Force, Operator
 
 _CHORD_CONTRACTION = 0.5    # a chord step must cut the scaled residual by this
+MAX_NEWTON = 60             # Newton steps per solve, in 2D and on the cross-section
+MAX_HALVINGS = 30           # line-search halvings per damped step, likewise
+M_FACTOR = 2.0              # the escalation doubles m per level
+COMPACT_SCALE = 0.75        # K = the centered sub-rectangle at this scale
+X_WINDOW = 0.9              # slices are graded on |x| <= X_WINDOW
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ class Grid2D:
     def y_nodes(self) -> np.ndarray:
         return np.linspace(-self.ell, self.ell, self.ny)
 
+    @property
+    def window(self) -> np.ndarray:
+        """The x-nodes with |x| <= X_WINDOW, where slices are graded."""
+        return np.abs(self.x_nodes) <= X_WINDOW + 1e-12
+
     def node_index(self, y: float) -> int:
         """Index j of the y-node at y; ValueError when y is not a node."""
         j = int(round((y + self.ell) / self.hy))
@@ -106,14 +116,10 @@ def grid_for_ell(ell: float, nx: int = 65) -> Grid2D:
 class SolverConfig:
     eps: float = 1e-8            # gradient regularization
     tol_res: float = 1e-9        # scaled residual sup-norm
-    max_newton: int = 60
-    max_halvings: int = 30
     m_start: float = 2.0
-    m_factor: float = 2.0
     max_levels: int = 24
     tol_m: float = 1e-4          # increment plateau tolerance on K
     layer_factor: float = 0.5    # cap: stop once Psi_p(m) <= layer_factor * h
-    compact_scale: float = 0.75  # K = centered sub-rectangle at this scale
 
     def __post_init__(self):
         if not (self.eps > 0 and self.tol_res > 0):
@@ -138,9 +144,9 @@ class DiscreteField:
     def slice_at(self, y: float) -> np.ndarray:
         return self.values[:, self.grid.node_index(y)].copy()
 
-    def compact_mask(self, scale: float = 0.75) -> np.ndarray:
+    def compact_mask(self) -> np.ndarray:
         X, Y = np.meshgrid(self.grid.x_nodes, self.grid.y_nodes, indexing="ij")
-        return (np.abs(X) <= scale) & (np.abs(Y) <= scale * self.grid.ell)
+        return (np.abs(X) <= COMPACT_SCALE) & (np.abs(Y) <= COMPACT_SCALE * self.grid.ell)
 
     def to_csv(self, path) -> None:
         X, Y = np.meshgrid(self.grid.x_nodes, self.grid.y_nodes, indexing="ij")
@@ -343,9 +349,9 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
     rn = _scaled_norm(R, fu)
     it = 0
     while rn > cfg.tol_res:
-        if it >= cfg.max_newton:
+        if it >= MAX_NEWTON:
             raise SolverError(
-                f"no convergence in {cfg.max_newton} Newton iterations "
+                f"no convergence in {MAX_NEWTON} Newton iterations "
                 f"(m = {m:g}, last scaled residual {rn:.3e})")
         if lu[0] is not None:
             u_try = u.copy()
@@ -361,7 +367,7 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
         factorizations += 1
         delta = lu[0].solve(-R.ravel()).reshape(R.shape)
         alpha = 1.0
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             u_try = u.copy()
             u_try[1:-1, 1:-1] += alpha * delta
             R_try, fu_try, rn_try = score(u_try)
@@ -430,7 +436,7 @@ def layer_cap_m(op: Operator, force: Force, grid: Grid2D, cfg: SolverConfig) -> 
     m* is solved for (to about 1e-12 relative) rather than rounded to the
     doubling schedule, so grids of every mesh width stop at the same layer
     resolution.  The cap is clamped to the schedule [m_start, m_start *
-    m_factor^max_levels]; when Phi cannot bracket m* in [1e-14, 1e14] (or
+    M_FACTOR^max_levels]; when Phi cannot bracket m* in [1e-14, 1e14] (or
     layer_factor * h reaches a dead core's L), Psi_p(m_start) tells which
     end it is."""
     target = cfg.layer_factor * max(grid.hx, grid.hy)
@@ -441,7 +447,7 @@ def layer_cap_m(op: Operator, force: Force, grid: Grid2D, cfg: SolverConfig) -> 
     except BracketError:
         m = 0.0 if ko_mod.psi(op, force, cfg.m_start) <= target else math.inf
     with np.errstate(over="ignore"):    # a long schedule may end at inf
-        m_end = cfg.m_start * np.float64(cfg.m_factor) ** cfg.max_levels
+        m_end = cfg.m_start * np.float64(M_FACTOR) ** cfg.max_levels
     return float(min(max(m, cfg.m_start), m_end))
 
 
@@ -477,7 +483,7 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
             start = start + (m - prev.m) * (e + du)
         field_ = solve_dirichlet(grid, op, force, m, cfg, initial=start, factor=lu)
         if mask is None:
-            mask = field_.compact_mask(cfg.compact_scale)
+            mask = field_.compact_mask()
         center = float(field_.values[(grid.nx - 1) // 2, (grid.ny - 1) // 2])
         if prev is None:
             sup_inc, min_inc = None, None
@@ -496,7 +502,7 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
             stop = "layer-cap"
             break
         prev = field_
-        m *= cfg.m_factor
+        m *= M_FACTOR
         if m_cap is not None:
             m = min(m, m_cap)
 
@@ -510,29 +516,6 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
                                       for a, b in zip(last, last[1:])))
         ko_violated = increasing and nondecreasing_incs
     return EscalationResult(field_, tuple(levels), stop, ko_violated)
-
-
-@dataclass(frozen=True)
-class CylinderReport:
-    ells: tuple
-    monotone_in_ell: bool
-    max_ell_violation: float
-    symmetry_defects: tuple
-    stop_reasons: tuple
-
-
-def cylinder_family(op: Operator, force: Force, ells: Sequence[float],
-                    cfg: SolverConfig = SolverConfig(), nx: int = 65
-                    ) -> tuple[list[DiscreteField], CylinderReport]:
-    """Escalated fields on (-1,1) x (-ell, ell) for increasing ell, with the
-    anti-monotonicity check on shared y-nodes (grids nest for integer ell)."""
-    results = [escalate_m(grid, op, force, cfg) for grid in family_grids(ells, nx)]
-    fields = [res.field for res in results]
-    worst = max(0.0, ell_monotonicity_violation(fields))
-    defects = tuple(symmetry_defect(f) for f in fields)
-    report = CylinderReport(tuple(float(e) for e in ells), worst <= 1e-6, worst,
-                            defects, tuple(res.stop_reason for res in results))
-    return fields, report
 
 
 def family_grids(ells: Sequence[float], nx: int) -> list[Grid2D]:
@@ -585,7 +568,7 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
         return R[:, 0], _scaled_norm(R, fu)
 
     R, rn = residual_1d(w)
-    for _ in range(60):
+    for _ in range(MAX_NEWTON):
         if rn <= 1e-12:
             return w
         dF = _flux_derivatives(np.diff(w) / hx, 0.0, p, eps)[0] / (hx * hx)   # g_t = 0
@@ -598,7 +581,7 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
                               f"(eps = {eps:g})")
         delta = solve_banded((1, 1), bands, -R)
         alpha = 1.0
-        for _ in range(30):
+        for _ in range(MAX_HALVINGS):
             w_try = w.copy()
             w_try[1:-1] += alpha * delta
             try:
@@ -612,23 +595,22 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
             raise SolverError("Newton stalled on the discrete cross-section "
                               f"(scaled residual {rn:.3e})")
         w, R, rn = w_try, R_try, rn_try
-    raise SolverError("no convergence of the discrete cross-section in 60 Newton "
-                      f"iterations (last scaled residual {rn:.3e})")
+    raise SolverError(f"no convergence of the discrete cross-section in {MAX_NEWTON} "
+                      f"Newton iterations (last scaled residual {rn:.3e})")
 
 
 @dataclass(frozen=True)
 class CrossSectionReport:
-    sup_error_mid: float        # sup |u(x, 0) - v(x)| on |x| <= x_window
+    sup_error_mid: float        # sup |u(x, 0) - v(x)| on |x| <= X_WINDOW
     rel_error_mid: float        # sup error / sup |v| on the window
     sup_error_quarter: float    # same at y = +-ell/2 (decay diagnostic)
-    x_window: float
 
 
-def cross_section_compare(field_: DiscreteField, profile: ode1d.Profile1D,
-                          x_window: float = 0.9) -> CrossSectionReport:
+def cross_section_compare(field_: DiscreteField, profile: ode1d.Profile1D
+                          ) -> CrossSectionReport:
     """Mid-slice against the 1D cross-section large solution."""
     xs, mid = field_.mid_slice()
-    mask = np.abs(xs) <= x_window + 1e-12
+    mask = field_.grid.window
     v = profile.value(xs[mask])
     err_mid = float(np.max(np.abs(mid[mask] - v)))
     ell = field_.grid.ell
@@ -638,4 +620,4 @@ def cross_section_compare(field_: DiscreteField, profile: ode1d.Profile1D,
         sl = field_.slice_at(ysl)
         quarter_errs.append(float(np.max(np.abs(sl[mask] - v))))
     return CrossSectionReport(err_mid, err_mid / float(np.max(np.abs(v))),
-                              max(quarter_errs), x_window)
+                              max(quarter_errs))

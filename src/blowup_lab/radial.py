@@ -43,6 +43,8 @@ PSI_FLOOR = 1e-14
 RTOL = 1e-11
 ATOL = 1e-12
 R_START = 1e-6
+N_SAMPLES = 400     # samples kept of a ball or annulus profile
+LOC_TOL = 1e-8      # relative tolerance on the annulus' blow-up location
 
 
 @lru_cache(maxsize=32)
@@ -197,13 +199,13 @@ def _integrate_outward(op, force, n, v0, w_cap, dense):
 
 
 def shoot_ball(op: Operator, force: Force, n: int, v0: float,
-               w_cap: float = W_CAP, n_samples: int = 400) -> RadialProfile:
+               w_cap: float = W_CAP) -> RadialProfile:
     """Integrate from the center; blow-up radius R = r_end + Psi(w_end)."""
     _check_operator(op, n)
     if not v0 > 0.0:
         raise ValueError("shoot_ball needs v0 > 0")
     r_end, R, state = _integrate_outward(op, force, n, v0, w_cap, dense=True)
-    rs = np.linspace(R_START, r_end, n_samples)
+    rs = np.linspace(R_START, r_end, N_SAMPLES)
     ws, zs = state(rs)
     wps = op.flux_inverse(zs)
     rs = np.concatenate(([0.0], rs))
@@ -242,8 +244,7 @@ def ball_large_solution(op: Operator, force: Force, n: int,
 
 
 def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
-                    r_outer: float, loc_tol: float = 1e-8,
-                    w_cap: float = W_CAP, n_samples: int = 400) -> RadialProfile:
+                    r_outer: float, w_cap: float = W_CAP) -> RadialProfile:
     """Barrier on the annulus: zero at r_outer, blow-up at r_inner, found by
     root finding on t = log s for the outer slope w'(r_outer) = -s."""
     _check_operator(op, n)
@@ -260,13 +261,13 @@ def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
 
     # the blow-up location rises with s
     t = ko_mod.increasing_root(lambda t: inward_blowup(t)[0] - r_inner, math.log(1e10),
-                               loc_tol * r_inner, "outer slope", f"blows up at r = {r_inner:g}")
+                               LOC_TOL * r_inner, "outer slope", f"blows up at r = {r_inner:g}")
     r_b, r_end, state = inward_blowup(t, dense=True)
-    if abs(r_b - r_inner) > loc_tol * r_inner:
+    if abs(r_b - r_inner) > LOC_TOL * r_inner:
         raise BracketError(f"the outer slope converged with the blow-up at r = {r_b:.12g}, "
-                           f"beyond loc_tol = {loc_tol:g} of r = {r_inner:g}")
+                           f"beyond {LOC_TOL:g} of r = {r_inner:g} (relative)")
 
-    rs = np.linspace(r_outer, r_end, n_samples)
+    rs = np.linspace(r_outer, r_end, N_SAMPLES)
     ws, zs = state(rs)
     wps = op.flux_inverse(zs)
     return RadialProfile(op, force, n, 0.0, r_b, rs[::-1].copy(), ws[::-1].copy(),

@@ -55,9 +55,6 @@ class Force:
     knots: tuple = ()              # a table's abscissae, the piecewise-power knee
     params: dict = field(default_factory=dict)
 
-    def __call__(self, t):
-        return self.value(t)
-
     def describe(self) -> dict:
         return {"kind": self.kind, **self.params}
 

@@ -6,8 +6,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup_lab import (ConfigError, ExperimentConfig, compare_runs, make_force,
-                        make_operator, run, v0_of_ell)
+from blowup_lab import (ConfigError, ExperimentConfig, SolverError, compare_runs,
+                        make_force, make_operator, run, v0_of_ell)
 from blowup_lab import cli, harness, ode1d, radial
 
 
@@ -368,6 +368,25 @@ class TestRunners:
         assert check.measured == "SolverError"
         assert "boundary-layer shot failed" in check.detail
 
+    def test_cylinder_failed_grading_keeps_the_written_files(self, tmp_path, monkeypatch):
+        # each ell's artifacts are written as soon as it is solved, so a
+        # failure in the grading after the solves still lists all of them
+        def stalled(field_):
+            raise SolverError("stalled on purpose")
+
+        monkeypatch.setattr(harness.pde2d, "discrete_cross_section", stalled)
+        cfg = ExperimentConfig.from_dict(cfg_dict(
+            kind="cylinder", params={"ells": [1.0, 2.0], "nx": 17}))
+        rep = run(cfg, tmp_path)
+        assert [f["path"] for f in rep.files] == [
+            f"{stem}_ell{ell}.{ext}" for ell in (1, 2)
+            for stem, ext in (("field", "csv"), ("field", "json"),
+                              ("mid_slice", "csv"), ("escalation", "csv"))
+        ] + ["cross_section_errors.csv"]
+        assert all((tmp_path / f["path"]).exists() for f in rep.files)
+        failed = [(c.name, c.measured) for c in rep.checks if not c.passed]
+        assert failed == [("experiment-completed", "SolverError")]
+
     def test_cylinder_far_past_the_layer_cap_completes(self, tmp_path):
         # m_start 482 lies far past m*: one level, solved after one restart
         cfg = ExperimentConfig.from_dict(cfg_dict(
@@ -395,7 +414,10 @@ class TestRunners:
         ("ell-map", {"v0_grid": []}),
         ("asymptotics", {"distances": []}),
         ("cylinder", {"ells": []}),
-    ], ids=["v0-grid-zero", "v0-grid-empty", "distances-empty", "ells-empty"])
+        ("cylinder", {"ells": [0, 1]}),
+        ("asymptotics", {"distances": [0]}),
+    ], ids=["v0-grid-zero", "v0-grid-empty", "distances-empty", "ells-empty",
+            "ells-zero", "distances-zero"])
     def test_empty_or_nonpositive_grid_is_config_error(self, tmp_path, kind, params):
         doc = cfg_dict(kind=kind, params=params)
         with pytest.raises(ConfigError):

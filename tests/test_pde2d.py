@@ -1,12 +1,13 @@
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, cylinder_family,
-                        escalate_m, grid_for_ell, large_profile, make_force,
-                        make_operator, residual, solve_dirichlet, v0_of_ell)
+from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, escalate_m,
+                        grid_for_ell, large_profile, make_force, make_operator,
+                        residual, solve_dirichlet, v0_of_ell)
 from blowup_lab import pde2d
 from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _jacobian_times,
                               _residual_interior)
@@ -223,7 +224,7 @@ class TestSolveDirichlet:
         g = grid_for_ell(1.0, 17)
         a = solve_dirichlet(g, op_p3, f6, 8.0, SolverConfig(eps=1e-8))
         b = solve_dirichlet(g, op_p3, f6, 8.0, SolverConfig(eps=1e-9))
-        mask = a.compact_mask(0.75)
+        mask = a.compact_mask()
         assert float(np.max(np.abs(a.values - b.values)[mask])) <= 1e-6
 
 
@@ -436,7 +437,8 @@ class TestContinuation:
             return factor
 
         monkeypatch.setattr(pde2d.spla, "splu", tracked)
-        cylinder_family(op_p3, make_force(kind="power", q=6), [1.0, 2.0], nx=17)
+        for grid in pde2d.family_grids([1.0, 2.0], 17):
+            escalate_m(grid, op_p3, make_force(kind="power", q=6))
         assert len(built) > 2
         assert max(alive) == 0
 
@@ -453,7 +455,12 @@ def test_discrete_cross_section_solves_three_point_scheme(op_p2, force_cubic):
 
 @pytest.fixture(scope="module")
 def family(op_p2, force_cubic):
-    return cylinder_family(op_p2, force_cubic, [1.0, 2.0], nx=33)
+    fields = [escalate_m(grid, op_p2, force_cubic).field
+              for grid in pde2d.family_grids([1.0, 2.0], 33)]
+    worst = max(0.0, pde2d.ell_monotonicity_violation(fields))
+    return fields, SimpleNamespace(
+        monotone_in_ell=worst <= 1e-6, max_ell_violation=worst,
+        symmetry_defects=[pde2d.symmetry_defect(f) for f in fields])
 
 
 class TestCylinderFamily:
@@ -476,9 +483,8 @@ class TestCylinderFamily:
         fields, _ = family
         errs = []
         for f in fields:
-            xs, mid = f.mid_slice()
-            window = np.abs(xs) <= 0.9 + 1e-12
-            errs.append(float(np.max(np.abs(mid - pde2d.discrete_cross_section(f))[window])))
+            gap = f.mid_slice()[1] - pde2d.discrete_cross_section(f)
+            errs.append(float(np.max(np.abs(gap[f.grid.window]))))
         assert errs[1] < errs[0]
 
     def test_mid_slice_extraction(self, family):
@@ -489,7 +495,7 @@ class TestCylinderFamily:
 
     def test_requires_increasing_ells(self, op_p2, force_cubic):
         with pytest.raises(ValueError):
-            cylinder_family(op_p2, force_cubic, [2.0, 1.0], nx=17)
+            pde2d.family_grids([2.0, 1.0], 17)
 
 
 class TestSerialization:

@@ -155,7 +155,7 @@ class TestAnnulusAccuracy:
     @pytest.mark.parametrize("d", [1e-3, 1e-4])
     def test_one_sided_inequality(self, counted_annulus, d):
         # Psi(w) is the distance to the blow-up in 1D; a location error of
-        # loc_tol * r_inner shows in this ratio once d comes near it
+        # LOC_TOL * r_inner shows in this ratio once d comes near it
         op, force, r_inner, prof, _, _ = counted_annulus
         assert 0.99 <= psi(op, force, prof.value(r_inner + d)) / d <= 1.01
 

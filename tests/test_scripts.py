@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -21,3 +23,15 @@ def test_run_dead_core_defaults(tmp_path, monkeypatch, capsys):
     assert "[dead core]" in out
     for name in ("dead_core_profile.csv", "dead_core_profile.json"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_run_cylinder_study_small(tmp_path, monkeypatch, capsys):
+    # the whole family through harness.run; at nx = 17 the final cross-section
+    # error misses its tolerance, so exit 1 is as valid an end as exit 0
+    monkeypatch.setattr(sys, "argv", ["run_cylinder_study.py", "--nx", "17",
+                                      "--ells", "1", "2", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        _load("run_cylinder_study").main()
+    assert exc.value.code in (0, 1)
+    assert "status:" in capsys.readouterr().out
+    assert (tmp_path / "cross_section_errors.csv").stat().st_size > 0

@@ -232,13 +232,15 @@ class Profile1D:
         v[ax > core] = _branch(self.op, self.force, self.v0).upper_value(ax[ax > core] - core)
         return v if v.ndim else float(v)
 
-    def implicit_residual(self, x: float) -> float:
-        """|I(value(x)) - shifted x| by fresh quadrature; the relation check
-        (0 inside a dead core)."""
-        shifted = abs(x) - (self.dead_core[1] if self.dead_core else 0.0)
-        if shifted <= 0.0 and self.dead_core:
-            return 0.0
-        return abs(_branch(self.op, self.force, self.v0).integral_to(self.value(x)) - shifted)
+    def implicit_residual(self, x):
+        """|I(value(x)) - shifted x| by the oracle, point by point, elementwise
+        (a float for scalar x); the relation check (0 inside a dead core)."""
+        x = np.asarray(x, dtype=float)
+        shifted = (np.abs(x) - (self.dead_core[1] if self.dead_core else 0.0)).ravel().tolist()
+        oracle = _branch(self.op, self.force, self.v0).integral_to
+        res = [0.0 if s <= 0.0 and self.dead_core else abs(oracle(v) - s)
+               for s, v in zip(shifted, np.ravel(self.value(x)).tolist())]
+        return np.reshape(res, x.shape) if x.ndim else res[0]
 
     def to_csv(self, path) -> None:
         write_csv(path, "x,v", self.samples)

@@ -7,11 +7,11 @@ lower endpoint s = v0.  Strategy:
 
 * proper blocks: :func:`integrate_block`, adaptive Gauss-Kronrod (G10/K21)
   in numpy over arrays of blocks, with array integrands.
-* infinite tails: doubling blocks [T, 2T] (BLOCK_CHUNK per kernel call)
-  until the remainder is negligible or the block ratio has stabilized, then
-  a geometric extrapolation of the remainder.  The extrapolation is exact
-  for power-law tails, which keeps the result at ~1e-12 relative accuracy
-  even one part in 1e6 away from the convergence frontier.
+* infinite tails: doubling blocks [T, 2T] until the remainder is negligible
+  or the block ratio has stabilized, then a geometric extrapolation of the
+  remainder, exact for power-law tails (~1e-12 relative even one part in 1e6
+  from the convergence frontier).  The ladders of many lower limits advance
+  together: each kernel call takes BLOCK_CHUNK blocks of every one running.
 * divergence: declared when the last three block ratios are all >= 1 - 1e-7.
   A logarithmically divergent tail gives ratios == 1, while the closest
   convergent cases of interest give ratios below 1 - 3e-7, so the rule
@@ -124,51 +124,65 @@ class TailEstimate:
     last_ratio: Optional[float]
 
 
-def _block_ladder(g, T: float, total: float, step: float,
-                  max_blocks: int) -> TailEstimate:
-    """Add blocks between T and step*T (step 2 toward inf, 1/2 toward 0+)
-    to ``total`` until they are negligible, else extrapolate geometrically
-    or flag divergence.  Blocks are integrated BLOCK_CHUNK at a time and
-    read in order, so the result does not depend on the chunk size."""
-    blocks: list[float] = []
-    ratios: list[float] = []
-    while len(blocks) < max_blocks:
+def _block_ladders(g, heads: list, step: float, max_blocks: int) -> list[TailEstimate]:
+    """Per knot list in ``heads``: its blocks, then blocks between T and step*T
+    (step 2 toward inf, 1/2 toward 0+) from its last knot until negligible,
+    else a geometric extrapolation or a divergence flag.  One kernel call takes
+    all heads, then each the next BLOCK_CHUNK blocks of every ladder still
+    running, read row by row; rows are independent, so no ladder sees another."""
+    lo, hi = [a for k in heads for a in k[:-1]], [b for k in heads for b in k[1:]]
+    head = iter(integrate_block(g, *((lo, hi) if step > 1.0 else (hi, lo))).tolist())
+    total = [sum(next(head) for _ in k[1:]) for k in heads]
+    T, blocks = [k[-1] for k in heads], [[] for _ in heads]
+    live, used = list(range(len(heads))), 0
+    while live and used < max_blocks:
+        n = min(BLOCK_CHUNK, max_blocks - used)
+        used += n
         # exact: step is a power of two
-        edges = T * step ** np.arange(min(BLOCK_CHUNK, max_blocks - len(blocks)) + 1.0)
-        chunk = integrate_block(g, *np.sort((edges[:-1], edges[1:]), axis=0))
-        for c, T in zip(chunk.tolist(), edges[1:].tolist()):
-            blocks.append(c)
-            if len(blocks) >= 2 and blocks[-2] > 0.0:
-                ratios.append(c / blocks[-2])
-            total += c
-            if c <= 1e-14 * abs(total):
-                return TailEstimate(total, True, len(blocks), T, 0.0,
-                                    ratios[-1] if ratios else None)
-    rho = ratios[-1] if ratios else None
-    if len(ratios) >= 3 and all(r < DIVERGENCE_RATIO for r in ratios[-3:]):
-        tail = blocks[-1] * rho / (1.0 - rho)
-        return TailEstimate(total + tail, True, max_blocks, T, tail, rho)
-    return TailEstimate(total, False, max_blocks, T, 0.0, rho)
+        edges = np.multiply.outer([T[i] for i in live], step ** np.arange(n + 1.0))
+        lo, hi = (edges[:, :-1], edges[:, 1:])[::1 if step > 1.0 else -1]
+        chunk = integrate_block(g, lo, hi)
+        running = []
+        for i, row, ends in zip(live, chunk.tolist(), edges[:, 1:].tolist()):
+            b, acc = blocks[i], total[i]
+            for c, t in zip(row, ends):
+                b.append(c)
+                acc += c
+                if c <= 1e-14 * abs(acc):
+                    break
+            else:
+                running.append(i)
+            total[i], T[i] = acc, t
+        live = running
+    out = []
+    for i, b in enumerate(blocks):      # ladders still live ran out of blocks
+        rs = [c / prev for prev, c in zip(b, b[1:]) if prev > 0.0]
+        rho = rs[-1] if rs else None
+        geometric = i in live and len(rs) >= 3 and all(r < DIVERGENCE_RATIO for r in rs[-3:])
+        tail = b[-1] * rho / (1.0 - rho) if geometric else 0.0
+        out.append(TailEstimate(total[i] + tail, geometric or i not in live, len(b), T[i],
+                                tail, rho))
+    return out
+
+
+def _doubling_head(start: float) -> list[float]:
+    """Knots doubling from start to T0 = max(2 start, start + 1, 10): well-conditioned blocks."""
+    knots, T0 = [start], max(2.0 * start, start + 1.0, 10.0)
+    while knots[-1] < T0:
+        knots.append(min(2.0 * knots[-1], T0))
+    return knots
 
 
 def integrate_to_infinity(g, start: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
-    """int_start^inf g(s) ds by the doubling ladder from T0 = max(2 start,
-    start + 1, 10), with [start, T0] in doubling blocks [T, min(2T, T0)].
-
-    ``converged=False`` flags a divergent tail; the partial value then holds
-    the integral up to the cap (useful for diagnostics).
-    """
-    T0 = max(2.0 * start, start + 1.0, 10.0)
-    knots = [start]     # doubling blocks keep each block well-conditioned
-    while knots[-1] < T0:
-        knots.append(min(2.0 * knots[-1], T0))
-    head = float(sum(integrate_block(g, knots[:-1], knots[1:])))
-    return _block_ladder(g, T0, head, 2.0, max_blocks)
+    """int_start^inf g(s) ds: the blocks of :func:`_doubling_head`, then the
+    doubling ladder from T0; ``converged=False`` flags a divergent tail, whose
+    partial value holds the integral up to the cap (useful for diagnostics)."""
+    return _block_ladders(g, [_doubling_head(start)], 2.0, max_blocks)[0]
 
 
 def integrate_to_zero(g, end: float, *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
     """int_0^end g(s) ds by halving blocks [e/2, e]; detects a divergent 0+ end."""
-    return _block_ladder(g, end / 2.0, integrate_block(g, end / 2.0, end), 0.5, max_blocks)
+    return _block_ladders(g, [[end, end / 2.0]], 0.5, max_blocks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +309,19 @@ def singular_head(op: Operator, force: Force, v0: float, upper: float) -> float:
     return integrate_block(sub.density, 0.0, sub.u_of(upper))
 
 
-def shifted_tail(op: Operator, force: Force, v0: float, start: float,
-                 *, max_blocks: int = MAX_BLOCKS) -> TailEstimate:
-    """int_start^inf ds / B^-1{F(s) - F(v0)}; raises on a finite ceiling in range."""
+def shifted_tail(op: Operator, force: Force, v0: float, start,
+                 *, max_blocks: int = MAX_BLOCKS):
+    """int_start^inf ds / B^-1{F(s) - F(v0)}, one ladder per element of an
+    array of starts (a list); raises on a finite ceiling in range."""
     crossing = ceiling_crossing(op, force, force.primitive(v0))
     if crossing is not None:
         raise DomainExceededError(
             f"F(s) - F({v0:g}) reaches B_sup = {op.energy_sup:g} at s ~ {crossing:.6g}; "
             "the tail integral is not defined for this operator")
-    return integrate_to_infinity(shifted_integrand(op, force, v0), start, max_blocks=max_blocks)
+    g = shifted_integrand(op, force, v0)
+    if np.asarray(start).ndim:
+        return _block_ladders(g, [_doubling_head(s) for s in np.ravel(start)], 2.0, max_blocks)
+    return integrate_to_infinity(g, start, max_blocks=max_blocks)
 
 
 def require_converged(est: TailEstimate, what: str) -> float:

@@ -7,7 +7,7 @@ import pytest
 from blowup_lab import (BlowupRateFn, BracketError, DivergenceError, DomainExceededError,
                         check_a5, classify, length_scale, make_force,
                         make_operator, phi, psi)
-from blowup_lab import ko
+from blowup_lab import ko, quadrature as qk
 
 from conftest import psi_power_closed_form
 
@@ -214,6 +214,14 @@ class TestIncreasingRoot:
         assert BlowupRateFn(op_p3, force_cubic).phi(1e-3) == pytest.approx(72e9, rel=1e-10)
         assert len(calls) <= 10
 
+    def test_phi_secant_once_per_instance(self, monkeypatch, op_p3, force_cubic):
+        rate = BlowupRateFn(op_p3, force_cubic)
+        calls = _counted_psi(monkeypatch)
+        first = rate.phi(1e-3)
+        n_first = len(calls)
+        assert rate.phi(1e-3) == first
+        assert len(calls) - n_first == n_first - 2     # Psi(1) and Psi(e) are kept
+
     def test_phi_beyond_dead_core_length(self, monkeypatch, op_p2, force_dead_core):
         # Psi(0+) = L, so no r has Psi(r) = 1.5 L
         L = length_scale(op_p2, force_dead_core)
@@ -251,6 +259,27 @@ class TestA5:
         assert rep.t_grid[0] == 100.0 and rep.t_grid[-1] < 710.0
         assert rep.infima[0] == pytest.approx(math.e, rel=1e-6)
         assert rep.likely_holds
+
+    @pytest.mark.parametrize("force_spec", [{"kind": "power", "q": 3}, {"kind": "exp-minus-one"}],
+                             ids=["cubic", "exp"])
+    def test_equals_the_per_radius_loop(self, monkeypatch, op_p2, force_spec):
+        force, betas = make_force(force_spec), [0.25, 0.5, 0.75]
+        psi_t = {t: psi(op_p2, force, t) for t in np.logspace(2.0, 6.0, 17).tolist()}
+        ts = [t for t, v in psi_t.items() if v > 0.0]
+        ratios = {b: [psi(op_p2, force, b * t) / psi_t[t] for t in ts] for b in betas}
+        kernel, calls = qk.integrate_block, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(qk, "integrate_block", counted)
+        rep = check_a5(force, op_p2, betas)
+        assert rep.t_grid == tuple(ts)
+        assert rep.ratios == ratios
+        assert rep.infima == tuple(min(r) for r in ratios.values())
+        assert rep.margins == tuple(min(r[len(r) // 2:]) - 1.0 for r in ratios.values())
+        assert len(calls) <= 8      # 272 with one ladder per radius
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_psi_zero_on_the_whole_grid_raises(self, op_p2):

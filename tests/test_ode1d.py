@@ -435,6 +435,21 @@ class TestBatchedInversion:
             with pytest.raises(ProfileDomainError):
                 prof.value(np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("dead", [False, True], ids=["large", "dead-core"])
+    def test_implicit_residual_of_an_array(self, op_p2, force_cubic, force_dead_core, dead):
+        if dead:
+            prof = dead_core_profile(op_p2, force_dead_core,
+                                     length_scale(op_p2, force_dead_core) + 0.5)
+        else:
+            prof = large_profile(op_p2, force_cubic, 1.0, n_body=2, n_edge=2)
+        xs = np.array([0.0, -0.3, 0.45, 0.6, -0.8]) * (1.0 if dead else prof.ell)
+        res = prof.implicit_residual(xs)
+        assert res.tolist() == [prof.implicit_residual(float(x)) for x in xs]
+        assert type(prof.implicit_residual(float(xs[3]))) is float
+        assert res.max() <= 1e-8
+        if dead:    # the core is [-0.5, 0.5]
+            assert res[:3].tolist() == [0.0, 0.0, 0.0] and res[3:].min() > 0.0
+
 
 _TABLE_5 = [[0, 0], [0.5, 0.4], [1, 1], [2, 3], [4, 8]]
 

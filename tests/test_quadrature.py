@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from blowup_lab import DivergenceError, DomainExceededError, make_force, make_operator
+from blowup_lab import DivergenceError, DomainExceededError, make_force, make_operator, psi
 from blowup_lab import ode1d, quadrature as qk
 
 from conftest import psi_power_closed_form
@@ -246,6 +246,46 @@ class TestKernel:
         for a in (1.0, 2.0 ** 40):
             assert qk.integrate_block(g, a, 2.0 * a) == pytest.approx(
                 self._ref(g, a, 2.0 * a), rel=1e-12)
+
+
+_BATCH_CASES = {
+    "p2-q3": ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3}),
+    "p2-q3.6": ({"kind": "p-laplace", "p": 2}, {"kind": "power", "q": 3.6}),
+    "p3-q4.7": ({"kind": "p-laplace", "p": 3}, {"kind": "power", "q": 4.7}),
+    "table-q3": ({"kind": "table", "points": _TABLE_5}, {"kind": "power", "q": 3}),
+    "exp": ({"kind": "p-laplace", "p": 2}, {"kind": "exp-minus-one"}),
+}
+
+
+def _batch_case(key):
+    op_spec, force_spec = _BATCH_CASES[key]
+    return make_operator(op_spec), make_force(force_spec)
+
+
+class TestBatchedLadders:
+    """One ladder per radius, all advancing together, reads bit for bit what
+    one ladder at a time reads."""
+
+    RS = np.geomspace(1e-2, 800.0, 13)
+
+    @pytest.mark.parametrize("key", _BATCH_CASES)
+    def test_equals_one_ladder_at_a_time(self, key):
+        op, force = _batch_case(key)
+        rs = self.RS.tolist()
+        assert qk.shifted_tail(op, force, 0.0, self.RS) == [
+            qk.shifted_tail(op, force, 0.0, r) for r in rs]
+        assert psi(op, force, self.RS).tolist() == [psi(op, force, r) for r in rs]
+        assert type(psi(op, force, rs[0])) is float
+
+    def test_the_cases_reach_every_branch(self):
+        def tails(key):
+            return qk.shifted_tail(*_batch_case(key), 0.0, self.RS)
+
+        # ladders that stop in different kernel calls, ladders that reach
+        # the block cap and extrapolate, and Psi = 0 past the overflow of F
+        assert {(e.blocks_used - 1) // qk.BLOCK_CHUNK for e in tails("p2-q3.6")} == {1, 2}
+        assert 0 < sum(e.extrapolated != 0.0 for e in tails("p3-q4.7")) < self.RS.size
+        assert psi(*_batch_case("exp"), self.RS)[-1] == 0.0 < psi(*_batch_case("exp"), 700.0)
 
 
 def test_require_converged_raises():

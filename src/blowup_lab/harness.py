@@ -10,6 +10,7 @@ Runs are seedless and deterministic: identical configs give identical bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -410,10 +411,9 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
 
 def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     ells = [float(e) for e in params.get("ells", [1.0, 2.0, 4.0])]
-    cfg = pde2d.SolverConfig(
-        eps=params.get("eps", 1e-8), tol_res=params.get("tol_res", 1e-9),
-        m_start=params.get("m_start", 2.0), max_levels=params.get("max_levels", 24),
-        tol_m=params.get("tol_m", 1e-4), layer_factor=params.get("layer_factor", 0.5))
+    cfg = pde2d.SolverConfig(**{f.name: params[f.name]
+                                for f in dataclasses.fields(pde2d.SolverConfig)
+                                if f.name in params})
     nx = int(params.get("nx", 65))
     expect_violation = bool(params.get("expect_ko_violation", False))
     R_bound = float(params.get("local_bound_R", 0.8))

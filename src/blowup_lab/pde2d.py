@@ -14,6 +14,7 @@ The sparse LU of the last Jacobian is kept, also across m levels: a chord
 step with it is accepted when it at least halves the scaled residual
 (_CHORD_CONTRACTION); otherwise the Jacobian is refactored at the current
 iterate for a damped Newton step.  Both reject a trial outside [0, m].
+One loop, _newton, solves the field and its discrete cross-section alike.
 
 Boundary blow-up is approached through finite constant data m, doubled per
 level as a continuation in m (Allgower & Georg 1990, ch. 2) with a tangent
@@ -34,7 +35,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
 from . import ko as ko_mod
 from . import ode1d
@@ -75,6 +75,12 @@ class Grid2D:
     @property
     def hy(self) -> float:
         return 2.0 * self.ell / (self.ny - 1)
+
+    @property
+    def edge_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distance of each x-node and of each y-node to the nearer end of its axis."""
+        return tuple(np.minimum(np.arange(n), np.arange(n)[::-1]) * h
+                     for n, h in ((self.nx, self.hx), (self.ny, self.hy)))
 
     @property
     def x_nodes(self) -> np.ndarray:
@@ -280,96 +286,78 @@ def _jacobian_times(u, v, grid, p, eps, force):
             - force.derivative(u[1:-1, 1:-1]) * v[1:-1, 1:-1])
 
 
-def _layer_profile(grid, op, force, m):
-    """U(d) = Phi(Psi(m) + d) at every node, d its distance to the boundary:
-    one shot of U' = -B^-1(F(U)), U(0) = m, sampled at the distinct node
-    distances; SolverError when the shot fails or is not finite."""
-    dx = np.minimum(np.arange(grid.nx), np.arange(grid.nx)[::-1]) * grid.hx
-    dy = np.minimum(np.arange(grid.ny), np.arange(grid.ny)[::-1]) * grid.hy
-    dist, node = np.unique(np.minimum.outer(dx, dy).ravel(), return_inverse=True)
+def _layer_profile(dist, op, force, m):
+    """U(d) = Phi(Psi(m) + d) at every node, d its distance to the boundary
+    (an array of any shape): one shot of U' = -B^-1(F(U)), U(0) = m, sampled
+    at the distinct distances; SolverError when the shot fails or is not finite."""
+    d, node = np.unique(dist.ravel(), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(lambda d, U: -op.energy_inverse(force.primitive(np.maximum(U, 0.0))),
-                        (0.0, dist[-1]), [float(m)], method="DOP853", t_eval=dist,
+                        (0.0, d[-1]), [float(m)], method="DOP853", t_eval=d,
                         rtol=1e-6)
     if sol.status != 0 or not np.all(np.isfinite(sol.y)):
         raise SolverError(f"the boundary-layer shot failed (m = {m:g}): {sol.message}")
-    return np.maximum(sol.y[0], 0.0)[node].reshape(grid.nx, grid.ny)
+    return np.maximum(sol.y[0], 0.0)[node].reshape(dist.shape)
 
 
-def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
-                    cfg: SolverConfig = SolverConfig(),
-                    initial: Optional[np.ndarray] = None, *,
-                    factor: Optional[list] = None) -> DiscreteField:
-    """Converged field for boundary data m, from the given start, else from
-    the boundary-layer profile of :func:`_layer_profile` for p > 2 and from
-    u = m for p <= 2 (where gamma = eps^{p-2} >= 1 on the flat start).
+def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
+    """Chord/damped Newton (Kelley 2003, ch. 2 and 5) on the interior
+    u[1:-1, ...] of a field of any dimension with boundary values m, to a
+    scaled residual max |R| / max(1, f(u)) <= tol; returns the field and its
+    diagnostics.  ``residual(v)`` gives (R, f(v)) on the interior or raises
+    SolverError, ``jacobian(v)`` the CSC Jacobian there.
 
-    Chord/damped Newton (Kelley 2003, ch. 2 and 5) with one acceptance rule:
-    a trial that leaves [0, m] or has a non-finite residual is rejected like
-    one whose scaled residual is too large.  While an LU of the Jacobian is
-    kept, each step first tries the full chord step with it, accepted at
-    most _CHORD_CONTRACTION times the current scaled residual.  Otherwise
-    the Jacobian (finite wherever the residual is) is assembled and factored
-    (MMD ordering on A^T + A) at the current iterate for a damped Newton
-    step: halvings until the scaled residual falls.  When no halving helps,
-    the solve restarts from the boundary-layer profile (counted in
-    ``gs_rescues``) and scales each later trial's residual by the current
-    iterate's max(1, f(u)), not its own; a second stall raises SolverError.
-    The LU is dropped after a damped step with alpha < 1 and at a restart.
-    The one-slot list ``factor`` carries an LU in (tried first) and the last
-    LU out, and is emptied before each factorisation.  ``iterations`` counts
-    accepted steps of either kind, ``factorizations`` the LUs; the final
-    scaled residual lands just under ``tol_res``."""
-    if op.kind != "p-laplace":
-        raise ValidationError("the 2D solver supports p-laplace operators only")
-    if m < 0.0:
-        raise ValueError("boundary value m must be >= 0")
-    p = op.p
-    u = (initial.copy() if initial is not None else _layer_profile(grid, op, force, m)
-         if p > 2.0 else np.full((grid.nx, grid.ny), float(m)))
-    u[0, :] = m; u[-1, :] = m; u[:, 0] = m; u[:, -1] = m
-    if m == 0.0:
-        return DiscreteField(grid, u * 0.0, 0.0, cfg.eps, op, force,
-                             {"iterations": 0, "factorizations": 0, "final_residual": 0.0,
-                              "clip_activations": 0, "gs_rescues": 0})
+    A trial that leaves [0, m] or has a non-finite residual is rejected like
+    one whose scaled residual is too large.  While an LU is kept, each step
+    first tries the full chord step with it, accepted at most
+    _CHORD_CONTRACTION times the current scaled residual; otherwise the
+    Jacobian is factored (MMD ordering on A^T + A) at the current iterate for
+    a damped Newton step, halved until the scaled residual falls.  When no
+    halving helps, the solve restarts once from :func:`_layer_profile` at the
+    node distances ``dist`` (counted in ``gs_rescues``) and scales later
+    trials by the current iterate's max(1, f(u)); a second stall or
+    MAX_NEWTON steps raise SolverError naming ``where``.  The LU is dropped
+    after a damped step with alpha < 1 and at a restart.  The one-slot list
+    ``lu`` carries an LU in and the last LU out, and is emptied before each
+    factorisation.  ``iterations`` counts accepted steps, ``factorizations``
+    the LUs; the final scaled residual lands just under ``tol``."""
+    inner = (slice(1, -1),) * u.ndim
 
     def score(v):
         """(R, f(v), merit) at a trial field; the merit is inf for a rejected one."""
         if ((v < -1e-12) | (v > m * (1.0 + 1e-12))).any():
             return None, None, math.inf
         try:
-            R_v, fu_v = _residual_interior(v, grid, p, cfg.eps, force)
+            R_v, fu_v = residual(v)
         except SolverError:
             return None, None, math.inf
         return R_v, fu_v, _scaled_norm(R_v, fu if frozen else fu_v)
 
     restarts, frozen, factorizations = 0, False, 0
-    lu = [None] if factor is None else factor      # the one slot for the LU
-    R, fu = _residual_interior(u, grid, p, cfg.eps, force)
+    R, fu = residual(u)
     rn = _scaled_norm(R, fu)
     it = 0
-    while rn > cfg.tol_res:
+    while rn > tol:
         if it >= MAX_NEWTON:
             raise SolverError(
-                f"no convergence in {MAX_NEWTON} Newton iterations "
+                f"no convergence{where} in {MAX_NEWTON} Newton iterations "
                 f"(m = {m:g}, last scaled residual {rn:.3e})")
         if lu[0] is not None:
             u_try = u.copy()
-            u_try[1:-1, 1:-1] += lu[0].solve(-R.ravel()).reshape(R.shape)
+            u_try[inner] += lu[0].solve(-R.ravel()).reshape(R.shape)
             R_try, fu_try, rn_try = score(u_try)
             if rn_try <= _CHORD_CONTRACTION * rn:
                 u, R, fu, rn = u_try, R_try, fu_try, _scaled_norm(R_try, fu_try)
                 it += 1
                 continue
         lu[0] = None    # free the old factor before the new one is built
-        lu[0] = spla.splu(_assemble_jacobian(u, grid, p, cfg.eps, force),
-                          permc_spec="MMD_AT_PLUS_A")
+        lu[0] = spla.splu(jacobian(u), permc_spec="MMD_AT_PLUS_A")
         factorizations += 1
         delta = lu[0].solve(-R.ravel()).reshape(R.shape)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             u_try = u.copy()
-            u_try[1:-1, 1:-1] += alpha * delta
+            u_try[inner] += alpha * delta
             R_try, fu_try, rn_try = score(u_try)
             if rn_try < rn:
                 u, R, fu, rn = u_try, R_try, fu_try, _scaled_norm(R_try, fu_try)
@@ -379,20 +367,42 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
             alpha *= 0.5
         else:
             if frozen:
-                raise SolverError("Newton stalled from the boundary-layer profile "
+                raise SolverError(f"Newton stalled{where} from the boundary-layer profile "
                                   f"(m = {m:g}, scaled residual {rn:.3e})")
             # a flat interior scores 1 at any level; under a scaling frozen at
             # the current iterate the merit is one norm, along which Newton descends
             lu[0], restarts, frozen = None, 1, True
-            u = _layer_profile(grid, op, force, m)
-            R, fu = _residual_interior(u, grid, p, cfg.eps, force)
+            u = _layer_profile(dist, op, force, m)
+            R, fu = residual(u)
             rn = _scaled_norm(R, fu)
         it += 1
     # nothing is clipped and gs_rescues counts restarts; bench/tracing.py reads both keys
-    return DiscreteField(grid, u, float(m), cfg.eps, op, force,
-                         {"iterations": it, "factorizations": factorizations,
-                          "final_residual": rn, "clip_activations": 0,
-                          "gs_rescues": restarts})
+    return u, {"iterations": it, "factorizations": factorizations, "final_residual": rn,
+               "clip_activations": 0, "gs_rescues": restarts}
+
+
+def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
+                    cfg: SolverConfig = SolverConfig(),
+                    initial: Optional[np.ndarray] = None, *,
+                    factor: Optional[list] = None) -> DiscreteField:
+    """Converged field for boundary data m, from the given start, else from
+    the boundary-layer profile of :func:`_layer_profile` for p > 2 and from
+    u = m for p <= 2 (where gamma = eps^{p-2} >= 1 on the flat start), by
+    :func:`_newton` to ``cfg.tol_res`` with the LU slot ``factor``."""
+    if op.kind != "p-laplace":
+        raise ValidationError("the 2D solver supports p-laplace operators only")
+    if m < 0.0:
+        raise ValueError("boundary value m must be >= 0")
+    p = op.p
+    dist = np.minimum.outer(*grid.edge_distances)
+    u = (initial.copy() if initial is not None else _layer_profile(dist, op, force, m)
+         if p > 2.0 else np.full((grid.nx, grid.ny), float(m)))
+    u[0, :] = m; u[-1, :] = m; u[:, 0] = m; u[:, -1] = m
+    u, diagnostics = _newton(u, m, dist, op, force,
+                             lambda v: _residual_interior(v, grid, p, cfg.eps, force),
+                             lambda v: _assemble_jacobian(v, grid, p, cfg.eps, force),
+                             cfg.tol_res, [None] if factor is None else factor, "")
+    return DiscreteField(grid, u, float(m), cfg.eps, op, force, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -555,48 +565,26 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
 
     Away from the ends y = +-ell the mid-slice u(x, 0) converges to w as ell
     grows; w differs from the 1D large solution v by the discretisation error
-    of the cross-section at this m.  Damped Newton on the tridiagonal 1D
-    reduction, started from the mid-slice."""
+    of the cross-section at this m.  Solved by the field's own Newton loop,
+    :func:`_newton`, on the tridiagonal 1D reduction to a scaled residual of
+    1e-12, started from the mid-slice."""
     g, force = field_.grid, field_.force
     p, eps, hx = field_.op.p, field_.eps, g.hx
-    _, w = field_.mid_slice()
 
     def residual_1d(w):
         # the 2D residual of a strip constant in y: tangential differences
         # and the y-fluxes vanish, so this is the scheme's 1D reduction
         R, fu = _residual_interior(np.repeat(w[:, None], 3, axis=1), g, p, eps, force)
-        return R[:, 0], _scaled_norm(R, fu)
+        return R[:, 0], fu[:, 0]
 
-    R, rn = residual_1d(w)
-    for _ in range(MAX_NEWTON):
-        if rn <= 1e-12:
-            return w
+    def jacobian_1d(w):
         dF = _flux_derivatives(np.diff(w) / hx, 0.0, p, eps)[0] / (hx * hx)   # g_t = 0
-        bands = np.zeros((3, g.nx - 2))
-        bands[0, 1:] = dF[1:-1]
-        bands[1] = -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1])
-        bands[2, :-1] = dF[1:-1]
-        if not np.all(np.isfinite(bands)):
-            raise SolverError("non-finite Jacobian on the discrete cross-section "
-                              f"(eps = {eps:g})")
-        delta = solve_banded((1, 1), bands, -R)
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS):
-            w_try = w.copy()
-            w_try[1:-1] += alpha * delta
-            try:
-                R_try, rn_try = residual_1d(w_try)
-            except SolverError:
-                rn_try = math.inf
-            if rn_try < rn:
-                break
-            alpha *= 0.5
-        else:
-            raise SolverError("Newton stalled on the discrete cross-section "
-                              f"(scaled residual {rn:.3e})")
-        w, R, rn = w_try, R_try, rn_try
-    raise SolverError(f"no convergence of the discrete cross-section in {MAX_NEWTON} "
-                      f"Newton iterations (last scaled residual {rn:.3e})")
+        return sp.diags([dF[1:-1], -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1]),
+                         dF[1:-1]], [-1, 0, 1], format="csc")
+
+    return _newton(field_.mid_slice()[1], field_.m, g.edge_distances[0], field_.op, force,
+                   residual_1d, jacobian_1d, 1e-12, [None],
+                   " on the discrete cross-section")[0]
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,15 @@ class RadialProfile:
 
     def residual(self, r_pts: np.ndarray) -> np.ndarray:
         """Scaled equation residual from the dense output:
-        (dz/dr + (n-1)/r z - f(w)) / max(1, f(w)) with a centered step
-        proportional to the local distance to the singular ends."""
+        (dz/dr + (n-1)/r z - f(w)) / max(1, f(w)), dz/dr a centered difference
+        with one Richardson step, (4 D(h/2) - D(h)) / 3, and h proportional to
+        the local distance to the singular ends."""
         r = np.asarray(r_pts, dtype=float)
         h = 3e-4 * np.minimum(np.abs(self.R - r), r)
         w, z = self._state(r)
-        dz = (self._state(r + h)[1] - self._state(r - h)[1]) / (2.0 * h)
+        d_half, d_full = ((self._state(r + s)[1] - self._state(r - s)[1]) / (2.0 * s)
+                          for s in (h / 2.0, h))
+        dz = (4.0 * d_half - d_full) / 3.0
         fw = self.force.value(np.maximum(w, 0.0))
         return (dz + (self.n - 1) / r * z - fw) / np.maximum(1.0, fw)
 

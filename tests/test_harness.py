@@ -387,6 +387,27 @@ class TestRunners:
         failed = [(c.name, c.measured) for c in rep.checks if not c.passed]
         assert failed == [("experiment-completed", "SolverError")]
 
+    @pytest.mark.parametrize("params, overrides", [
+        ({"ells": [1.0], "nx": 17}, {}),
+        ({"ells": [1.0], "nx": 17, "max_levels": 3, "tol_m": 1e-3},
+         {"max_levels": 3, "tol_m": 1e-3}),
+    ], ids=["defaults", "two-overrides"])
+    def test_cylinder_solver_config_from_params(self, tmp_path, monkeypatch, params,
+                                                overrides):
+        # the harness passes only the solver fields a config sets; the
+        # defaults live in SolverConfig alone
+        class Captured(Exception):
+            pass
+
+        def capture(grid, op, force, cfg):
+            raise Captured(cfg)
+
+        monkeypatch.setattr(harness.pde2d, "escalate_m", capture)
+        cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", params=params))
+        with pytest.raises(Captured) as info:
+            run(cfg, tmp_path)
+        assert info.value.args[0] == harness.pde2d.SolverConfig(**overrides)
+
     def test_cylinder_far_past_the_layer_cap_completes(self, tmp_path):
         # m_start 482 lies far past m*: one level, solved after one restart
         cfg = ExperimentConfig.from_dict(cfg_dict(

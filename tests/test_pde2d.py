@@ -239,7 +239,7 @@ class TestLayerProfile:
                              ids=["nested", "hx-ne-hy"])
     def test_p2_q3_closed_form(self, op_p2, force_cubic, m, g):
         # U' = -sqrt(2 F(U)) = -U^2/sqrt(2) gives U(d) = m / (1 + m d / sqrt(2))
-        U = pde2d._layer_profile(g, op_p2, force_cubic, m)
+        U = pde2d._layer_profile(self.distances(g), op_p2, force_cubic, m)
         exact = m / (1.0 + m * self.distances(g) / math.sqrt(2.0))
         np.testing.assert_allclose(U, exact, rtol=1e-6, atol=0.0)
 
@@ -249,7 +249,7 @@ class TestLayerProfile:
         # a subsolution with data m: equal to m on the boundary, below the field
         op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
         g = grid_for_ell(ell, 65)
-        U = pde2d._layer_profile(g, op, force, 2.0)
+        U = pde2d._layer_profile(self.distances(g), op, force, 2.0)
         fld = solve_dirichlet(g, op, force, 2.0)
         boundary = self.distances(g) == 0.0
         assert np.all(U[boundary] == 2.0)
@@ -258,7 +258,7 @@ class TestLayerProfile:
     def test_failed_shot_raises(self, op_p3):
         # F(1000) = e^1000 overflows: the shot stops at its first step
         with pytest.raises(SolverError, match="boundary-layer shot failed"):
-            pde2d._layer_profile(grid_for_ell(1.0, 17), op_p3,
+            pde2d._layer_profile(self.distances(grid_for_ell(1.0, 17)), op_p3,
                                  make_force(kind="exp-minus-one"), 1000.0)
 
     def test_stall_from_the_profile_raises(self, force_cubic):
@@ -443,14 +443,31 @@ class TestContinuation:
         assert max(alive) == 0
 
 
-def test_discrete_cross_section_solves_three_point_scheme(op_p2, force_cubic):
-    # for p = 2 the 1D reduction is (w[i+1] - 2 w[i] + w[i-1]) / h^2 = w[i]^3
-    fld = solve_dirichlet(grid_for_ell(1.0, 33), op_p2, force_cubic, 16.0)
-    w = pde2d.discrete_cross_section(fld)
-    h = fld.grid.hx
-    lap = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h ** 2
-    assert w[0] == w[-1] == 16.0
-    assert np.max(np.abs(lap - w[1:-1] ** 3) / np.maximum(1.0, w[1:-1] ** 3)) <= 1e-11
+def test_discrete_cross_section_solves_three_point_scheme():
+    # the 1D reduction is (F[i+1/2] - F[i-1/2]) / h = w[i]^q with the face flux
+    # F = (g^2 + eps^2)^((p-2)/2) g of g = (w[i+1] - w[i]) / h; for p = 2 it
+    # is the 3-point Laplacian
+    for p, q in ((2.0, 3.0), (1.5, 3.0), (3.0, 6.0)):
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+        fld = solve_dirichlet(grid_for_ell(1.0, 33), op, force, 16.0)
+        w = pde2d.discrete_cross_section(fld)
+        h = fld.grid.hx
+        g = np.diff(w) / h
+        flux = (g * g + fld.eps ** 2) ** ((p - 2.0) / 2.0) * g
+        fw = w[1:-1] ** q
+        assert w[0] == w[-1] == 16.0
+        assert np.max(np.abs(np.diff(flux) / h - fw) / np.maximum(1.0, fw)) <= 1e-11, p
+
+
+def test_discrete_cross_section_stall_raises(force_cubic):
+    # p = 1.3 stalls on the cross-section from the mid-slice and again after
+    # the restart from the half-line profile, there at about 1.3e-11; a stop
+    # that knows the floating-point floor would turn this into a convergence
+    fld = escalate_m(grid_for_ell(1.0, 33), make_operator(kind="p-laplace", p=1.3),
+                     force_cubic).field
+    with pytest.raises(SolverError, match="Newton stalled on the discrete cross-section "
+                                          "from the boundary-layer profile"):
+        pde2d.discrete_cross_section(fld)
 
 
 @pytest.fixture(scope="module")

@@ -32,9 +32,13 @@ class TestShootBall:
 
     def test_equation_residual(self, op_p2, op_p3, force_cubic):
         f6 = make_force(kind="power", q=6)
-        for op, force, n in ((op_p2, force_cubic, 2), (op_p3, f6, 2),
-                             (op_p2, force_cubic, 3)):
-            prof = shoot_ball(op, force, n, 1.0)
+        # the last ball has R = 0.5 near the KO frontier (p = 2.92, q = 2.98),
+        # where a centered dz/dr without the Richardson step read 1.1e-6
+        frontier = (make_operator(kind="p-laplace", p=2.92), make_force(kind="power", q=2.98))
+        for op, force, n, v0 in ((op_p2, force_cubic, 2, 1.0), (op_p3, f6, 2, 1.0),
+                                 (op_p2, force_cubic, 3, 1.0),
+                                 (*frontier, 2, 406.0614181087574)):
+            prof = shoot_ball(op, force, n, v0)
             pts = np.linspace(0.15 * prof.R, min(0.9 * prof.R, prof.r[-1]), 30)
             assert float(np.max(np.abs(prof.residual(pts)))) <= 1e-6
 

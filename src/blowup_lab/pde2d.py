@@ -10,6 +10,8 @@ _flux_derivatives for every Jacobian.  For p = 2 the scheme is exactly the
 p > 2 from the half-line boundary-layer profile U(d) = Phi(Psi(m) + d) of
 Bandle & Marcus (J. Anal. Math. 58, 1992), where u = m would leave gamma =
 eps^{p-2} and a flat Newton step; a stalled solve restarts once from it.
+The Jacobian's sparsity pattern is built once per grid; each step sums its
+terms in scipy's COO-to-CSC order, so the matrix is bit-identical to a COO one.
 The sparse LU of the last Jacobian is kept, also across m levels: a chord
 step with it is accepted when it at least halves the scaled residual
 (_CHORD_CONTRACTION); otherwise the Jacobian is refactored at the current
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +41,7 @@ from scipy.integrate import solve_ivp
 
 from . import ko as ko_mod
 from . import ode1d
-from .artifacts import write_csv, write_json
+from .artifacts import write_csv, write_grid_csv, write_json
 from .errors import BracketError, DivergenceError, SolverError, ValidationError
 from .registry import Force, Operator
 
@@ -155,8 +158,7 @@ class DiscreteField:
         return (np.abs(X) <= COMPACT_SCALE) & (np.abs(Y) <= COMPACT_SCALE * self.grid.ell)
 
     def to_csv(self, path) -> None:
-        X, Y = np.meshgrid(self.grid.x_nodes, self.grid.y_nodes, indexing="ij")
-        write_csv(path, "x,y,u", zip(X.ravel(), Y.ravel(), self.values.ravel()))
+        write_grid_csv(path, "x,y,u", (self.grid.x_nodes, self.grid.y_nodes), self.values)
 
     def to_json(self, path) -> None:
         write_json(path, {
@@ -227,50 +229,77 @@ def _scaled_norm(R, fu):
     return float(np.max(np.abs(R) / np.maximum(1.0, fu)))
 
 
-def _assemble_jacobian(u, grid, p, eps, force):
-    """Exact Jacobian of the interior residual, in CSC form.
-
-    9-point stencil; for p = 2 the tangential entries are identically zero
-    (dF/dg_t carries the factor p - 2) and are not stored, leaving the
-    5-point pattern."""
-    nx, ny = grid.nx, grid.ny
+@lru_cache(maxsize=1)     # one grid per escalation; more measured a higher peak RSS
+def _jacobian_pattern(nx, ny, nine_point):
+    """(indices, indptr, gather) of the 5- or 9-point CSC Jacobian on an nx x ny
+    grid: entry e sums the terms at gather[:, e] of the vector that
+    :func:`_assemble_jacobian` builds, padded with its last element, -0.0.
+    The terms are in the order coo_matrix.tocsc sums them (COO order, a stable
+    scatter by column, scipy's own sort_indices), so the sums keep its bits."""
     N = (nx - 2) * (ny - 2)
-    index = np.full((nx, ny), -1)       # unknown number of each node, -1 on the boundary
-    index[1:-1, 1:-1] = np.arange(N).reshape(nx - 2, ny - 2)
-    rows, cols, vals = [], [], []
+    index = np.pad(np.arange(N, dtype=np.int32).reshape(nx - 2, ny - 2), 1, constant_values=-1)
+    rows, cols, terms = [], [], []
+    offset = 0
+    # faces between (i, j) and (i, j) + n, i >= t[0] and j >= t[1]; the flux
+    # enters the residual at (i, j) with +1/hn and at (i, j) + n with -1/hn
+    for n, t in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        shape = (nx - 1 - t[0], ny - 1 - t[1])
 
-    def add(ii, jj, kk, ll, v):
-        r, c = index[ii, jj], index[kk, ll]
-        mask = (r >= 0) & (c >= 0)
-        rows.append(r[mask]); cols.append(c[mask]); vals.append(v[mask])
+        def node(d):    # the unknown at face + d (-1 on the boundary), for each face
+            return index[t[0] + d[0]:t[0] + d[0] + shape[0], t[1] + d[1]:t[1] + d[1] + shape[1]]
 
-    # faces between (i, j) and (i, j) + n with tangent t; the faces along y
-    # are computed on u.T and their quantities transposed back
-    for n, t, hn, ht, transposed in (((1, 0), (0, 1), grid.hx, grid.hy, False),
-                                     ((0, 1), (1, 0), grid.hy, grid.hx, True)):
-        gn, gt = _face_differences(u.T if transposed else u, hn, ht)
-        dF_dgn, dF_dgt = _flux_derivatives(gn, gt, p, eps)
-        if transposed:
-            dF_dgn, dF_dgt = dF_dgn.T, dF_dgt.T
-        iF, jF = np.meshgrid(np.arange(t[0], nx - 1), np.arange(t[1], ny - 1), indexing="ij")
-        deps = [((0, 0), -dF_dgn / hn), (n, dF_dgn / hn)]
-        if p != 2.0:
-            dt = dF_dgt / (4 * ht)
-            deps += [(t, dt), ((n[0] + t[0], n[1] + t[1]), dt),
-                     ((-t[0], -t[1]), -dt), ((n[0] - t[0], n[1] - t[1]), -dt)]
-        # the flux enters the residual at (i, j) with +1/hn, at (i, j) + n with -1/hn
-        for (di, dj), dv in deps:
-            kk, ll = iF + di, jF + dj
-            add(iF, jF, kk, ll, dv / hn)
-            add(iF + n[0], jF + n[1], kk, ll, -dv / hn)
+        # (node the flux depends on, its term in the row of the face's first
+        # node: 0 = s, 1 = -s, 2 = c, 3 = -c); the second node's row takes v ^ 1
+        deps = [((0, 0), 1), (n, 0)]
+        if nine_point:
+            deps += [(t, 2), ((n[0] + t[0], n[1] + t[1]), 2),
+                     ((-t[0], -t[1]), 3), ((n[0] - t[0], n[1] - t[1]), 3)]
+        for d, v in deps:
+            for r, value in ((node((0, 0)), v), (node(n), v ^ 1)):
+                keep = (r >= 0) & (node(d) >= 0)
+                rows.append(r[keep]); cols.append(node(d)[keep])
+                terms.append(np.flatnonzero(keep) + float(offset + value * r.size))
+        offset += 4 * r.size
+    rows.append(np.arange(N, dtype=np.int32)); cols.append(rows[-1])
+    terms.append(np.arange(N) + float(offset))
+    cols = np.concatenate(cols)
+    order = np.argsort(cols, kind="stable")     # coo_tocsr's scatter by column
+    indptr = np.append(0, np.cumsum(np.bincount(cols, minlength=N))).astype(np.int32)
+    del cols
+    A = sp.csc_matrix((np.concatenate(terms)[order], np.concatenate(rows)[order], indptr),
+                      shape=(N, N))
+    del rows, terms, order
+    A.sort_indices()
+    first = np.diff(A.indices, prepend=-1) != 0     # an entry starts where the row
+    first[A.indptr[:-1]] = True                     # changes or a column starts
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=A.nnz)
+    gather = np.full((counts.max(), starts.size), offset + N, dtype=np.int32)
+    for k, row in enumerate(gather):
+        row[counts > k] = A.data[starts[counts > k] + k]
+    pattern = (A.indices[starts], np.searchsorted(starts, A.indptr).astype(np.int32), gather)
+    for a in pattern:
+        a.flags.writeable = False   # shared by every Jacobian on the grid
+    return pattern
 
-    flat = np.arange(N)
-    rows.append(flat)
-    cols.append(flat)
-    vals.append(-force.derivative(u[1:-1, 1:-1]).ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N)).tocsc()
+
+def _assemble_jacobian(u, grid, p, eps, force):
+    """Exact Jacobian of the interior residual in CSC form on the grid's 9-point
+    :func:`_jacobian_pattern`, 5-point for p = 2 (dF/dg_t carries p - 2)."""
+    indices, indptr, gather = _jacobian_pattern(grid.nx, grid.ny, p != 2.0)
+    values = []     # per face axis s, -s, c, -c; then -f'(u) and -0.0
+    for uu, hn, ht, transposed in ((u, grid.hx, grid.hy, False),
+                                   (u.T, grid.hy, grid.hx, True)):
+        dF_dgn, dF_dgt = _flux_derivatives(*_face_differences(uu, hn, ht), p, eps)
+        # a COO term is (+-dF_dgn / hn) / hn or (+-dF_dgt / (4 ht)) / hn, and
+        # (-x) / h is -(x / h) bit for bit
+        s, c = dF_dgn / hn / hn, dF_dgt / (4 * ht) / hn
+        values += [(a.T if transposed else a).ravel() for a in (s, -s, c, -c)]
+    values = np.concatenate(values + [-force.derivative(u[1:-1, 1:-1]).ravel(), [-0.0]])
+    data = values[gather[0]]
+    for g in gather[1:]:
+        data += values[g]
+    return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 def _jacobian_times(u, v, grid, p, eps, force):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blowup_lab import ExperimentConfig, run
-from blowup_lab.artifacts import write_csv, write_json
+from blowup_lab.artifacts import write_csv, write_grid_csv, write_json
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -18,6 +18,18 @@ def test_csv_golden_bytes(tmp_path):
         b"a,b,c,d\n"
         b"0.10000000000000001,0.33333333333333331,7,\n"
         b"1.0000000000000001e+300,-0,2,1.5\n")
+
+
+def test_grid_csv_equals_the_meshgrid_rows(tmp_path):
+    x, y = np.linspace(-1.0, 1.0, 3), np.array([-0.0, 1.0 / 3.0, 0.5, 1e300])
+    values = np.array([[1.0, -0.0, 1e300, 1.0 / 3.0],
+                       [0.1, 2.0, -1e-300, 7.0],
+                       [np.inf, -2.5, 0.0, 1.0 / 3.0]])
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    write_csv(tmp_path / "rows.csv", "x,y,u", zip(X.ravel(), Y.ravel(), values.ravel()))
+    write_grid_csv(tmp_path / "grid.csv", "x,y,u", (x, y), values)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert b"\n-1,-0,1\n" in (tmp_path / "grid.csv").read_bytes()
 
 
 def test_json_golden_bytes(tmp_path):

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, escalate_m,
                         grid_for_ell, large_profile, make_force, make_operator,
                         residual, solve_dirichlet, v0_of_ell)
 from blowup_lab import pde2d
-from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _jacobian_times,
-                              _residual_interior)
+from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _face_differences,
+                              _flux_derivatives, _jacobian_times, _residual_interior)
 
 from conftest import psi_power_closed_form
 
@@ -126,6 +128,92 @@ class TestResidual:
         rate = math.log2(sups[0] / sups[1])
         rate2 = math.log2(sups[1] / sups[2])
         assert min(rate, rate2) >= min_rate, sups
+
+
+def coo_jacobian(u, grid, p, eps, force):
+    """The Jacobian as a COO assembly converted by scipy's tocsc, face by face:
+    the reference whose bits the pattern-based assembly must reproduce."""
+    nx, ny = grid.nx, grid.ny
+    N = (nx - 2) * (ny - 2)
+    index = np.full((nx, ny), -1)
+    index[1:-1, 1:-1] = np.arange(N).reshape(nx - 2, ny - 2)
+    rows, cols, vals = [], [], []
+
+    def add(ii, jj, kk, ll, v):
+        r, c = index[ii, jj], index[kk, ll]
+        mask = (r >= 0) & (c >= 0)
+        rows.append(r[mask]); cols.append(c[mask]); vals.append(v[mask])
+
+    for n, t, hn, ht, transposed in (((1, 0), (0, 1), grid.hx, grid.hy, False),
+                                     ((0, 1), (1, 0), grid.hy, grid.hx, True)):
+        gn, gt = _face_differences(u.T if transposed else u, hn, ht)
+        dF_dgn, dF_dgt = _flux_derivatives(gn, gt, p, eps)
+        if transposed:
+            dF_dgn, dF_dgt = dF_dgn.T, dF_dgt.T
+        iF, jF = np.meshgrid(np.arange(t[0], nx - 1), np.arange(t[1], ny - 1), indexing="ij")
+        deps = [((0, 0), -dF_dgn / hn), (n, dF_dgn / hn)]
+        if p != 2.0:
+            dt = dF_dgt / (4 * ht)
+            deps += [(t, dt), ((n[0] + t[0], n[1] + t[1]), dt),
+                     ((-t[0], -t[1]), -dt), ((n[0] - t[0], n[1] - t[1]), -dt)]
+        for (di, dj), dv in deps:
+            kk, ll = iF + di, jF + dj
+            add(iF, jF, kk, ll, dv / hn)
+            add(iF + n[0], jF + n[1], kk, ll, -dv / hn)
+
+    flat = np.arange(N)
+    rows.append(flat)
+    cols.append(flat)
+    vals.append(-force.derivative(u[1:-1, 1:-1]).ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N)).tocsc()
+
+
+class TestJacobianPattern:
+    FORCES = {"power": {"kind": "power", "q": 3},
+              "table": {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1.2, 1.5], [1.6, 4.0]]},
+              "exp": {"kind": "exp-minus-one"}}
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), Grid2D(0.7, 11, 8),
+                                      grid_for_ell(1, 17), grid_for_ell(2, 33)],
+                             ids=["8x9", "11x8", "ell1-17", "ell2-33"])
+    def test_bit_identical_to_the_coo_assembly(self, grid, p):
+        # random fields, and the flat start, where eps = 1e-300 underflows and
+        # the stored values include +-0, inf (p = 1.5) and NaN (p = 1.5)
+        rng = np.random.default_rng(11)
+        flat = np.full((grid.nx, grid.ny), 2.0)
+        for name, spec in self.FORCES.items():
+            force = make_force(spec)
+            for u, eps in ((1.0 + rng.random(flat.shape), 1e-8), (flat, 1e-8), (flat, 1e-300)):
+                with np.errstate(all="ignore"):
+                    want = coo_jacobian(u, grid, p, eps, force)
+                    got = _assemble_jacobian(u, grid, p, eps, force)
+                assert got.format == "csc" and got.shape == want.shape
+                assert np.array_equal(got.indptr, want.indptr), name
+                assert np.array_equal(got.indices, want.indices), name
+                assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
+
+    def test_build_and_assembly_peak_below_the_coo_assembly(self):
+        g = grid_for_ell(2, 65)
+        u = 1.0 + np.random.default_rng(12).random((g.nx, g.ny))
+        force = make_force(kind="power", q=6)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        coo_jacobian(u, g, 3.0, 1e-8, force)     # warm both paths outside the trace
+        pde2d._jacobian_pattern.cache_clear()
+        build = peak(lambda: pde2d._jacobian_pattern(g.nx, g.ny, True))
+        assembly = peak(lambda: _assemble_jacobian(u, g, 3.0, 1e-8, force))
+        reference = peak(lambda: coo_jacobian(u, g, 3.0, 1e-8, force))
+        assert build <= reference and assembly <= reference, (build, assembly, reference)
 
 
 class TestSolveDirichlet:

@@ -5,12 +5,11 @@ from .errors import (BlowupLabError, BracketError, ConfigError, DivergenceError,
                      DomainExceededError, ProfileDomainError, SolverError,
                      ValidationError)
 from .harness import ExperimentConfig, ExperimentReport, compare_runs, run
-from .ko import A5Report, BlowupRateFn, KOReport, check_a5, classify, length_scale, phi, psi
+from .ko import A5Report, BlowupRateFn, KOReport, check_a5, classify, length_scale, psi
 from .ode1d import (Profile1D, dead_core_profile, decay_sweep, ell_of_v0,
                     eval_profile, large_profile, v0_of_ell)
-from .pde2d import (CrossSectionReport, DiscreteField, Grid2D, SolverConfig,
-                    cross_section_compare, escalate_m, grid_for_ell, residual,
-                    solve_dirichlet)
+from .pde2d import (CrossSectionReport, DiscreteField, Grid2D, cross_section_compare,
+                    escalate_m, grid_for_ell, residual, solve_dirichlet)
 from .radial import (LocalBoundReport, RadialProfile, annulus_barrier,
                      ball_large_solution, blowup_radius, local_bound_check,
                      shoot_ball)
@@ -23,10 +22,10 @@ __all__ = [
     "CrossSectionReport", "DiscreteField", "DivergenceError", "DomainExceededError",
     "ExperimentConfig", "ExperimentReport", "Force", "Grid2D", "KOReport",
     "LocalBoundReport", "Operator", "Profile1D", "ProfileDomainError", "RadialProfile",
-    "SolverConfig", "SolverError", "ValidationError", "annulus_barrier",
+    "SolverError", "ValidationError", "annulus_barrier",
     "ball_large_solution", "blowup_radius", "check_a5", "classify", "compare_runs",
     "cross_section_compare", "dead_core_profile", "decay_sweep", "ell_of_v0",
     "escalate_m", "eval_profile", "grid_for_ell", "large_profile", "length_scale",
-    "local_bound_check", "make_force", "make_operator", "phi", "psi", "residual",
+    "local_bound_check", "make_force", "make_operator", "psi", "residual",
     "run", "shoot_ball", "solve_dirichlet", "v0_of_ell",
 ]

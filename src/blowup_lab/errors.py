@@ -30,7 +30,8 @@ class ProfileDomainError(BlowupLabError):
 
 
 class SolverError(BlowupLabError):
-    """The nonlinear grid solver failed to converge or overflowed."""
+    """A nonlinear solve failed to converge or overflowed: the 2D grid
+    solver, or the Newton inversion of the 1D implicit relation."""
 
 
 class ConfigError(BlowupLabError):

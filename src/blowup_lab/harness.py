@@ -1,8 +1,9 @@
 """Experiment orchestration: JSON configs in, CSV/JSON artifacts and reports out.
 
 One config file describes one experiment (kind + force + operator + numeric
-parameters).  ``run`` dispatches to the computational modules and records one
-pass/fail entry per check (a failing check never aborts the rest).  Each
+parameters; the numerical method's settings are module constants, not keys).
+``run`` dispatches to the computational modules and records one pass/fail
+entry per check (a failing check never aborts the rest).  Each
 artifact is written by one ``_Manifest.add``, which also hashes it into
 ``report.files``; the bytes come from :mod:`blowup_lab.artifacts`.  Wall-clock
 timings sit in a separate section so that reports stay comparable across runs.
@@ -10,7 +11,6 @@ Runs are seedless and deterministic: identical configs give identical bytes.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -29,6 +29,8 @@ from .registry import Force, Operator, make_force, make_operator
 
 KINDS = ("ko-check", "solve-1d", "ell-map", "dead-core", "radial",
          "cylinder", "asymptotics")
+PROBE_OFFSET = 0.1              # dead-core: the relation is checked this far outside the core
+ASYMPTOTIC_DISTANCE = 1e-3      # radial: w(R - d) / Phi(d) is graded at this d
 
 _FORCE_SCHEMA = {
     "type": "object",
@@ -70,8 +72,6 @@ _PARAMS_SCHEMA = {
         # solve-1d / asymptotics
         "ell": {"type": "number", "exclusiveMinimum": 0},
         "v0": {"type": "number", "exclusiveMinimum": 0},
-        "n_body": {"type": "integer", "minimum": 2},
-        "n_edge": {"type": "integer", "minimum": 2},
         "distances": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
                       "minItems": 1},
         # ell-map
@@ -79,23 +79,16 @@ _PARAMS_SCHEMA = {
                     "minItems": 1},
         # dead-core
         "ell_offset": {"type": "number", "exclusiveMinimum": 0},
-        "probe_offset": {"type": "number"},
         # radial
         "n": {"type": "integer", "minimum": 1},
         "R_target": {"type": "number", "exclusiveMinimum": 0},
         "r_inner": {"type": "number", "exclusiveMinimum": 0},
         "r_outer": {"type": "number", "exclusiveMinimum": 0},
-        "asymptotic_distance": {"type": "number", "exclusiveMinimum": 0},
         # cylinder
         "ells": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
                  "minItems": 1},
         "nx": {"type": "integer", "minimum": 8},
-        "m_start": {"type": "number", "exclusiveMinimum": 0},
         "max_levels": {"type": "integer", "minimum": 1},
-        "tol_m": {"type": "number", "exclusiveMinimum": 0},
-        "layer_factor": {"type": "number", "exclusiveMinimum": 0},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "tol_res": {"type": "number", "exclusiveMinimum": 0},
         "local_bound_R": {"type": "number", "exclusiveMinimum": 0},
         "translation_y": {"type": "number"},
         "expect_ko_violation": {"type": "boolean"},
@@ -268,8 +261,8 @@ def _run_ko_check(op, force, params, manifest) -> list[CheckResult]:
     return checks
 
 
-def _profile_checks(profile, n_probe=20) -> list[CheckResult]:
-    xs = np.linspace(0.0, 0.9 * profile.ell, n_probe)
+def _profile_checks(profile) -> list[CheckResult]:
+    xs = np.linspace(0.0, 0.9 * profile.ell, 20)
     res = max(profile.implicit_residual(xs).tolist())
     checks = [CheckResult("implicit-relation", res <= 1e-8, res, 1e-8)]
     body = [(x, v) for x, v in profile.samples if x <= 0.95 * profile.ell]
@@ -295,8 +288,7 @@ def _run_solve_1d(op, force, params, manifest) -> list[CheckResult]:
         if v0 == 0.0:
             raise ConfigError(
                 f"ell = {ell:g} lies in the dead-core regime; use kind 'dead-core'")
-    profile = ode1d.large_profile(op, force, v0,
-                                  params.get("n_body", 161), params.get("n_edge", 40))
+    profile = ode1d.large_profile(op, force, v0)
     manifest.add("profile.csv", profile.to_csv)
     manifest.add("profile.json", profile.to_json)
     checks = [CheckResult("solved", True, {"v0": v0, "ell": profile.ell})]
@@ -334,8 +326,7 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
     if not ell > L:
         raise ConfigError(f"a dead core needs ell > L = {L:g}, got ell = {ell:g}")
     L_refined = ko_mod.length_scale(op, force, max_blocks=56)
-    profile = ode1d.dead_core_profile(op, force, ell,
-                                      params.get("n_body", 161), params.get("n_edge", 40))
+    profile = ode1d.dead_core_profile(op, force, ell)
     manifest.add("profile.csv", profile.to_csv)
     manifest.add("profile.json", profile.to_json)
     core = profile.dead_core[1]
@@ -347,8 +338,7 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
         CheckResult("core-zero", at_zero == 0.0 and inside == 0.0, inside),
         CheckResult("core-edge-continuity", edge <= 1e-3, edge, 1e-3),
     ]
-    probe = core + float(params.get("probe_offset", 0.1))
-    res = profile.implicit_residual(probe)
+    res = profile.implicit_residual(core + PROBE_OFFSET)
     checks.append(CheckResult("implicit-relation-outside-core", res <= 1e-8, res, 1e-8))
     checks.extend(_expect_checks(params.get("expect", {}), {"L": L, "core": core}))
     return checks
@@ -402,7 +392,7 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
         checks.append(CheckResult("nondecreasing", bool(np.all(np.diff(prof.w) >= -1e-12)),
                                   float(np.min(np.diff(prof.w)))))
         ratio, detail = _boundary_ratio(op, force, prof, ko_mod.BlowupRateFn(op, force),
-                                        float(params.get("asymptotic_distance", 1e-3)))
+                                        ASYMPTOTIC_DISTANCE)
         checks.append(CheckResult("boundary-asymptotic-ratio", ratio is not None
                                   and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     checks.insert(0, CheckResult("profile", True, {"n": n, "v0": prof.v0, "R": prof.R}))
@@ -411,9 +401,7 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
 
 def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     ells = [float(e) for e in params.get("ells", [1.0, 2.0, 4.0])]
-    cfg = pde2d.SolverConfig(**{f.name: params[f.name]
-                                for f in dataclasses.fields(pde2d.SolverConfig)
-                                if f.name in params})
+    max_levels = int(params.get("max_levels", pde2d.MAX_LEVELS))
     nx = int(params.get("nx", 65))
     expect_violation = bool(params.get("expect_ko_violation", False))
     R_bound = float(params.get("local_bound_R", 0.8))
@@ -431,7 +419,7 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
     checks: list[CheckResult] = []
     results = []
     for ell, grid in zip(ells, grids):
-        res = pde2d.escalate_m(grid, op, force, cfg)
+        res = pde2d.escalate_m(grid, op, force, max_levels=max_levels)
         results.append(res)
         tag = format(ell, "g")
         manifest.add(f"field_ell{tag}.csv", res.field.to_csv)
@@ -443,14 +431,14 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
                      map(astuple, res.levels))
 
         increments = [lv.min_increment for lv in res.levels[1:]]
-        if increments:      # none when m_start is already at the layer cap
+        if increments:      # none when M_START is already at the layer cap
             worst_mono = min(increments)
             checks.append(CheckResult(f"m-monotone-ell{tag}", worst_mono >= -1e-10,
                                       worst_mono, -1e-10))
         defect = pde2d.symmetry_defect(res.field)
         checks.append(CheckResult(f"symmetry-ell{tag}", defect <= 1e-8, defect, 1e-8))
         energies = [lv.grad_energy_K for lv in res.levels]
-        # a flat level (energy 0: m_start small enough to pass tol_res
+        # a flat level (energy 0: M_START small enough to pass TOL_RES
         # unsolved) has no relative growth
         rel = [(b - a) / a for a, b in zip(energies, energies[1:]) if a > 0.0]
         if not expect_violation:
@@ -536,8 +524,7 @@ def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     if "R_target" in params:
         n = int(params.get("n", 2))
         prof = radial.ball_large_solution(op, force, n, float(params["R_target"]))
-        ratio, detail = _boundary_ratio(op, force, prof, rate,
-                                        float(params.get("asymptotic_distance", 1e-3)))
+        ratio, detail = _boundary_ratio(op, force, prof, rate, ASYMPTOTIC_DISTANCE)
         checks.append(CheckResult("radial-phi-ratio", ratio is not None
                                   and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     return checks

@@ -44,17 +44,16 @@ def psi(op: Operator, force: Force, r):
 
 
 def length_scale(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> float:
-    """L = int_0^inf ds / B^-1{F(s)}; finite only in the dead-core regime."""
-    crossing = qk.ceiling_crossing(op, force)
-    if crossing is not None:
-        raise DomainExceededError(
-            f"F reaches B_sup = {op.energy_sup:g} at s ~ {crossing:.6g}")
-    g = qk.shifted_integrand(op, force, 0.0)
-    low = qk.require_converged(qk.integrate_to_zero(g, 1.0, max_blocks=max_blocks),
-                               "int_0^1 ds/B^-1{F}")
-    high = qk.require_converged(qk.integrate_to_infinity(g, 1.0, max_blocks=max_blocks),
-                                "Psi(1)")
-    return low + high
+    """L = int_0^inf ds / B^-1{F(s)} as :func:`classify` measures it; finite
+    only in the dead-core regime.  Raises :class:`DomainExceededError` at a
+    finite energy ceiling and :class:`DivergenceError` when either end diverges."""
+    report = classify(op, force, max_blocks)
+    if report.L is not None:
+        return report.L
+    if report.ko_holds is None:
+        raise DomainExceededError(report.diagnostics["domain_exceeded"])
+    end = "0+ end (Osgood)" if report.osgood_holds else "tail (KO fails)"
+    raise DivergenceError(f"L = int_0^inf ds/B^-1{{F}} diverges at its {end}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,10 @@ def _frontier_note(op: Operator, force: Force) -> Optional[str]:
     return "; ".join(parts)
 
 
-def classify(op: Operator, force: Force) -> KOReport:
-    """Classify KO / Osgood / dead-core by quadrature; never decides past a
-    finite energy ceiling (reports the crossing instead)."""
+def classify(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> KOReport:
+    """Classify KO / Osgood / dead-core by quadrature, each ladder at most
+    ``max_blocks`` blocks long; never decides past a finite energy ceiling
+    (reports the crossing instead)."""
     diagnostics: dict = {}
     crossing = qk.ceiling_crossing(op, force)
     g = qk.shifted_integrand(op, force, 0.0)
@@ -107,7 +107,7 @@ def classify(op: Operator, force: Force) -> KOReport:
             "the tail condition is undecidable for this operator")
         diagnostics["ceiling_crossing"] = crossing
     else:   # F stays below B_sup, so the integrand cannot raise a domain error
-        est = qk.integrate_to_infinity(g, 1.0)
+        est = qk.integrate_to_infinity(g, 1.0, max_blocks=max_blocks)
         ko = est.converged
         if ko:
             diagnostics["psi_at_1"] = est.value
@@ -117,7 +117,7 @@ def classify(op: Operator, force: Force) -> KOReport:
 
     # 0+ side; only needs F below the ceiling on (0, s_hi]
     s_hi = 1.0 if crossing is None else min(1.0, 0.5 * crossing)
-    zero_est = qk.integrate_to_zero(g, s_hi)
+    zero_est = qk.integrate_to_zero(g, s_hi, max_blocks=max_blocks)
     if zero_est.converged:
         osgood, a3 = False, True
         diagnostics["zero_integral"] = zero_est.value
@@ -204,10 +204,6 @@ class BlowupRateFn:
             "r", f"has Psi(r) = {d:g}", start))
 
 
-def phi(rate: BlowupRateFn, d: float) -> float:
-    return rate.phi(d)
-
-
 # ---------------------------------------------------------------------------
 # asymptotic-uniqueness ratio check
 # ---------------------------------------------------------------------------
@@ -231,25 +227,26 @@ class A5Report:
         return {k: getattr(self, k) for k in ("betas", "infima", "margins", "likely_holds")}
 
 
-def check_a5(force: Force, op: Operator, betas: Sequence[float],
-             t_lo: float = 1e2, t_hi: float = 1e6, n_t: int = 17,
-             margin: float = 1e-3) -> A5Report:
-    """Evaluate Psi(beta*t)/Psi(t) on a log grid, where Psi(t) > 0, and report running infima."""
+A5_T_GRID = np.logspace(2.0, 6.0, 17)  # t in [1e2, 1e6]
+A5_MARGIN = 1e-3                        # likely_holds needs every margin above this
+
+
+def check_a5(force: Force, op: Operator, betas: Sequence[float]) -> A5Report:
+    """Evaluate Psi(beta*t)/Psi(t) on A5_T_GRID, where Psi(t) > 0, and report running infima."""
     for b in betas:
         if not 0.0 < b < 1.0:
             raise ValueError(f"beta must lie in (0,1), got {b}")
-    grid = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
-    table = psi(op, force, np.outer([1.0, *betas], grid))     # rows t, then beta t per beta
+    table = psi(op, force, np.outer([1.0, *betas], A5_T_GRID))     # rows t, then beta t per beta
     keep = table[0] > 0.0
-    ts = grid[keep].tolist()
+    ts = A5_T_GRID[keep].tolist()
     if not ts:
-        raise DomainExceededError(f"Psi(t) reads 0 from t = {t_lo:g}: F(t) overflows")
+        raise DomainExceededError(f"Psi(t) reads 0 from t = {A5_T_GRID[0]:g}: F(t) overflows")
     infima, margins, ratios = [], [], {}
     for b, row in zip(betas, table[1:]):
         ratios[b] = rs = (row[keep] / table[0][keep]).tolist()
         inf_tail = min(rs[len(rs) // 2:])   # sampled infimum on the grid tail
         infima.append(min(rs))
         margins.append(inf_tail - 1.0)
-    likely = all(m > margin for m in margins)
+    likely = all(m > A5_MARGIN for m in margins)
     return A5Report(tuple(float(b) for b in betas), tuple(infima), tuple(margins),
                     likely, tuple(ts), ratios)

@@ -25,7 +25,7 @@ from scipy.integrate import cubature, tanhsinh
 from . import ko as ko_mod
 from . import quadrature as qk
 from .artifacts import write_csv, write_json
-from .errors import DivergenceError, ProfileDomainError
+from .errors import DivergenceError, ProfileDomainError, SolverError
 from .registry import Force, Operator
 
 _V_LIMIT = 1e280
@@ -41,11 +41,17 @@ def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
     """
     if not v0 > 0.0:
         raise ValueError("ell_of_v0 needs v0 > 0")
+    return _head_and_total(op, force, v0)[2]
+
+
+def _head_and_total(op: Operator, force: Force, v0: float) -> tuple[float, float, float]:
+    """(h0, head, head + tail) of int_{v0}^inf ds / B^-1{F(s) - F(v0)}, split
+    at v0 + h0 with h0 = max(v0, 1)/2; raises like :func:`ell_of_v0`."""
     h0 = 0.5 * max(v0, 1.0)
     head = qk.singular_head(op, force, v0, v0 + h0)
     tail = qk.require_converged(qk.shifted_tail(op, force, v0, v0 + h0),
-                                f"ell({v0:g}) tail")
-    return head + tail
+                                f"the blow-up integral from {v0:g}: tail")
+    return h0, head, head + tail
 
 
 def _invert_integral(h, a, b, target, z):
@@ -59,6 +65,8 @@ def _invert_integral(h, a, b, target, z):
     _NEWTON_RTOL * |z| (a zero step included), never on the bracket width.
     Each step is one h(z) and one ``integrate_block`` call over the points
     left; their rows are independent, so no point depends on the others.
+    Raises :class:`SolverError` when points still move after
+    _NEWTON_MAX_STEPS steps.
     """
     a, b, target, z = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, target, z))
     out, live = z.copy(), np.arange(z.size)
@@ -80,8 +88,8 @@ def _invert_integral(h, a, b, target, z):
             return out
         acc = acc + qk.integrate_block(h, z, z_new)
         z = z_new
-    out[live] = z
-    return out
+    raise SolverError(f"the implicit relation left {live.size} point(s) unconverged "
+                      f"after {_NEWTON_MAX_STEPS} Newton steps")
 
 
 class _ImplicitBranch:
@@ -102,10 +110,7 @@ class _ImplicitBranch:
         self.op, self.force, self.v0 = op, force, v0
         self._g = qk.shifted_integrand(op, force, v0)
         self._sub = qk.head_substitution(op, force, v0)
-        self.h0 = 0.5 * max(v0, 1.0)
-        self.head_full = qk.singular_head(op, force, v0, v0 + self.h0)
-        self.total = self.head_full + qk.require_converged(
-            qk.shifted_tail(op, force, v0, v0 + self.h0), "blow-up integral tail")
+        self.h0, self.head_full, self.total = _head_and_total(op, force, v0)
         self._knots = [v0 + self.h0]
         self._cum = [self.head_full]
         self._cover(self.total * (1.0 - 1e-3))

@@ -1,7 +1,7 @@
 """Finite-difference solver for div(|grad u|^{p-2} grad u) = f(u) on rectangles.
 
 Discretization: face fluxes gamma_face * (du/dn)/h with
-gamma = (|grad u|^2 + eps^2)^{(p-2)/2}; the face gradient takes the normal
+gamma = (|grad u|^2 + EPS^2)^{(p-2)/2}; the face gradient takes the normal
 difference plus an averaged tangential difference.  Each formula lives once:
 _face_differences (the y-faces are the x-face call on u.T), _face_gamma, and
 _flux_derivatives for every Jacobian.  For p = 2 the scheme is exactly the
@@ -9,7 +9,7 @@ _flux_derivatives for every Jacobian.  For p = 2 the scheme is exactly the
 (9-point, or 5-point for p = 2, where the tangential entries vanish), for
 p > 2 from the half-line boundary-layer profile U(d) = Phi(Psi(m) + d) of
 Bandle & Marcus (J. Anal. Math. 58, 1992), where u = m would leave gamma =
-eps^{p-2} and a flat Newton step; a stalled solve restarts once from it.
+EPS^{p-2} and a flat Newton step; a stalled solve restarts once from it.
 The Jacobian's sparsity pattern is built once per grid; each step sums its
 terms in scipy's COO-to-CSC order, so the matrix is bit-identical to a COO one.
 The sparse LU of the last Jacobian is kept, also across m levels: a chord
@@ -24,8 +24,9 @@ predictor.  A fixed grid cannot follow the boundary layer once
 its width Psi_p(m) drops below the mesh size - past that point the discrete
 solution at boundary-adjacent nodes grows without bound (there is no
 discrete analogue of the interior blow-up bound), so besides the increment
-plateau test the escalation ends at the m* with Psi_p(m*) = layer_factor * h:
-the doubling that would pass m* steps to m* itself.
+plateau test the escalation ends at the m* with Psi_p(m*) = LAYER_FACTOR * h:
+the doubling that would pass m* steps to m* itself.  The method's settings
+are the constants below; only the number of levels is a caller's choice.
 """
 from __future__ import annotations
 
@@ -48,7 +49,13 @@ from .registry import Force, Operator
 _CHORD_CONTRACTION = 0.5    # a chord step must cut the scaled residual by this
 MAX_NEWTON = 60             # Newton steps per solve, in 2D and on the cross-section
 MAX_HALVINGS = 30           # line-search halvings per damped step, likewise
+EPS = 1e-8                  # gradient regularization
+TOL_RES = 1e-9              # scaled residual sup-norm of a converged field
+M_START = 2.0               # boundary data of the first level
 M_FACTOR = 2.0              # the escalation doubles m per level
+MAX_LEVELS = 24             # default cap on the number of levels
+TOL_M = 1e-4                # increment plateau tolerance on K
+LAYER_FACTOR = 0.5          # cap: stop once Psi_p(m) <= LAYER_FACTOR * h
 COMPACT_SCALE = 0.75        # K = the centered sub-rectangle at this scale
 X_WINDOW = 0.9              # slices are graded on |x| <= X_WINDOW
 
@@ -121,26 +128,11 @@ def grid_for_ell(ell: float, nx: int = 65) -> Grid2D:
     return Grid2D(ell, nx, ny)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    eps: float = 1e-8            # gradient regularization
-    tol_res: float = 1e-9        # scaled residual sup-norm
-    m_start: float = 2.0
-    max_levels: int = 24
-    tol_m: float = 1e-4          # increment plateau tolerance on K
-    layer_factor: float = 0.5    # cap: stop once Psi_p(m) <= layer_factor * h
-
-    def __post_init__(self):
-        if not (self.eps > 0 and self.tol_res > 0):
-            raise ValidationError("eps and tol_res must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteField:
     grid: Grid2D
     values: np.ndarray          # (nx, ny), boundary rows/cols hold m
     m: float
-    eps: float
     op: Operator
     force: Force
     diagnostics: dict = field(default_factory=dict)
@@ -163,7 +155,7 @@ class DiscreteField:
     def to_json(self, path) -> None:
         write_json(path, {
             "grid": {"ell": self.grid.ell, "nx": self.grid.nx, "ny": self.grid.ny},
-            "m": self.m, "eps": self.eps,
+            "m": self.m, "eps": EPS,
             "operator": self.op.describe(), "force": self.force.describe(),
             "diagnostics": self.diagnostics,
         })
@@ -220,8 +212,7 @@ def _residual_interior(u, grid, p, eps, force):
 
 def residual(field_: DiscreteField) -> np.ndarray:
     """The interior residual of the field, zero-padded on the boundary."""
-    R, _ = _residual_interior(field_.values, field_.grid, field_.op.p, field_.eps,
-                              field_.force)
+    R, _ = _residual_interior(field_.values, field_.grid, field_.op.p, EPS, field_.force)
     return np.pad(R, 1)
 
 
@@ -411,13 +402,12 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
 
 
 def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
-                    cfg: SolverConfig = SolverConfig(),
                     initial: Optional[np.ndarray] = None, *,
                     factor: Optional[list] = None) -> DiscreteField:
     """Converged field for boundary data m, from the given start, else from
     the boundary-layer profile of :func:`_layer_profile` for p > 2 and from
-    u = m for p <= 2 (where gamma = eps^{p-2} >= 1 on the flat start), by
-    :func:`_newton` to ``cfg.tol_res`` with the LU slot ``factor``."""
+    u = m for p <= 2 (where gamma = EPS^{p-2} >= 1 on the flat start), by
+    :func:`_newton` to TOL_RES with the LU slot ``factor``."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
     if m < 0.0:
@@ -428,10 +418,10 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
          if p > 2.0 else np.full((grid.nx, grid.ny), float(m)))
     u[0, :] = m; u[-1, :] = m; u[:, 0] = m; u[:, -1] = m
     u, diagnostics = _newton(u, m, dist, op, force,
-                             lambda v: _residual_interior(v, grid, p, cfg.eps, force),
-                             lambda v: _assemble_jacobian(v, grid, p, cfg.eps, force),
-                             cfg.tol_res, [None] if factor is None else factor, "")
-    return DiscreteField(grid, u, float(m), cfg.eps, op, force, diagnostics)
+                             lambda v: _residual_interior(v, grid, p, EPS, force),
+                             lambda v: _assemble_jacobian(v, grid, p, EPS, force),
+                             TOL_RES, [None] if factor is None else factor, "")
+    return DiscreteField(grid, u, float(m), op, force, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -467,60 +457,62 @@ def gradient_energy(field_: DiscreteField, mask: np.ndarray) -> float:
     return float(np.sum((mag[cell_in] ** field_.op.p)) * g.hx * g.hy)
 
 
-def layer_cap_m(op: Operator, force: Force, grid: Grid2D, cfg: SolverConfig) -> Optional[float]:
-    """The m* = Phi_p(layer_factor * h), where Psi_p(m*) = layer_factor * h, or
+def layer_cap_m(op: Operator, force: Force, grid: Grid2D, *,
+                max_levels: int = MAX_LEVELS) -> Optional[float]:
+    """The m* = Phi_p(LAYER_FACTOR * h), where Psi_p(m*) = LAYER_FACTOR * h, or
     None when the tail functional diverges (KO fails: no cap, escalation must
     be caught by the no-plateau detector).
 
     m* is solved for (to about 1e-12 relative) rather than rounded to the
     doubling schedule, so grids of every mesh width stop at the same layer
-    resolution.  The cap is clamped to the schedule [m_start, m_start *
+    resolution.  The cap is clamped to the schedule [M_START, M_START *
     M_FACTOR^max_levels]; when Phi cannot bracket m* in [1e-14, 1e14] (or
-    layer_factor * h reaches a dead core's L), Psi_p(m_start) tells which
+    LAYER_FACTOR * h reaches a dead core's L), Psi_p(M_START) tells which
     end it is."""
-    target = cfg.layer_factor * max(grid.hx, grid.hy)
+    target = LAYER_FACTOR * max(grid.hx, grid.hy)
     try:
         m = ko_mod.BlowupRateFn(op, force).phi(target)
     except DivergenceError:
         return None
     except BracketError:
-        m = 0.0 if ko_mod.psi(op, force, cfg.m_start) <= target else math.inf
+        m = 0.0 if ko_mod.psi(op, force, M_START) <= target else math.inf
     with np.errstate(over="ignore"):    # a long schedule may end at inf
-        m_end = cfg.m_start * np.float64(M_FACTOR) ** cfg.max_levels
-    return float(min(max(m, cfg.m_start), m_end))
+        m_end = M_START * np.float64(M_FACTOR) ** max_levels
+    return float(min(max(m, M_START), m_end))
 
 
-def escalate_m(grid: Grid2D, op: Operator, force: Force,
-               cfg: SolverConfig = SolverConfig()) -> EscalationResult:
-    """Escalate the boundary data m (doubling) toward the blow-up limit.
+def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
+               max_levels: int = MAX_LEVELS) -> EscalationResult:
+    """Escalate the boundary data m (doubling from M_START, at most
+    ``max_levels`` levels) toward the blow-up limit.
     Each level starts from the tangent predictor u_prev + (m - m_prev) du/dm,
     J du/dm = -J e (e = 1 on the boundary), solved with the previous level's
     last LU, which its solve then reuses; without an LU, from u_prev.  Stops
     at the increment plateau on the interior compact K
     or at the layer-resolution cap m* of :func:`layer_cap_m`, whichever comes
     first; a doubling that would pass m* steps to m* instead, so a capped
-    escalation ends exactly at Psi_p(m) = layer_factor * h.  A schedule that
+    escalation ends exactly at Psi_p(m) = LAYER_FACTOR * h.  A schedule that
     exhausts with non-decreasing increments is flagged as numerically
     violating the blow-up growth condition."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
-    m_cap = layer_cap_m(op, force, grid, cfg)
+    m_cap = layer_cap_m(op, force, grid, max_levels=max_levels)
     lu = [None]         # the last LU of a level, carried into the next
     mask = None
     prev = None
     levels: list[EscalationLevel] = []
     field_ = None
-    m = cfg.m_start
+    m = M_START
     stop = "schedule-exhausted"
     sup_incs: list[float] = []
-    for _ in range(cfg.max_levels):
+    for _ in range(max_levels):
         start = None if prev is None else prev.values
         if prev is not None and lu[0] is not None:      # the tangent predictor
             e = np.pad(np.zeros((grid.nx - 2, grid.ny - 2)), 1, constant_values=1.0)
-            Je = _jacobian_times(start, e, grid, op.p, cfg.eps, force)
+            Je = _jacobian_times(start, e, grid, op.p, EPS, force)
             du = np.pad(lu[0].solve(-Je.ravel()).reshape(Je.shape), 1)
             start = start + (m - prev.m) * (e + du)
-        field_ = solve_dirichlet(grid, op, force, m, cfg, initial=start, factor=lu)
+        field_ = solve_dirichlet(grid, op, force, m, initial=start, factor=lu)
         if mask is None:
             mask = field_.compact_mask()
         center = float(field_.values[(grid.nx - 1) // 2, (grid.ny - 1) // 2])
@@ -534,7 +526,7 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force,
         levels.append(EscalationLevel(m, center, sup_inc, min_inc,
                                       gradient_energy(field_, mask),
                                       field_.diagnostics["iterations"]))
-        if sup_inc is not None and sup_inc <= cfg.tol_m:
+        if sup_inc is not None and sup_inc <= TOL_M:
             stop = "plateau"
             break
         if m_cap is not None and m >= m_cap:
@@ -590,7 +582,7 @@ def symmetry_defect(field_: DiscreteField) -> float:
 
 def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
     """w on the field's x-nodes: the y-independent solution of the same
-    face-flux scheme with the field's m, eps, force and x-grid.
+    face-flux scheme with the field's m, force and x-grid.
 
     Away from the ends y = +-ell the mid-slice u(x, 0) converges to w as ell
     grows; w differs from the 1D large solution v by the discretisation error
@@ -598,16 +590,16 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
     :func:`_newton`, on the tridiagonal 1D reduction to a scaled residual of
     1e-12, started from the mid-slice."""
     g, force = field_.grid, field_.force
-    p, eps, hx = field_.op.p, field_.eps, g.hx
+    p, hx = field_.op.p, g.hx
 
     def residual_1d(w):
         # the 2D residual of a strip constant in y: tangential differences
         # and the y-fluxes vanish, so this is the scheme's 1D reduction
-        R, fu = _residual_interior(np.repeat(w[:, None], 3, axis=1), g, p, eps, force)
+        R, fu = _residual_interior(np.repeat(w[:, None], 3, axis=1), g, p, EPS, force)
         return R[:, 0], fu[:, 0]
 
     def jacobian_1d(w):
-        dF = _flux_derivatives(np.diff(w) / hx, 0.0, p, eps)[0] / (hx * hx)   # g_t = 0
+        dF = _flux_derivatives(np.diff(w) / hx, 0.0, p, EPS)[0] / (hx * hx)   # g_t = 0
         return sp.diags([dF[1:-1], -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1]),
                          dF[1:-1]], [-1, 0, 1], format="csc")
 

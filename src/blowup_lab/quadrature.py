@@ -219,9 +219,8 @@ def primitive_gap(force: Force, v0: float, gap):
 
 def shifted_integrand(op: Operator, force: Force, v0: float) -> Callable:
     """Array integrand s -> 1/B^-1{F(s) - F(v0)} (a float for scalar s): 0
-    where F overflows, inf where F(s) <= F(v0), and DomainExceededError at
-    the energy ceiling, in that order."""
-    sup = op.energy_sup
+    where F overflows and inf where F(s) <= F(v0).  Callers keep s below a
+    finite energy ceiling (:func:`ceiling_crossing`); past it B^-1 raises."""
     einv = op.energy_inverse
 
     def g(s):
@@ -230,10 +229,6 @@ def shifted_integrand(op: Operator, force: Force, v0: float) -> Callable:
             y = np.atleast_1d(primitive_gap(force, v0, s - v0))
             out = np.where(y <= 0.0, math.inf, 0.0)     # 0 where F overflowed
             pos = np.isfinite(y) & (y > 0.0)
-            if sup < math.inf and np.any(y[pos] >= sup):
-                k = np.argmax(pos & (y >= sup))
-                raise DomainExceededError(f"F({s.flat[k]:g}) - F({v0:g}) = {y.flat[k]:g} "
-                                          f"reached the energy ceiling B_sup = {sup:g}")
             out[pos] = 1.0 / einv(y[pos])
         return out if s.ndim else float(out[0])
 
@@ -309,8 +304,7 @@ def singular_head(op: Operator, force: Force, v0: float, upper: float) -> float:
     return integrate_block(sub.density, 0.0, sub.u_of(upper))
 
 
-def shifted_tail(op: Operator, force: Force, v0: float, start,
-                 *, max_blocks: int = MAX_BLOCKS):
+def shifted_tail(op: Operator, force: Force, v0: float, start):
     """int_start^inf ds / B^-1{F(s) - F(v0)}, one ladder per element of an
     array of starts (a list); raises on a finite ceiling in range."""
     crossing = ceiling_crossing(op, force, force.primitive(v0))
@@ -320,8 +314,8 @@ def shifted_tail(op: Operator, force: Force, v0: float, start,
             "the tail integral is not defined for this operator")
     g = shifted_integrand(op, force, v0)
     if np.asarray(start).ndim:
-        return _block_ladders(g, [_doubling_head(s) for s in np.ravel(start)], 2.0, max_blocks)
-    return integrate_to_infinity(g, start, max_blocks=max_blocks)
+        return _block_ladders(g, [_doubling_head(s) for s in np.ravel(start)], 2.0, MAX_BLOCKS)
+    return integrate_to_infinity(g, start)
 
 
 def require_converged(est: TailEstimate, what: str) -> float:

@@ -163,9 +163,6 @@ class RadialProfile:
             return self.v0
         return float(self._state([r])[0][0])
 
-    def slope(self, r: float) -> float:
-        return self.op.flux_inverse(float(self._state([r])[1][0]))
-
     def residual(self, r_pts: np.ndarray) -> np.ndarray:
         """Scaled equation residual from the dense output:
         (dz/dr + (n-1)/r z - f(w)) / max(1, f(w)), dz/dr a centered difference
@@ -247,13 +244,13 @@ def ball_large_solution(op: Operator, force: Force, n: int,
 
 
 def annulus_barrier(op: Operator, force: Force, n: int, r_inner: float,
-                    r_outer: float, w_cap: float = W_CAP) -> RadialProfile:
+                    r_outer: float) -> RadialProfile:
     """Barrier on the annulus: zero at r_outer, blow-up at r_inner, found by
     root finding on t = log s for the outer slope w'(r_outer) = -s."""
     _check_operator(op, n)
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
-    w_end, psi_end = _end_point(op, force, w_cap)
+    w_end, psi_end = _end_point(op, force, W_CAP)
     r_floor = 0.25 * r_inner
 
     def inward_blowup(t: float, dense: bool = False):

@@ -340,10 +340,6 @@ def _validate_operator(op: Operator) -> None:
     Bv = op.energy(grid)
     if op.energy(0.0) != 0.0 or np.any(np.diff(Bv) <= 0.0):
         raise ValidationError("B must vanish at 0 and be strictly increasing")
-    # Q(r) * r == A(r) on the sampled grid
-    qr = op.coefficient(grid) * grid
-    if np.max(np.abs(qr - op.flux(grid))) > 1e-12 * np.max(np.abs(qr)):
-        raise ValidationError("Q(r)*r must equal A(r)")
     # round trip B(B^-1(y)) = y on [0, 0.99 B_sup)
     if math.isinf(op.energy_sup):
         ys = np.logspace(-6, math.log10(op.energy(1e6)), 25)

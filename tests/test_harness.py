@@ -1,14 +1,24 @@
+import ast
 import csv
+import importlib.util
 import json
 import tempfile
 import time
+from functools import partial
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowup_lab import (ConfigError, ExperimentConfig, SolverError, compare_runs,
                         make_force, make_operator, run, v0_of_ell)
-from blowup_lab import cli, harness, ode1d, radial
+from blowup_lab import cli, harness, ode1d, pde2d, radial
+
+ROOT = Path(__file__).resolve().parent.parent
+REMOVED_KEYS = {"eps": 1e-8, "tol_res": 1e-9, "m_start": 2.0, "tol_m": 1e-4,
+                "layer_factor": 0.5, "n_body": 161, "n_edge": 40, "probe_offset": 0.1,
+                "asymptotic_distance": 1e-3}
 
 
 def cfg_dict(kind="ko-check", force=None, operator=None, params=None):
@@ -53,6 +63,39 @@ class TestConfig:
     def test_rejects_r_inner_without_r_outer(self):
         with pytest.raises(ConfigError, match="r_outer"):
             ExperimentConfig.from_dict(cfg_dict(kind="radial", params={"r_inner": 1.0}))
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_method_setting_is_rejected(self, tmp_path, key):
+        # the numerical method's settings are module constants, not config keys
+        doc = cfg_dict(kind="cylinder", params={"ells": [1.0], key: REMOVED_KEYS[key]})
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_every_param_key_has_traffic(self):
+        # a key that no config, benchmark batch or script sets is a knob
+        # without traffic: its one value in use belongs in a constant
+        used = set()
+        for path in (ROOT / "configs").glob("*.json"):
+            used |= json.loads(path.read_text()).get("params", {}).keys()
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for w in workloads.WORKLOADS:
+            for seed in (1, 2, 3):
+                for item in workloads.generate(w, seed):
+                    used |= item["params"].keys()
+        for path in (ROOT / "scripts").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Dict):
+                    for k, v in zip(node.keys, node.values):
+                        if isinstance(k, ast.Constant) and k.value == "params" \
+                                and isinstance(v, ast.Dict):
+                            used |= {kk.value for kk in v.keys if isinstance(kk, ast.Constant)}
+        assert set(harness._PARAMS_SCHEMA["properties"]) <= used, \
+            sorted(set(harness._PARAMS_SCHEMA["properties"]) - used)
 
     def test_file_parse_error_has_position(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -162,11 +205,12 @@ class TestRunners:
         failed = [c.name for c in rep.checks if not c.passed]
         assert failed == ["radius-round-trip"]
 
-    def test_rate_past_dead_core_length_is_reported(self, tmp_path):
+    def test_rate_past_dead_core_length_is_reported(self, tmp_path, monkeypatch):
         # Phi(10) does not exist: Psi stays below L = 4.04 for a = 0.4
+        monkeypatch.setattr(harness, "ASYMPTOTIC_DISTANCE", 10.0)
         rep = run(ExperimentConfig.from_dict(cfg_dict(
             kind="radial", force={"kind": "piecewise-power", "a": 0.4, "b": 3},
-            params={"n": 1, "v0": 1.0, "asymptotic_distance": 10.0})), tmp_path)
+            params={"n": 1, "v0": 1.0})), tmp_path)
         assert rep.status == "fail"
         (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
         assert check.measured == "BracketError"
@@ -333,35 +377,38 @@ class TestRunners:
         assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
         assert "leaves the domain" in check.detail
 
-    @pytest.mark.parametrize("params", [
-        {"m_start": 100.0},                     # past the layer cap: one level
-        {"m_start": 0.01, "tol_res": 1e-3},     # flat first level: no gradient energy
+    @pytest.mark.parametrize("settings", [
+        {"M_START": 100.0},                     # past the layer cap: one level
+        {"M_START": 0.01, "TOL_RES": 1e-3},     # flat first level: no gradient energy
     ], ids=["single-level", "flat-first-level"])
-    def test_cylinder_degenerate_escalation_completes(self, tmp_path, params):
+    def test_cylinder_degenerate_escalation_completes(self, tmp_path, settings):
         cfg = ExperimentConfig.from_dict(cfg_dict(
-            kind="cylinder", params={"ells": [1.0, 2.0], "nx": 17, **params}))
-        rep = run(cfg, tmp_path)
+            kind="cylinder", params={"ells": [1.0, 2.0], "nx": 17}))
+        with patch.multiple(pde2d, **settings):
+            rep = run(cfg, tmp_path)
         assert "experiment-completed" not in [c.name for c in rep.checks]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_cylinder_overflowing_eps_reports_solver_error(self, tmp_path):
+    def test_cylinder_overflowing_eps_reports_solver_error(self, tmp_path, monkeypatch):
         # eps^2 = inf makes gamma = inf for p = 3 and the flat start's flux NaN
+        monkeypatch.setattr(pde2d, "EPS", 1e300)
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="cylinder", force={"kind": "power", "q": 6},
             operator={"kind": "p-laplace", "p": 3},
-            params={"ells": [1.0, 2.0], "nx": 17, "eps": 1e300}))
+            params={"ells": [1.0, 2.0], "nx": 17}))
         rep = run(cfg, tmp_path)
         assert rep.status == "fail"
         failed = [c for c in rep.checks if c.name == "experiment-completed"]
         assert [c.measured for c in failed] == ["SolverError"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_cylinder_failed_layer_shot_reports_solver_error(self, tmp_path):
+    def test_cylinder_failed_layer_shot_reports_solver_error(self, tmp_path, monkeypatch):
         # F(1000) = e^1000 overflows: the p = 3 boundary-layer start cannot be shot
+        monkeypatch.setattr(pde2d, "M_START", 1000.0)
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="cylinder", force={"kind": "exp-minus-one"},
             operator={"kind": "p-laplace", "p": 3},
-            params={"ells": [1.0, 2.0], "nx": 17, "m_start": 1000.0}))
+            params={"ells": [1.0, 2.0], "nx": 17}))
         rep = run(cfg, tmp_path)
         assert rep.status == "fail"
         (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
@@ -387,33 +434,33 @@ class TestRunners:
         failed = [(c.name, c.measured) for c in rep.checks if not c.passed]
         assert failed == [("experiment-completed", "SolverError")]
 
-    @pytest.mark.parametrize("params, overrides", [
-        ({"ells": [1.0], "nx": 17}, {}),
-        ({"ells": [1.0], "nx": 17, "max_levels": 3, "tol_m": 1e-3},
-         {"max_levels": 3, "tol_m": 1e-3}),
-    ], ids=["defaults", "two-overrides"])
-    def test_cylinder_solver_config_from_params(self, tmp_path, monkeypatch, params,
-                                                overrides):
-        # the harness passes only the solver fields a config sets; the
-        # defaults live in SolverConfig alone
+    @pytest.mark.parametrize("params, max_levels", [
+        ({"ells": [1.0], "nx": 17}, pde2d.MAX_LEVELS),
+        ({"ells": [1.0], "nx": 17, "max_levels": 3}, 3),
+    ], ids=["default", "override"])
+    def test_cylinder_max_levels_reaches_escalate_m(self, tmp_path, monkeypatch, params,
+                                                    max_levels):
+        # max_levels is the one solver setting a config passes; the rest are
+        # pde2d constants
         class Captured(Exception):
             pass
 
-        def capture(grid, op, force, cfg):
-            raise Captured(cfg)
+        def capture(grid, op, force, **kwargs):
+            raise Captured(kwargs)
 
         monkeypatch.setattr(harness.pde2d, "escalate_m", capture)
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", params=params))
         with pytest.raises(Captured) as info:
             run(cfg, tmp_path)
-        assert info.value.args[0] == harness.pde2d.SolverConfig(**overrides)
+        assert info.value.args[0] == {"max_levels": max_levels}
 
-    def test_cylinder_far_past_the_layer_cap_completes(self, tmp_path):
-        # m_start 482 lies far past m*: one level, solved after one restart
+    def test_cylinder_far_past_the_layer_cap_completes(self, tmp_path, monkeypatch):
+        # M_START 482 lies far past m*: one level, solved after one restart
+        monkeypatch.setattr(pde2d, "M_START", 482.0)
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="cylinder", force={"kind": "power", "q": 5.73},
             operator={"kind": "p-laplace", "p": 2.98},
-            params={"ells": [1.0, 2.0], "nx": 17, "m_start": 482.0}))
+            params={"ells": [1.0, 2.0], "nx": 17}))
         rep = run(cfg, tmp_path)
         names = [c.name for c in rep.checks]
         assert "experiment-completed" not in names
@@ -458,6 +505,15 @@ class TestRunners:
         rep = run(ExperimentConfig.from_dict(cfg_dict()), tmp_path)
         assert rep.timings["build_s"] >= 0.05
 
+    def test_unconverged_profile_inversion_is_a_failed_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ode1d, "_NEWTON_MAX_STEPS", 1)
+        rep = run(ExperimentConfig.from_dict(cfg_dict(kind="solve-1d", params={"ell": 1.0})),
+                  tmp_path)
+        assert rep.status == "fail"
+        (check,) = [c for c in rep.checks if c.name == "experiment-completed"]
+        assert check.measured == "SolverError"
+        assert "unconverged" in check.detail
+
     def test_manifest_files_exist(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="solve-1d", params={"ell": 1.0}))
         rep = run(cfg, tmp_path)
@@ -472,14 +528,15 @@ class TestRunners:
        layer_factor=st.floats(1e-2, 10.0))
 def test_small_cylinder_gives_report_or_config_error(ell, extra, m_start, tol_res, eps,
                                                      layer_factor):
-    # a schema-valid config ends in a report or a ConfigError, never a traceback
-    params = {"ells": [float(ell), float(ell + extra)], "nx": 17, "m_start": m_start,
-              "tol_res": tol_res, "eps": eps, "layer_factor": layer_factor}
+    # a schema-valid config ends in a report or a ConfigError, never a traceback,
+    # under any positive solver settings
+    params = {"ells": [float(ell), float(ell + extra)], "nx": 17}
     try:
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", params=params))
     except ConfigError:
         return
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as out, patch.multiple(
+            pde2d, M_START=m_start, TOL_RES=tol_res, EPS=eps, LAYER_FACTOR=layer_factor):
         assert run(cfg, out).status in ("pass", "fail")
 
 
@@ -502,8 +559,8 @@ def test_random_cylinder_gives_report_or_config_error(force, p, m_start):
     try:
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="cylinder", force=force, operator={"kind": "p-laplace", "p": p},
-            params={"ells": [1.0, 2.0], "nx": 17, "m_start": m_start}))
-        with tempfile.TemporaryDirectory() as out:
+            params={"ells": [1.0, 2.0], "nx": 17}))
+        with tempfile.TemporaryDirectory() as out, patch.multiple(pde2d, M_START=m_start):
             assert run(cfg, out).status in ("pass", "fail")
     except ConfigError:
         pass
@@ -574,23 +631,26 @@ def test_random_grid_gives_report_or_config_error(kind, grid):
 @given(kind=st.sampled_from(["solve-1d", "dead-core"]),
        length=st.floats(1e-3, 20.0) | st.none(),
        n_body=st.integers(2, 400), n_edge=st.integers(2, 400),
-       probe_offset=st.floats(-5.0, 5.0, allow_nan=False) | st.none())
+       probe_offset=st.floats(-5.0, 5.0, allow_nan=False) | st.just(harness.PROBE_OFFSET))
 def test_random_profile_gives_report_or_config_error(kind, length, n_body, n_edge,
                                                      probe_offset):
-    # a schema-valid config ends in a report or a ConfigError, never a traceback
-    params = {"n_body": n_body, "n_edge": n_edge}
+    # a schema-valid config ends in a report or a ConfigError, never a traceback,
+    # under any sampling and probe offset
+    params = {}
     force = {"kind": "power", "q": 3}
     if kind == "dead-core":
         force = {"kind": "piecewise-power", "a": 0.5, "b": 3}
-        if probe_offset is not None:
-            params["probe_offset"] = probe_offset
         if length is not None:
             params["ell_offset" if length < 2.0 else "ell"] = length
     elif length is not None:
         params["ell"] = length
+    sampling = {"n_body": n_body, "n_edge": n_edge}
     try:
         cfg = ExperimentConfig.from_dict(cfg_dict(kind=kind, force=force, params=params))
-        with tempfile.TemporaryDirectory() as out:
+        with tempfile.TemporaryDirectory() as out, \
+                patch.multiple(ode1d, large_profile=partial(ode1d.large_profile, **sampling),
+                               dead_core_profile=partial(ode1d.dead_core_profile, **sampling)), \
+                patch.object(harness, "PROBE_OFFSET", probe_offset):
             assert run(cfg, out).status in ("pass", "fail")
     except ConfigError:
         pass

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from blowup_lab import (DivergenceError, DomainExceededError, ProfileDomainError,
-                        dead_core_profile, decay_sweep, ell_of_v0, eval_profile,
+                        SolverError, dead_core_profile, decay_sweep, ell_of_v0, eval_profile,
                         large_profile, length_scale, make_force, make_operator,
                         psi, v0_of_ell)
 from blowup_lab import ode1d, radial
@@ -307,6 +307,12 @@ def _oracle_root(br, x):
 
 
 class TestInversion:
+    def test_unconverged_points_raise(self, op_p2, force_cubic, monkeypatch):
+        # one Newton step leaves points moving; they must not pass as values
+        monkeypatch.setattr(ode1d, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(SolverError, match="unconverged after 1 Newton steps"):
+            large_profile(op_p2, force_cubic, 1.0)
+
     @pytest.mark.parametrize("case", _INVERSION_CASES, ids=_INVERSION_IDS)
     def test_matches_bracketed_root(self, case):
         br, g = _branch_for(case)

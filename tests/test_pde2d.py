@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blowup_lab import (Grid2D, SolverConfig, SolverError, ValidationError, escalate_m,
+from blowup_lab import (Grid2D, SolverError, ValidationError, escalate_m,
                         grid_for_ell, large_profile, make_force, make_operator,
                         residual, solve_dirichlet, v0_of_ell)
 from blowup_lab import pde2d
@@ -17,8 +17,8 @@ from blowup_lab.pde2d import (DiscreteField, _assemble_jacobian, _face_differenc
 from conftest import psi_power_closed_form
 
 
-def make_field(grid, op, force, values, m, eps=1e-8):
-    return DiscreteField(grid, values, m, eps, op, force)
+def make_field(grid, op, force, values, m):
+    return DiscreteField(grid, values, m, op, force)
 
 
 class TestResidual:
@@ -28,15 +28,16 @@ class TestResidual:
         R = residual(make_field(g, op_p2, force_cubic, u, 0.0))
         assert np.max(np.abs(R)) == 0.0
 
-    def test_five_point_laplacian_on_quadratics(self, op_p2):
+    def test_five_point_laplacian_on_quadratics(self, op_p2, monkeypatch):
         # for p = 2 the scheme is the plain 5-point stencil, exact on x^2 + y^2
+        monkeypatch.setattr(pde2d, "EPS", 0.0)
         g = grid_for_ell(1.0, 17)
         X, Y = np.meshgrid(g.x_nodes, g.y_nodes, indexing="ij")
         u = X ** 2 + Y ** 2
         # force contributing zero: evaluate with f = t - t (table not allowed);
         # compare against f(u) added back instead
         force = make_force(kind="power", q=1)
-        R = residual(make_field(g, op_p2, force, u, 4.0, eps=0.0))
+        R = residual(make_field(g, op_p2, force, u, 4.0))
         lap = R[1:-1, 1:-1] + u[1:-1, 1:-1]   # add f(u) = u back
         assert np.max(np.abs(lap - 4.0)) < 1e-11
 
@@ -266,7 +267,7 @@ class TestSolveDirichlet:
         center = fld.values[8, 8]
         assert 0.0 < center < 2.0
 
-    def test_jacobian_finite_where_eps_underflows(self, op_p2, force_cubic):
+    def test_jacobian_finite_where_eps_underflows(self, op_p2, force_cubic, monkeypatch):
         # eps^2 underflows to 0 on the flat start, where w = 0 on every face;
         # the flux derivatives read (p - 2) gamma / w as 0 there
         g = grid_for_ell(1.0, 17)
@@ -274,17 +275,19 @@ class TestSolveDirichlet:
         for p in (2.0, 3.0):
             J = _assemble_jacobian(u, g, p, 1e-300, force_cubic)
             assert np.all(np.isfinite(J.data))
-        fld = solve_dirichlet(g, op_p2, force_cubic, 2.0, SolverConfig(eps=1e-300))
+        monkeypatch.setattr(pde2d, "EPS", 1e-300)
+        fld = solve_dirichlet(g, op_p2, force_cubic, 2.0)
         assert fld.diagnostics["gs_rescues"] == 0
         assert fld.diagnostics["final_residual"] <= 1e-9
 
-    def test_overflowing_eps_raises(self, op_p3):
+    def test_overflowing_eps_raises(self, op_p3, monkeypatch):
         # eps^2 = inf makes gamma = inf, and inf * 0 a NaN flux on the flat
         # start: a non-finite residual must not pass the convergence test
+        monkeypatch.setattr(pde2d, "EPS", 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverError, match="non-finite residual"):
                 solve_dirichlet(grid_for_ell(1.0, 17), op_p3, make_force(kind="power", q=6),
-                                2.0, SolverConfig(eps=1e300))
+                                2.0)
 
     def test_flat_start_at_large_m_takes_the_rescue(self, op_p2, force_cubic):
         # in the flat interior |R| / max(1, f(u)) = 1 for any flat u, so the
@@ -307,11 +310,13 @@ class TestSolveDirichlet:
         fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, 8.0)
         assert pde2d.symmetry_defect(fld) <= 1e-8
 
-    def test_regularization_insensitivity(self, op_p3):
+    def test_regularization_insensitivity(self, op_p3, monkeypatch):
         f6 = make_force(kind="power", q=6)
         g = grid_for_ell(1.0, 17)
-        a = solve_dirichlet(g, op_p3, f6, 8.0, SolverConfig(eps=1e-8))
-        b = solve_dirichlet(g, op_p3, f6, 8.0, SolverConfig(eps=1e-9))
+        monkeypatch.setattr(pde2d, "EPS", 1e-8)
+        a = solve_dirichlet(g, op_p3, f6, 8.0)
+        monkeypatch.setattr(pde2d, "EPS", 1e-9)
+        b = solve_dirichlet(g, op_p3, f6, 8.0)
         mask = a.compact_mask()
         assert float(np.max(np.abs(a.values - b.values)[mask])) <= 1e-6
 
@@ -370,16 +375,16 @@ class TestLayerProfile:
         op = make_operator(kind="p-laplace", p=p)
         fld = solve_dirichlet(grid_for_ell(1.0, 17), op, make_force(**force), m)
         assert fld.diagnostics["gs_rescues"] == 1
-        assert fld.diagnostics["final_residual"] <= SolverConfig().tol_res
+        assert fld.diagnostics["final_residual"] <= pde2d.TOL_RES
         assert fld.values[8, 8] == pytest.approx(center, rel=1e-9)
 
     def test_p4_first_level_budget(self):
         # from u = m this level took 10 LUs and a rescue
         op, force = make_operator(kind="p-laplace", p=4), make_force(kind="power", q=6)
-        fld = solve_dirichlet(grid_for_ell(1.0, 33), op, force, SolverConfig().m_start)
+        fld = solve_dirichlet(grid_for_ell(1.0, 33), op, force, pde2d.M_START)
         assert fld.diagnostics["factorizations"] <= 4
         assert fld.diagnostics["gs_rescues"] == 0
-        assert fld.diagnostics["final_residual"] <= SolverConfig().tol_res
+        assert fld.diagnostics["final_residual"] <= pde2d.TOL_RES
 
 
 class TestEscalation:
@@ -394,8 +399,7 @@ class TestEscalation:
         assert all(b > a for a, b in zip(centers, centers[1:]))
 
     def test_center_increment_shrinks_8_to_16(self, op_p2, force_cubic):
-        res = escalate_m(grid_for_ell(1.0, 33), op_p2, force_cubic,
-                         SolverConfig(max_levels=5))
+        res = escalate_m(grid_for_ell(1.0, 33), op_p2, force_cubic, max_levels=5)
         centers = {lv.m: lv.center for lv in res.levels}
         inc_8_16 = centers[16.0] - centers[8.0]
         inc_4_8 = centers[8.0] - centers[4.0]
@@ -403,8 +407,7 @@ class TestEscalation:
 
     def test_ko_violation_detected(self, op_p2):
         linear = make_force(kind="power", q=1)
-        res = escalate_m(grid_for_ell(1.0, 17), op_p2, linear,
-                         SolverConfig(max_levels=7))
+        res = escalate_m(grid_for_ell(1.0, 17), op_p2, linear, max_levels=7)
         assert res.stop_reason == "schedule-exhausted"
         assert res.ko_violated
         centers = [lv.center for lv in res.levels]
@@ -422,8 +425,7 @@ class TestEscalation:
         assert all(b < a for a, b in zip(rel, rel[1:])), rel
         # KO-failing contrast: relative growth does not decay below a floor
         linear = make_force(kind="power", q=1)
-        res2 = escalate_m(grid_for_ell(1.0, 33), op_p2, linear,
-                          SolverConfig(max_levels=7))
+        res2 = escalate_m(grid_for_ell(1.0, 33), op_p2, linear, max_levels=7)
         e2 = [lv.grad_energy_K for lv in res2.levels]
         rel2 = [(b - a) / a for a, b in zip(e2, e2[1:])]
         assert all(b >= a * (1 - 1e-9) for a, b in zip(rel2, rel2[1:]))
@@ -439,7 +441,7 @@ class TestEscalation:
         m = res.levels[-1].m
         assert res.stop_reason == "layer-cap"
         assert psi_power_closed_form(p, q, m) == pytest.approx(
-            SolverConfig().layer_factor * g.hx, rel=1e-8)
+            pde2d.LAYER_FACTOR * g.hx, rel=1e-8)
         assert m == pytest.approx(m_star, abs=5e-3)
 
     @pytest.mark.parametrize("force, layer_factor, cap", [
@@ -447,9 +449,10 @@ class TestEscalation:
         ({"kind": "power", "q": 3}, 1e-20, 2.0 * 2.0 ** 24),           # m* above 1e14
         ({"kind": "power", "q": 1}, 0.5, None),                        # KO fails
     ], ids=["dead-core-floor", "unbracketed-ceiling", "ko-fails"])
-    def test_layer_cap_clamped_to_the_schedule(self, op_p2, force, layer_factor, cap):
-        cfg = SolverConfig(layer_factor=layer_factor)
-        got = pde2d.layer_cap_m(op_p2, make_force(**force), grid_for_ell(1.0, 65), cfg)
+    def test_layer_cap_clamped_to_the_schedule(self, op_p2, force, layer_factor, cap,
+                                               monkeypatch):
+        monkeypatch.setattr(pde2d, "LAYER_FACTOR", layer_factor)
+        got = pde2d.layer_cap_m(op_p2, make_force(**force), grid_for_ell(1.0, 65))
         if cap is None:
             assert got is None
         else:
@@ -466,11 +469,10 @@ class TestEscalation:
             return fld
 
         monkeypatch.setattr(pde2d, "solve_dirichlet", recorded)
-        cfg = SolverConfig()
-        res = pde2d.escalate_m(grid_for_ell(1.0, 33), op_p3, make_force(kind="power", q=6), cfg)
+        res = pde2d.escalate_m(grid_for_ell(1.0, 33), op_p3, make_force(kind="power", q=6))
         assert len(diagnostics) == len(res.levels)
         assert any(d["factorizations"] < d["iterations"] for d in diagnostics)
-        assert all(d["final_residual"] <= cfg.tol_res for d in diagnostics)
+        assert all(d["final_residual"] <= pde2d.TOL_RES for d in diagnostics)
 
 
 class TestContinuation:
@@ -492,7 +494,7 @@ class TestContinuation:
         # after the first starts on its solution
         diagnostics = self.recorded_levels(monkeypatch)
         res = escalate_m(grid_for_ell(1.0, 33), op_p2, make_force(kind="power", q=1),
-                         SolverConfig(max_levels=7))
+                         max_levels=7)
         assert len(res.levels) == 7
         assert [d["iterations"] for d in diagnostics] == [1, 0, 0, 0, 0, 0, 0]
 
@@ -501,7 +503,7 @@ class TestContinuation:
         res = escalate_m(grid_for_ell(1.0, 65), op_p2, force_cubic)
         assert res.stop_reason == "layer-cap"
         assert sum(d["factorizations"] for d in diagnostics) <= len(res.levels) + 1
-        assert all(d["final_residual"] <= SolverConfig().tol_res for d in diagnostics)
+        assert all(d["final_residual"] <= pde2d.TOL_RES for d in diagnostics)
 
     def test_p3_escalation_takes_no_restart(self, op_p3, monkeypatch):
         diagnostics = self.recorded_levels(monkeypatch)
@@ -541,7 +543,7 @@ def test_discrete_cross_section_solves_three_point_scheme():
         w = pde2d.discrete_cross_section(fld)
         h = fld.grid.hx
         g = np.diff(w) / h
-        flux = (g * g + fld.eps ** 2) ** ((p - 2.0) / 2.0) * g
+        flux = (g * g + pde2d.EPS ** 2) ** ((p - 2.0) / 2.0) * g
         fw = w[1:-1] ** q
         assert w[0] == w[-1] == 16.0
         assert np.max(np.abs(np.diff(flux) / h - fw) / np.maximum(1.0, fw)) <= 1e-11, p

@@ -215,9 +215,12 @@ class TestIntegratorFailure:
                                match=r"stopped at r = .*, w = 5\.6\d*e\+102: Required step"):
                 shoot(op_p2, force_cubic, n, 1.0, w_cap=1e200)
 
-    def test_annulus_names_the_stop(self, op_p2, force_cubic):
+    def test_annulus_names_the_stop(self, op_p2, force_cubic, monkeypatch):
+        end_point = radial._end_point
+        monkeypatch.setattr(radial, "_end_point", lambda op, force, w_cap: end_point(
+            op, force, 1e200))
         with pytest.raises(BlowupLabError, match=r"stopped at r = .*Required step size"):
-            annulus_barrier(op_p2, force_cubic, 2, 1.0, 2.0, w_cap=1e200)
+            annulus_barrier(op_p2, force_cubic, 2, 1.0, 2.0)
 
 
 def _radial_report(tmp_path, force, operator, **params):

@@ -435,6 +435,7 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
             worst_mono = min(increments)
             checks.append(CheckResult(f"m-monotone-ell{tag}", worst_mono >= -1e-10,
                                       worst_mono, -1e-10))
+        # 0 by construction; test_pde2d::TestSymmetricFold is the oracle now
         defect = pde2d.symmetry_defect(res.field)
         checks.append(CheckResult(f"symmetry-ell{tag}", defect <= 1e-8, defect, 1e-8))
         energies = [lv.grad_energy_K for lv in res.levels]

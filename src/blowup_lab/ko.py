@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ def psi(op: Operator, force: Force, r):
                       ra.shape)
 
 
+@lru_cache(maxsize=32)     # a dead-core run and its profile share one classification
 def length_scale(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> float:
     """L = int_0^inf ds / B^-1{F(s)} as :func:`classify` measures it; finite
     only in the dead-core regime.  Raises :class:`DomainExceededError` at a

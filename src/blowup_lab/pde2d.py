@@ -12,11 +12,15 @@ Bandle & Marcus (J. Anal. Math. 58, 1992), where u = m would leave gamma =
 EPS^{p-2} and a flat Newton step; a stalled solve restarts once from it.
 The Jacobian's sparsity pattern is built once per grid; each step sums its
 terms in scipy's COO-to-CSC order, so the matrix is bit-identical to a COO one.
-The sparse LU of the last Jacobian is kept, also across m levels: a chord
-step with it is accepted when it at least halves the scaled residual
-(_CHORD_CONTRACTION); otherwise the Jacobian is refactored at the current
-iterate for a damped Newton step.  Both reject a trial outside [0, m].
-One loop, _newton, solves the field and its discrete cross-section alike.
+Constant data and a mirror-invariant scheme make the solution even in each
+axis: the iterates are kept exactly even, and each sparse LU factors the
+Jacobian folded onto the nodes with k <= n-1-k per axis (Allgower, Boehmer,
+Georg & Miranda, SIAM J. Numer. Anal. 29, 1992), a quarter of them in 2D.
+The last LU is kept, also across m levels: a chord step with it is accepted
+when it at least halves the scaled residual (_CHORD_CONTRACTION); otherwise
+the Jacobian is refactored at the current iterate for a damped Newton step.
+Both reject a trial outside [0, m].  One loop, _newton, solves the field and
+its discrete cross-section alike.
 
 Boundary blow-up is approached through finite constant data m, doubled per
 level as a continuation in m (Allgower & Georg 1990, ch. 2) with a tangent
@@ -89,8 +93,8 @@ class Grid2D:
     @property
     def edge_distances(self) -> tuple[np.ndarray, np.ndarray]:
         """Distance of each x-node and of each y-node to the nearer end of its axis."""
-        return tuple(np.minimum(np.arange(n), np.arange(n)[::-1]) * h
-                     for n, h in ((self.nx, self.hx), (self.ny, self.hy)))
+        return tuple(k.ravel() * h for k, h in zip(_mirror((self.nx, self.ny)),
+                                                   (self.hx, self.hy)))
 
     @property
     def x_nodes(self) -> np.ndarray:
@@ -222,9 +226,10 @@ def _scaled_norm(R, fu):
 
 @lru_cache(maxsize=1)     # one grid per escalation; more measured a higher peak RSS
 def _jacobian_pattern(nx, ny, nine_point):
-    """(indices, indptr, gather) of the 5- or 9-point CSC Jacobian on an nx x ny
-    grid: entry e sums the terms at gather[:, e] of the vector that
-    :func:`_assemble_jacobian` builds, padded with its last element, -0.0.
+    """(indices, indptr, rank, gather) of the 5- or 9-point CSC Jacobian on an
+    nx x ny grid.  Sorted by falling term count, entry e sits at rank[e], and
+    gather[k] indexes the k-th terms of the sorted entries that have one (a
+    prefix) in the vector that :func:`_assemble_jacobian` builds.
     The terms are in the order coo_matrix.tocsc sums them (COO order, a stable
     scatter by column, scipy's own sort_indices), so the sums keep its bits."""
     N = (nx - 2) * (ny - 2)
@@ -265,11 +270,12 @@ def _jacobian_pattern(nx, ny, nine_point):
     first[A.indptr[:-1]] = True                     # changes or a column starts
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=A.nnz)
-    gather = np.full((counts.max(), starts.size), offset + N, dtype=np.int32)
-    for k, row in enumerate(gather):
-        row[counts > k] = A.data[starts[counts > k] + k]
-    pattern = (A.indices[starts], np.searchsorted(starts, A.indptr).astype(np.int32), gather)
-    for a in pattern:
+    order = np.argsort(-counts, kind="stable")
+    gather = tuple(A.data[starts[order[:np.count_nonzero(counts > k)]] + k].astype(np.int32)
+                   for k in range(counts.max()))
+    pattern = (A.indices[starts], np.searchsorted(starts, A.indptr).astype(np.int32),
+               np.argsort(order).astype(np.int32), gather)
+    for a in pattern[:3] + gather:
         a.flags.writeable = False   # shared by every Jacobian on the grid
     return pattern
 
@@ -277,8 +283,8 @@ def _jacobian_pattern(nx, ny, nine_point):
 def _assemble_jacobian(u, grid, p, eps, force):
     """Exact Jacobian of the interior residual in CSC form on the grid's 9-point
     :func:`_jacobian_pattern`, 5-point for p = 2 (dF/dg_t carries p - 2)."""
-    indices, indptr, gather = _jacobian_pattern(grid.nx, grid.ny, p != 2.0)
-    values = []     # per face axis s, -s, c, -c; then -f'(u) and -0.0
+    indices, indptr, rank, gather = _jacobian_pattern(grid.nx, grid.ny, p != 2.0)
+    values = []     # per face axis s, -s, c, -c; then -f'(u)
     for uu, hn, ht, transposed in ((u, grid.hx, grid.hy, False),
                                    (u.T, grid.hy, grid.hx, True)):
         dF_dgn, dF_dgt = _flux_derivatives(*_face_differences(uu, hn, ht), p, eps)
@@ -286,11 +292,11 @@ def _assemble_jacobian(u, grid, p, eps, force):
         # (-x) / h is -(x / h) bit for bit
         s, c = dF_dgn / hn / hn, dF_dgt / (4 * ht) / hn
         values += [(a.T if transposed else a).ravel() for a in (s, -s, c, -c)]
-    values = np.concatenate(values + [-force.derivative(u[1:-1, 1:-1]).ravel(), [-0.0]])
+    values = np.concatenate(values + [-force.derivative(u[1:-1, 1:-1]).ravel()])
     data = values[gather[0]]
     for g in gather[1:]:
-        data += values[g]
-    return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+        data[:g.size] += values[g]
+    return sp.csc_matrix((data[rank], indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 def _jacobian_times(u, v, grid, p, eps, force):
@@ -320,18 +326,46 @@ def _layer_profile(dist, op, force, m):
     return np.maximum(sol.y[0], 0.0)[node].reshape(dist.shape)
 
 
+def _mirror(shape):
+    """The np.ix_ mesh of mirror representatives, k -> min(k, n-1-k) per axis."""
+    return np.ix_(*(np.minimum(np.arange(n), np.arange(n)[::-1]) for n in shape))
+
+
+@lru_cache(maxsize=4)     # per interior shape: a field's and its cross-section's
+def _fold(shape):
+    """(reps, fold, P): the representatives' flat indices in an interior of this shape,
+    each node's position among them, and the matrix P summing columns into theirs."""
+    reps, fold = np.unique(np.arange(math.prod(shape)).reshape(shape)[_mirror(shape)].ravel(),
+                           return_inverse=True)
+    return reps, fold, sp.csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)))
+
+
+class _FoldedLU:
+    """SuperLU of the folded Jacobian S J P, S keeping the representatives' rows;
+    ``solve`` maps a full-interior right-hand side to the unfolded correction."""
+
+    def __init__(self, J, shape):
+        self.reps, self.fold, P = _fold(shape)
+        self.lu = spla.splu((J[self.reps] @ P).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def solve(self, b):
+        return self.lu.solve(b[self.reps])[self.fold]
+
+
 def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
     """Chord/damped Newton (Kelley 2003, ch. 2 and 5) on the interior
     u[1:-1, ...] of a field of any dimension with boundary values m, to a
     scaled residual max |R| / max(1, f(u)) <= tol; returns the field and its
     diagnostics.  ``residual(v)`` gives (R, f(v)) on the interior or raises
-    SolverError, ``jacobian(v)`` the CSC Jacobian there.
+    SolverError, ``jacobian(v)`` the CSC Jacobian there.  The start is mirrored
+    from its low-index corner and every LU is a :class:`_FoldedLU`, so each
+    iterate is exactly even; scores and the stopping test read every node.
 
     A trial that leaves [0, m] or has a non-finite residual is rejected like
     one whose scaled residual is too large.  While an LU is kept, each step
     first tries the full chord step with it, accepted at most
     _CHORD_CONTRACTION times the current scaled residual; otherwise the
-    Jacobian is factored (MMD ordering on A^T + A) at the current iterate for
+    folded Jacobian is factored (MMD ordering on A^T + A) at the iterate for
     a damped Newton step, halved until the scaled residual falls.  When no
     halving helps, the solve restarts once from :func:`_layer_profile` at the
     node distances ``dist`` (counted in ``gs_rescues``) and scales later
@@ -342,6 +376,7 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
     factorisation.  ``iterations`` counts accepted steps, ``factorizations``
     the LUs; the final scaled residual lands just under ``tol``."""
     inner = (slice(1, -1),) * u.ndim
+    u = u[_mirror(u.shape)]     # the start's low-index quarter, mirrored
 
     def score(v):
         """(R, f(v), merit) at a trial field; the merit is inf for a rejected one."""
@@ -371,7 +406,7 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
                 it += 1
                 continue
         lu[0] = None    # free the old factor before the new one is built
-        lu[0] = spla.splu(jacobian(u), permc_spec="MMD_AT_PLUS_A")
+        lu[0] = _FoldedLU(jacobian(u), R.shape)
         factorizations += 1
         delta = lu[0].solve(-R.ravel()).reshape(R.shape)
         alpha = 1.0
@@ -457,6 +492,11 @@ def gradient_energy(field_: DiscreteField, mask: np.ndarray) -> float:
     return float(np.sum((mag[cell_in] ** field_.op.p)) * g.hx * g.hy)
 
 
+@lru_cache(maxsize=4)     # every grid of a family shares h
+def _phi(op: Operator, force: Force, target: float) -> float:
+    return ko_mod.BlowupRateFn(op, force).phi(target)
+
+
 def layer_cap_m(op: Operator, force: Force, grid: Grid2D, *,
                 max_levels: int = MAX_LEVELS) -> Optional[float]:
     """The m* = Phi_p(LAYER_FACTOR * h), where Psi_p(m*) = LAYER_FACTOR * h, or
@@ -465,13 +505,13 @@ def layer_cap_m(op: Operator, force: Force, grid: Grid2D, *,
 
     m* is solved for (to about 1e-12 relative) rather than rounded to the
     doubling schedule, so grids of every mesh width stop at the same layer
-    resolution.  The cap is clamped to the schedule [M_START, M_START *
-    M_FACTOR^max_levels]; when Phi cannot bracket m* in [1e-14, 1e14] (or
-    LAYER_FACTOR * h reaches a dead core's L), Psi_p(M_START) tells which
-    end it is."""
+    resolution; the inversion is cached per (op, force, h).  The cap is
+    clamped to the schedule [M_START, M_START * M_FACTOR^max_levels]; when
+    Phi cannot bracket m* in [1e-14, 1e14] (or LAYER_FACTOR * h reaches a dead
+    core's L), Psi_p(M_START) tells which end it is."""
     target = LAYER_FACTOR * max(grid.hx, grid.hy)
     try:
-        m = ko_mod.BlowupRateFn(op, force).phi(target)
+        m = _phi(op, force, target)
     except DivergenceError:
         return None
     except BracketError:

@@ -171,6 +171,21 @@ class TestRunners:
         names = {c.name for c in rep.checks}
         assert {"L-cap-stable", "core-zero", "core-edge-continuity"} <= names
 
+    def test_dead_core_classifies_twice(self, tmp_path, monkeypatch):
+        # length_scale at the default block cap serves the run and its
+        # profile; the second classification is the 56-block refinement
+        calls = []
+        classify = harness.ko_mod.classify
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:] + tuple(kwargs.values()))
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(harness.ko_mod, "classify", counted)
+        rep = run(ExperimentConfig.from_file(ROOT / "configs" / "dead_core.json"), tmp_path)
+        assert rep.status == "pass"
+        assert len(calls) == 2 and (56,) in calls, calls
+
     def test_radial(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(
             kind="radial", params={"n": 2, "v0": 1.0}))

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from blowup_lab import (Grid2D, SolverError, ValidationError, escalate_m,
                         grid_for_ell, large_profile, make_force, make_operator,
@@ -131,9 +132,8 @@ class TestResidual:
         assert min(rate, rate2) >= min_rate, sups
 
 
-def coo_jacobian(u, grid, p, eps, force):
-    """The Jacobian as a COO assembly converted by scipy's tocsc, face by face:
-    the reference whose bits the pattern-based assembly must reproduce."""
+def coo_terms(u, grid, p, eps, force):
+    """The Jacobian's terms as a COO matrix, face by face, duplicates unsummed."""
     nx, ny = grid.nx, grid.ny
     N = (nx - 2) * (ny - 2)
     index = np.full((nx, ny), -1)
@@ -167,8 +167,13 @@ def coo_jacobian(u, grid, p, eps, force):
     cols.append(flat)
     vals.append(-force.derivative(u[1:-1, 1:-1]).ravel())
     return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N)).tocsc()
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
+
+
+def coo_jacobian(u, grid, p, eps, force):
+    """The Jacobian as a COO assembly converted by scipy's tocsc: the
+    reference whose bits the pattern-based assembly must reproduce."""
+    return coo_terms(u, grid, p, eps, force).tocsc()
 
 
 class TestJacobianPattern:
@@ -195,6 +200,18 @@ class TestJacobianPattern:
                 assert np.array_equal(got.indptr, want.indptr), name
                 assert np.array_equal(got.indices, want.indices), name
                 assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), grid_for_ell(2, 65)],
+                             ids=["8x9", "ell2-65"])
+    def test_one_stored_index_per_term(self, grid, p):
+        # no padding: gather[k] covers exactly the entries with more than k terms
+        indices, indptr, rank, gather = pde2d._jacobian_pattern(grid.nx, grid.ny, p != 2.0)
+        u = np.full((grid.nx, grid.ny), 2.0)
+        terms = coo_terms(u, grid, p, 1e-8, make_force(kind="power", q=3)).nnz
+        assert sum(g.size for g in gather) == terms
+        assert [g.size for g in gather] == sorted((g.size for g in gather), reverse=True)
+        assert np.array_equal(np.sort(rank), np.arange(indices.size))
 
     def test_build_and_assembly_peak_below_the_coo_assembly(self):
         g = grid_for_ell(2, 65)
@@ -319,6 +336,91 @@ class TestSolveDirichlet:
         b = solve_dirichlet(g, op_p3, f6, 8.0)
         mask = a.compact_mask()
         assert float(np.max(np.abs(a.values - b.values)[mask])) <= 1e-6
+
+
+def full_grid_newton(grid, op, force, u):
+    """_newton's chord/damped Newton on the whole interior: each step solves
+    with the full Jacobian of coo_jacobian; no restart and no [0, m] test, as
+    no trial leaves [0, m] on the inputs below.  Returns (field, steps)."""
+    def scored(v):
+        R, fu = _residual_interior(v, grid, op.p, pde2d.EPS, force)
+        return R, np.max(np.abs(R) / np.maximum(1.0, fu))
+
+    def step(v, lu, R, alpha=1.0):
+        w = v.copy()
+        w[1:-1, 1:-1] += alpha * lu.solve(-R.ravel()).reshape(R.shape)
+        return (w,) + scored(w)
+
+    (R, rn), lu, steps = scored(u), None, 0
+    while rn > pde2d.TOL_RES:
+        steps += 1
+        if lu is not None:
+            trial = step(u, lu, R)
+            if trial[2] <= 0.5 * rn:
+                u, R, rn = trial
+                continue
+        lu, alpha = spla.splu(coo_jacobian(u, grid, op.p, pde2d.EPS, force)), 1.0
+        while (trial := step(u, lu, R, alpha))[2] >= rn:
+            alpha /= 2
+        u, R, rn = trial
+        lu = lu if alpha == 1.0 else None
+    return u, steps
+
+
+class TestSymmetricFold:
+    """Each LU factors the Jacobian folded onto the mirror representatives, so
+    fields are even to the bit; these tests are the oracle that the symmetry
+    check of a cylinder run no longer is."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), Grid2D(1.2, 9, 8), grid_for_ell(1, 17)],
+                             ids=["8x9", "9x8", "ell1-17"])
+    def test_folded_correction_is_the_full_solve(self, grid, p):
+        rng = np.random.default_rng(5)
+        force = make_force(kind="power", q=3)
+        for _ in range(3):
+            u = (1.0 + rng.random((grid.nx, grid.ny)))[pde2d._mirror((grid.nx, grid.ny))]
+            R, _ = _residual_interior(u, grid, p, pde2d.EPS, force)
+            lu = pde2d._FoldedLU(_assemble_jacobian(u, grid, p, pde2d.EPS, force), R.shape)
+            want = spla.spsolve(coo_jacobian(u, grid, p, pde2d.EPS, force), -R.ravel())
+            got = lu.solve(-R.ravel())
+            assert lu.lu.shape == ((grid.nx - 1) // 2 * ((grid.ny - 1) // 2),) * 2
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p, q, m", [(1.5, 3.0, 2.0), (1.5, 3.0, 16.0), (2.0, 3.0, 2.0),
+                                         (2.0, 3.0, 16.0), (3.0, 6.0, 2.0), (3.0, 6.0, 8.0)])
+    def test_same_iterates_as_a_full_grid_newton(self, p, q, m):
+        g = grid_for_ell(1.0, 17)
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+        start = (pde2d._layer_profile(np.minimum.outer(*g.edge_distances), op, force, m)
+                 if p > 2.0 else np.full((g.nx, g.ny), m))
+        want, steps = full_grid_newton(g, op, force, start)
+        fld = solve_dirichlet(g, op, force, m)
+        assert fld.diagnostics["iterations"] == steps
+        assert np.max(np.abs(fld.values - want)) <= 1e-12 * np.max(np.abs(want))
+        # the stopping test holds at every interior node, not only on a quarter
+        R, fu = _residual_interior(fld.values, g, p, pde2d.EPS, force)
+        assert np.all(np.abs(R) / np.maximum(1.0, fu) <= pde2d.TOL_RES)
+        assert pde2d.symmetry_defect(fld) == 0.0
+
+    def test_an_asymmetric_start_is_mirrored(self, op_p2, force_cubic):
+        g = grid_for_ell(1.0, 17)
+        start = np.full((g.nx, g.ny), 4.0)
+        start[9:, :] = 1.0      # the low-index quarter is flat at m
+        fld = solve_dirichlet(g, op_p2, force_cubic, 4.0, initial=start)
+        assert np.array_equal(fld.values, solve_dirichlet(g, op_p2, force_cubic, 4.0).values)
+
+    def test_escalation_factors_a_quarter_of_the_unknowns(self, op_p2, force_cubic, monkeypatch):
+        slots = []
+        solve = pde2d.solve_dirichlet
+
+        def recorded(*args, **kwargs):
+            slots.append(kwargs["factor"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pde2d, "solve_dirichlet", recorded)
+        escalate_m(grid_for_ell(2.0, 65), op_p2, force_cubic)
+        assert slots[-1][0].lu.shape == (2048, 2048)    # of N = 63 * 127 = 8001
 
 
 class TestLayerProfile:
@@ -457,6 +559,22 @@ class TestEscalation:
             assert got is None
         else:
             assert got == pytest.approx(cap, rel=1e-9)
+
+    def test_layer_cap_inverted_once_per_family(self, op_p3, monkeypatch):
+        force = make_force(kind="power", q=6)
+        grids = pde2d.family_grids([1.0, 2.0, 4.0], 65)
+        want = [pde2d.layer_cap_m(op_p3, make_force(kind="power", q=6), g) for g in grids]
+        calls = []
+        phi = pde2d.ko_mod.BlowupRateFn.phi
+
+        def counted(rate, d):
+            calls.append(d)
+            return phi(rate, d)
+
+        monkeypatch.setattr(pde2d.ko_mod.BlowupRateFn, "phi", counted)
+        assert [pde2d.layer_cap_m(op_p3, force, g) for g in grids] == want
+        assert [pde2d.layer_cap_m(op_p3, force, g, max_levels=2) for g in grids] == [8.0] * 3
+        assert calls == [pde2d.LAYER_FACTOR * grids[0].hx]
 
     def test_chord_steps_reuse_the_factorisation(self, op_p3, monkeypatch):
         # record every level's diagnostics: escalate_m keeps only the last field

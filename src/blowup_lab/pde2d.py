@@ -13,9 +13,9 @@ EPS^{p-2} and a flat Newton step; a stalled solve restarts once from it.
 The Jacobian's sparsity pattern is built once per grid; each step sums its
 terms in scipy's COO-to-CSC order, so the matrix is bit-identical to a COO one.
 Constant data and a mirror-invariant scheme make the solution even in each
-axis: the iterates are kept exactly even, and each sparse LU factors the
-Jacobian folded onto the nodes with k <= n-1-k per axis (Allgower, Boehmer,
-Georg & Miranda, SIAM J. Numer. Anal. 29, 1992), a quarter of them in 2D.
+axis, so residual, Jacobian, LU and predictor act only on the nodes with
+k <= n-1-k per axis (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
+29, 1992), a quarter in 2D, plus a halo node per axis that copies its mirror.
 The last LU is kept, also across m levels: a chord step with it is accepted
 when it at least halves the scaled residual (_CHORD_CONTRACTION); otherwise
 the Jacobian is refactored at the current iterate for a damped Newton step.
@@ -226,22 +226,26 @@ def _scaled_norm(R, fu):
 
 @lru_cache(maxsize=1)     # one grid per escalation; more measured a higher peak RSS
 def _jacobian_pattern(nx, ny, nine_point):
-    """(indices, indptr, rank, gather) of the 5- or 9-point CSC Jacobian on an
-    nx x ny grid.  Sorted by falling term count, entry e sits at rank[e], and
+    """(indices, indptr, rank, gather) of the 5- or 9-point CSC Jacobian at the
+    mirror representatives of an nx x ny grid, from the faces of its
+    :func:`_quarter`.  Sorted by falling term count, entry e sits at rank[e], and
     gather[k] indexes the k-th terms of the sorted entries that have one (a
     prefix) in the vector that :func:`_assemble_jacobian` builds.
     The terms are in the order coo_matrix.tocsc sums them (COO order, a stable
     scatter by column, scipy's own sort_indices), so the sums keep its bits."""
-    N = (nx - 2) * (ny - 2)
-    index = np.pad(np.arange(N, dtype=np.int32).reshape(nx - 2, ny - 2), 1, constant_values=-1)
+    reps = ((nx - 1) // 2, (ny - 1) // 2)
+    N = reps[0] * reps[1]
+    # each quarter node's unknown, -1 on the boundary; rows drop the halo, columns fold it
+    row = np.pad(np.arange(N, dtype=np.int32).reshape(reps), 1, constant_values=-1)
+    col = row[_quarter((nx, ny))]
     rows, cols, terms = [], [], []
     offset = 0
     # faces between (i, j) and (i, j) + n, i >= t[0] and j >= t[1]; the flux
     # enters the residual at (i, j) with +1/hn and at (i, j) + n with -1/hn
     for n, t in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
-        shape = (nx - 1 - t[0], ny - 1 - t[1])
+        shape = (row.shape[0] - 1 - t[0], row.shape[1] - 1 - t[1])
 
-        def node(d):    # the unknown at face + d (-1 on the boundary), for each face
+        def node(index, d):     # index at face + d, for each face
             return index[t[0] + d[0]:t[0] + d[0] + shape[0], t[1] + d[1]:t[1] + d[1] + shape[1]]
 
         # (node the flux depends on, its term in the row of the face's first
@@ -251,9 +255,10 @@ def _jacobian_pattern(nx, ny, nine_point):
             deps += [(t, 2), ((n[0] + t[0], n[1] + t[1]), 2),
                      ((-t[0], -t[1]), 3), ((n[0] - t[0], n[1] - t[1]), 3)]
         for d, v in deps:
-            for r, value in ((node((0, 0)), v), (node(n), v ^ 1)):
-                keep = (r >= 0) & (node(d) >= 0)
-                rows.append(r[keep]); cols.append(node(d)[keep])
+            c = node(col, d)
+            for r, value in ((node(row, (0, 0)), v), (node(row, n), v ^ 1)):
+                keep = (r >= 0) & (c >= 0)
+                rows.append(r[keep]); cols.append(c[keep])
                 terms.append(np.flatnonzero(keep) + float(offset + value * r.size))
         offset += 4 * r.size
     rows.append(np.arange(N, dtype=np.int32)); cols.append(rows[-1])
@@ -281,7 +286,8 @@ def _jacobian_pattern(nx, ny, nine_point):
 
 
 def _assemble_jacobian(u, grid, p, eps, force):
-    """Exact Jacobian of the interior residual in CSC form on the grid's 9-point
+    """Exact Jacobian of the residual at the mirror representatives along even
+    directions, at the grid's :func:`_quarter` u, in CSC form on the 9-point
     :func:`_jacobian_pattern`, 5-point for p = 2 (dF/dg_t carries p - 2)."""
     indices, indptr, rank, gather = _jacobian_pattern(grid.nx, grid.ny, p != 2.0)
     values = []     # per face axis s, -s, c, -c; then -f'(u)
@@ -331,41 +337,27 @@ def _mirror(shape):
     return np.ix_(*(np.minimum(np.arange(n), np.arange(n)[::-1]) for n in shape))
 
 
-@lru_cache(maxsize=4)     # per interior shape: a field's and its cross-section's
-def _fold(shape):
-    """(reps, fold, P): the representatives' flat indices in an interior of this shape,
-    each node's position among them, and the matrix P summing columns into theirs."""
-    reps, fold = np.unique(np.arange(math.prod(shape)).reshape(shape)[_mirror(shape)].ravel(),
-                           return_inverse=True)
-    return reps, fold, sp.csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)))
-
-
-class _FoldedLU:
-    """SuperLU of the folded Jacobian S J P, S keeping the representatives' rows;
-    ``solve`` maps a full-interior right-hand side to the unfolded correction."""
-
-    def __init__(self, J, shape):
-        self.reps, self.fold, P = _fold(shape)
-        self.lu = spla.splu((J[self.reps] @ P).tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-    def solve(self, b):
-        return self.lu.solve(b[self.reps])[self.fold]
+def _quarter(shape):
+    """:func:`_mirror` on the nodes k <= (n-1)//2 + 1 per axis: indexing a field
+    of this shape with it gives its quarter (the representatives, the boundary
+    before them and one halo node per axis), indexing a quarter refills its halo."""
+    return np.ix_(*(k.ravel()[:(n - 1) // 2 + 2] for n, k in zip(shape, _mirror(shape))))
 
 
 def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
-    """Chord/damped Newton (Kelley 2003, ch. 2 and 5) on the interior
-    u[1:-1, ...] of a field of any dimension with boundary values m, to a
-    scaled residual max |R| / max(1, f(u)) <= tol; returns the field and its
-    diagnostics.  ``residual(v)`` gives (R, f(v)) on the interior or raises
-    SolverError, ``jacobian(v)`` the CSC Jacobian there.  The start is mirrored
-    from its low-index corner and every LU is a :class:`_FoldedLU`, so each
-    iterate is exactly even; scores and the stopping test read every node.
+    """Chord/damped Newton (Kelley 2003, ch. 2 and 5) on the interior of an
+    even field u of any dimension with boundary values m, to a scaled residual
+    max |R| / max(1, f(u)) <= tol; returns the field and its diagnostics.  The
+    iterate is u's :func:`_quarter`, whose halo moves with its mirror, and is
+    mirrored out on return: ``residual(v)`` gives (R, f(v)) at its
+    representatives or raises SolverError, and ``jacobian(v)`` the CSC
+    Jacobian there with each halo column folded onto its mirror's.
 
     A trial that leaves [0, m] or has a non-finite residual is rejected like
     one whose scaled residual is too large.  While an LU is kept, each step
     first tries the full chord step with it, accepted at most
     _CHORD_CONTRACTION times the current scaled residual; otherwise the
-    folded Jacobian is factored (MMD ordering on A^T + A) at the iterate for
+    Jacobian is factored (MMD ordering on A^T + A) at the iterate for
     a damped Newton step, halved until the scaled residual falls.  When no
     halving helps, the solve restarts once from :func:`_layer_profile` at the
     node distances ``dist`` (counted in ``gs_rescues``) and scales later
@@ -374,9 +366,9 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
     after a damped step with alpha < 1 and at a restart.  The one-slot list
     ``lu`` carries an LU in and the last LU out, and is emptied before each
     factorisation.  ``iterations`` counts accepted steps, ``factorizations``
-    the LUs; the final scaled residual lands just under ``tol``."""
-    inner = (slice(1, -1),) * u.ndim
-    u = u[_mirror(u.shape)]     # the start's low-index quarter, mirrored
+    the LUs."""
+    shape, fill = u.shape, _quarter(u.shape)
+    u = u[fill]
 
     def score(v):
         """(R, f(v), merit) at a trial field; the merit is inf for a rejected one."""
@@ -398,21 +390,19 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
                 f"no convergence{where} in {MAX_NEWTON} Newton iterations "
                 f"(m = {m:g}, last scaled residual {rn:.3e})")
         if lu[0] is not None:
-            u_try = u.copy()
-            u_try[inner] += lu[0].solve(-R.ravel()).reshape(R.shape)
+            u_try = u + np.pad(lu[0].solve(-R.ravel()).reshape(R.shape), 1)[fill]
             R_try, fu_try, rn_try = score(u_try)
             if rn_try <= _CHORD_CONTRACTION * rn:
                 u, R, fu, rn = u_try, R_try, fu_try, _scaled_norm(R_try, fu_try)
                 it += 1
                 continue
         lu[0] = None    # free the old factor before the new one is built
-        lu[0] = _FoldedLU(jacobian(u), R.shape)
+        lu[0] = spla.splu(jacobian(u), permc_spec="MMD_AT_PLUS_A")
         factorizations += 1
-        delta = lu[0].solve(-R.ravel()).reshape(R.shape)
+        delta = np.pad(lu[0].solve(-R.ravel()).reshape(R.shape), 1)[fill]
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
-            u_try = u.copy()
-            u_try[inner] += alpha * delta
+            u_try = u + alpha * delta
             R_try, fu_try, rn_try = score(u_try)
             if rn_try < rn:
                 u, R, fu, rn = u_try, R_try, fu_try, _scaled_norm(R_try, fu_try)
@@ -427,13 +417,13 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
             # a flat interior scores 1 at any level; under a scaling frozen at
             # the current iterate the merit is one norm, along which Newton descends
             lu[0], restarts, frozen = None, 1, True
-            u = _layer_profile(dist, op, force, m)
+            u = _layer_profile(dist[fill], op, force, m)
             R, fu = residual(u)
             rn = _scaled_norm(R, fu)
         it += 1
     # nothing is clipped and gs_rescues counts restarts; bench/tracing.py reads both keys
-    return u, {"iterations": it, "factorizations": factorizations, "final_residual": rn,
-               "clip_activations": 0, "gs_rescues": restarts}
+    return u[_mirror(shape)], {"iterations": it, "factorizations": factorizations,
+                               "clip_activations": 0, "gs_rescues": restarts}
 
 
 def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
@@ -442,7 +432,8 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
     """Converged field for boundary data m, from the given start, else from
     the boundary-layer profile of :func:`_layer_profile` for p > 2 and from
     u = m for p <= 2 (where gamma = EPS^{p-2} >= 1 on the flat start), by
-    :func:`_newton` to TOL_RES with the LU slot ``factor``."""
+    :func:`_newton` to TOL_RES with the LU slot ``factor``.  ``final_residual``
+    is read on every node: at p != 2 the residual is not exactly even."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
     if m < 0.0:
@@ -456,6 +447,7 @@ def solve_dirichlet(grid: Grid2D, op: Operator, force: Force, m: float,
                              lambda v: _residual_interior(v, grid, p, EPS, force),
                              lambda v: _assemble_jacobian(v, grid, p, EPS, force),
                              TOL_RES, [None] if factor is None else factor, "")
+    diagnostics["final_residual"] = _scaled_norm(*_residual_interior(u, grid, p, EPS, force))
     return DiscreteField(grid, u, float(m), op, force, diagnostics)
 
 
@@ -526,9 +518,9 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
     """Escalate the boundary data m (doubling from M_START, at most
     ``max_levels`` levels) toward the blow-up limit.
     Each level starts from the tangent predictor u_prev + (m - m_prev) du/dm,
-    J du/dm = -J e (e = 1 on the boundary), solved with the previous level's
-    last LU, which its solve then reuses; without an LU, from u_prev.  Stops
-    at the increment plateau on the interior compact K
+    J du/dm = -J e (e = 1 on the boundary), solved on the quarter with the
+    previous level's last LU, which its solve then reuses; without an LU,
+    from u_prev.  Stops at the increment plateau on the interior compact K
     or at the layer-resolution cap m* of :func:`layer_cap_m`, whichever comes
     first; a doubling that would pass m* steps to m* instead, so a capped
     escalation ends exactly at Psi_p(m) = LAYER_FACTOR * h.  A schedule that
@@ -549,8 +541,9 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
         start = None if prev is None else prev.values
         if prev is not None and lu[0] is not None:      # the tangent predictor
             e = np.pad(np.zeros((grid.nx - 2, grid.ny - 2)), 1, constant_values=1.0)
-            Je = _jacobian_times(start, e, grid, op.p, EPS, force)
-            du = np.pad(lu[0].solve(-Je.ravel()).reshape(Je.shape), 1)
+            quarter = _quarter(e.shape)
+            Je = _jacobian_times(start[quarter], e[quarter], grid, op.p, EPS, force)
+            du = np.pad(lu[0].solve(-Je.ravel()).reshape(Je.shape), 1)[_mirror(e.shape)]
             start = start + (m - prev.m) * (e + du)
         field_ = solve_dirichlet(grid, op, force, m, initial=start, factor=lu)
         if mask is None:
@@ -638,10 +631,13 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
         R, fu = _residual_interior(np.repeat(w[:, None], 3, axis=1), g, p, EPS, force)
         return R[:, 0], fu[:, 0]
 
+    halo = _quarter((g.nx,))[0][-1] - 1     # the column of the halo's mirror
+
     def jacobian_1d(w):
         dF = _flux_derivatives(np.diff(w) / hx, 0.0, p, EPS)[0] / (hx * hx)   # g_t = 0
-        return sp.diags([dF[1:-1], -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1]),
-                         dF[1:-1]], [-1, 0, 1], format="csc")
+        J = sp.diags([dF[1:-1], -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1]), dF[1:-1]],
+                     [-1, 0, 1])
+        return (J + sp.csr_matrix(([dF[-1]], ([dF.size - 2], [halo])), shape=J.shape)).tocsc()
 
     return _newton(field_.mid_slice()[1], field_.m, g.edge_distances[0], field_.op, force,
                    residual_1d, jacobian_1d, 1e-12, [None],

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -20,6 +21,26 @@ from conftest import psi_power_closed_form
 
 def make_field(grid, op, force, values, m):
     return DiscreteField(grid, values, m, op, force)
+
+
+def even(u):
+    """u mirrored from its low-index quarter: even in each axis."""
+    return u[pde2d._mirror(u.shape)]
+
+
+def quarter(u):
+    """The quarter of u that the Newton loop keeps, its halo refilled."""
+    return u[pde2d._quarter(u.shape)]
+
+
+def representatives(grid):
+    return (grid.nx - 1) // 2, (grid.ny - 1) // 2
+
+
+def spread(values, shape):
+    """The even field of this shape with these values at the representatives
+    and 0 on the boundary."""
+    return np.pad(values, 1)[pde2d._mirror(shape)]
 
 
 class TestResidual:
@@ -50,20 +71,22 @@ class TestResidual:
         (3.0, {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1.2, 1.5], [1.6, 4.0]]}),
     ], ids=["1.5", "2.0", "3.0", "3.0-table"])
     def test_jacobian_matches_finite_differences(self, p, force):
+        # column k moves representative k and its mirror images: the full
+        # residual's derivative along that even direction, read at the
+        # representatives
         rng = np.random.default_rng(2)
         g = Grid2D(1.2, 8, 9)
         force = make_force(force)
-        u = 1.0 + rng.random((g.nx, g.ny))
-        J = _assemble_jacobian(u, g, p, 1e-8, force).toarray()
+        u = even(1.0 + rng.random((g.nx, g.ny)))
+        J = _assemble_jacobian(quarter(u), g, p, 1e-8, force).toarray()
+        reps = representatives(g)
         R0, _ = _residual_interior(u, g, p, 1e-8, force)
         h = 1e-7
         cols = []
-        for i in range(1, g.nx - 1):
-            for j in range(1, g.ny - 1):
-                up = u.copy()
-                up[i, j] += h
-                Rp, _ = _residual_interior(up, g, p, 1e-8, force)
-                cols.append((Rp - R0).ravel() / h)
+        for k in range(J.shape[1]):
+            up = u + h * spread((np.arange(J.shape[1]) == k).reshape(reps), u.shape)
+            Rp, _ = _residual_interior(up, g, p, 1e-8, force)
+            cols.append((Rp - R0)[:reps[0], :reps[1]].ravel() / h)
         Jfd = np.array(cols).T
         assert np.max(np.abs(J - Jfd)) <= 1e-5 * np.max(np.abs(J))
 
@@ -74,15 +97,22 @@ class TestResidual:
         (3.0, {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1.2, 1.5], [1.6, 4.0]]}),
     ], ids=["1.5", "2.0", "3.0", "3.0-table"])
     def test_jacobian_times_matches_the_assembled_jacobian(self, p, force):
+        # on the quarter, along an even direction
         rng = np.random.default_rng(4)
         g = Grid2D(1.2, 8, 9)
         force = make_force(force)
-        u = 1.0 + rng.random((g.nx, g.ny))
-        v = np.zeros_like(u)
-        v[1:-1, 1:-1] = rng.standard_normal((g.nx - 2, g.ny - 2))
-        Jv = _assemble_jacobian(u, g, p, 1e-8, force) @ v[1:-1, 1:-1].ravel()
-        got = _jacobian_times(u, v, g, p, 1e-8, force).ravel()
-        assert np.max(np.abs(got - Jv)) <= 1e-13 * np.max(np.abs(Jv))
+        u = even(1.0 + rng.random((g.nx, g.ny)))
+        v = rng.standard_normal(representatives(g))
+        Jv = _assemble_jacobian(quarter(u), g, p, 1e-8, force) @ v.ravel()
+        got = _jacobian_times(quarter(u), quarter(spread(v, u.shape)), g, p, 1e-8,
+                              force).ravel()
+        # rounding is relative to the terms that each entry sums: on the 8-node
+        # axis the middle face has g_n = 0, so at p = 1.5 and the corner its
+        # gamma is EPS^(-1/2) and its terms, about 1e5, cancel in the fold
+        terms = folded_terms(u, g, p, 1e-8, force)
+        scale = (sp.coo_matrix((np.abs(terms.data), (terms.row, terms.col))).tocsc()
+                 @ np.abs(v.ravel()))
+        assert np.max(np.abs(got - Jv)) <= 1e-14 * np.max(scale)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_jacobian_times_boundary_direction_is_the_m_derivative(self, p, force_cubic):
@@ -103,8 +133,8 @@ class TestResidual:
         # the tangential entries vanish identically for p = 2 and are not stored
         g = grid_for_ell(1.0, 17)
         u = 1.0 + np.random.default_rng(3).random((g.nx, g.ny))
-        J = _assemble_jacobian(u, g, 2.0, 1e-8, force_cubic)
-        assert J.nnz <= 5 * (g.nx - 2) * (g.ny - 2)
+        J = _assemble_jacobian(quarter(u), g, 2.0, 1e-8, force_cubic)
+        assert J.nnz <= 5 * J.shape[0]
 
     @pytest.mark.parametrize("p,min_rate", [(2.0, 1.8), (3.0, 0.9)])
     def test_manufactured_solution_convergence(self, p, min_rate):
@@ -171,9 +201,26 @@ def coo_terms(u, grid, p, eps, force):
 
 
 def coo_jacobian(u, grid, p, eps, force):
-    """The Jacobian as a COO assembly converted by scipy's tocsc: the
-    reference whose bits the pattern-based assembly must reproduce."""
+    """The Jacobian as a COO assembly converted by scipy's tocsc."""
     return coo_terms(u, grid, p, eps, force).tocsc()
+
+
+def folded_terms(u, grid, p, eps, force):
+    """coo_terms restricted to the rows of the mirror representatives, each
+    column moved onto its node's representative, numbered on them."""
+    A = coo_terms(u, grid, p, eps, force)
+    i, j = np.divmod(np.arange(A.shape[0]), grid.ny - 2)    # interior indices
+    mi, mj = np.minimum(i, grid.nx - 3 - i), np.minimum(j, grid.ny - 3 - j)
+    rep = mi * representatives(grid)[1] + mj
+    keep = ((mi == i) & (mj == j))[A.row]
+    return sp.coo_matrix((A.data[keep], (rep[A.row[keep]], rep[A.col[keep]])),
+                         shape=(math.prod(representatives(grid)),) * 2)
+
+
+def folded_jacobian(u, grid, p, eps, force):
+    """folded_terms converted by scipy's tocsc: the reference whose bits the
+    pattern-based assembly on the quarter must reproduce."""
+    return folded_terms(u, grid, p, eps, force).tocsc()
 
 
 class TestJacobianPattern:
@@ -186,20 +233,27 @@ class TestJacobianPattern:
                                       grid_for_ell(1, 17), grid_for_ell(2, 33)],
                              ids=["8x9", "11x8", "ell1-17", "ell2-33"])
     def test_bit_identical_to_the_coo_assembly(self, grid, p):
-        # random fields, and the flat start, where eps = 1e-300 underflows and
-        # the stored values include +-0, inf (p = 1.5) and NaN (p = 1.5)
+        # random even fields, and the flat start, where eps = 1e-300 underflows
+        # and the stored values include +-0, inf (p = 1.5) and NaN (p = 1.5).
+        # A folded entry can sum NaNs of both signs (from c and -c terms), and
+        # numpy's add keeps the sign of either operand depending on the loop it
+        # takes, so NaN entries are compared as NaN and every other one by its bits
         rng = np.random.default_rng(11)
         flat = np.full((grid.nx, grid.ny), 2.0)
         for name, spec in self.FORCES.items():
             force = make_force(spec)
-            for u, eps in ((1.0 + rng.random(flat.shape), 1e-8), (flat, 1e-8), (flat, 1e-300)):
+            for u, eps in ((even(1.0 + rng.random(flat.shape)), 1e-8), (flat, 1e-8),
+                           (flat, 1e-300)):
                 with np.errstate(all="ignore"):
-                    want = coo_jacobian(u, grid, p, eps, force)
-                    got = _assemble_jacobian(u, grid, p, eps, force)
+                    want = folded_jacobian(u, grid, p, eps, force)
+                    got = _assemble_jacobian(quarter(u), grid, p, eps, force)
                 assert got.format == "csc" and got.shape == want.shape
                 assert np.array_equal(got.indptr, want.indptr), name
                 assert np.array_equal(got.indices, want.indices), name
-                assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
+                nan = np.isnan(want.data)
+                assert np.array_equal(np.isnan(got.data), nan), name
+                assert np.array_equal(got.data[~nan].view(np.int64),
+                                      want.data[~nan].view(np.int64)), name
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), grid_for_ell(2, 65)],
@@ -208,7 +262,7 @@ class TestJacobianPattern:
         # no padding: gather[k] covers exactly the entries with more than k terms
         indices, indptr, rank, gather = pde2d._jacobian_pattern(grid.nx, grid.ny, p != 2.0)
         u = np.full((grid.nx, grid.ny), 2.0)
-        terms = coo_terms(u, grid, p, 1e-8, make_force(kind="power", q=3)).nnz
+        terms = folded_terms(u, grid, p, 1e-8, make_force(kind="power", q=3)).nnz
         assert sum(g.size for g in gather) == terms
         assert [g.size for g in gather] == sorted((g.size for g in gather), reverse=True)
         assert np.array_equal(np.sort(rank), np.arange(indices.size))
@@ -229,7 +283,7 @@ class TestJacobianPattern:
         coo_jacobian(u, g, 3.0, 1e-8, force)     # warm both paths outside the trace
         pde2d._jacobian_pattern.cache_clear()
         build = peak(lambda: pde2d._jacobian_pattern(g.nx, g.ny, True))
-        assembly = peak(lambda: _assemble_jacobian(u, g, 3.0, 1e-8, force))
+        assembly = peak(lambda: _assemble_jacobian(quarter(u), g, 3.0, 1e-8, force))
         reference = peak(lambda: coo_jacobian(u, g, 3.0, 1e-8, force))
         assert build <= reference and assembly <= reference, (build, assembly, reference)
 
@@ -290,7 +344,7 @@ class TestSolveDirichlet:
         g = grid_for_ell(1.0, 17)
         u = np.full((g.nx, g.ny), 2.0)
         for p in (2.0, 3.0):
-            J = _assemble_jacobian(u, g, p, 1e-300, force_cubic)
+            J = _assemble_jacobian(quarter(u), g, p, 1e-300, force_cubic)
             assert np.all(np.isfinite(J.data))
         monkeypatch.setattr(pde2d, "EPS", 1e-300)
         fld = solve_dirichlet(g, op_p2, force_cubic, 2.0)
@@ -368,9 +422,9 @@ def full_grid_newton(grid, op, force, u):
 
 
 class TestSymmetricFold:
-    """Each LU factors the Jacobian folded onto the mirror representatives, so
-    fields are even to the bit; these tests are the oracle that the symmetry
-    check of a cylinder run no longer is."""
+    """Newton runs on the quarter of the mirror representatives plus one halo
+    node per axis, so fields are even to the bit; these tests are the oracle
+    that the symmetry check of a cylinder run no longer is."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), Grid2D(1.2, 9, 8), grid_for_ell(1, 17)],
@@ -379,18 +433,26 @@ class TestSymmetricFold:
         rng = np.random.default_rng(5)
         force = make_force(kind="power", q=3)
         for _ in range(3):
-            u = (1.0 + rng.random((grid.nx, grid.ny)))[pde2d._mirror((grid.nx, grid.ny))]
-            R, _ = _residual_interior(u, grid, p, pde2d.EPS, force)
-            lu = pde2d._FoldedLU(_assemble_jacobian(u, grid, p, pde2d.EPS, force), R.shape)
-            want = spla.spsolve(coo_jacobian(u, grid, p, pde2d.EPS, force), -R.ravel())
-            got = lu.solve(-R.ravel())
-            assert lu.lu.shape == ((grid.nx - 1) // 2 * ((grid.ny - 1) // 2),) * 2
+            u = even(1.0 + rng.random((grid.nx, grid.ny)))
+            R, _ = _residual_interior(quarter(u), grid, p, pde2d.EPS, force)
+            lu = spla.splu(_assemble_jacobian(quarter(u), grid, p, pde2d.EPS, force))
+            got = spread(lu.solve(-R.ravel()).reshape(R.shape), u.shape)[1:-1, 1:-1].ravel()
+            R_full, _ = _residual_interior(u, grid, p, pde2d.EPS, force)
+            want = spla.spsolve(coo_jacobian(u, grid, p, pde2d.EPS, force), -R_full.ravel())
+            assert lu.shape == (math.prod(representatives(grid)),) * 2
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("p, q, m", [(1.5, 3.0, 2.0), (1.5, 3.0, 16.0), (2.0, 3.0, 2.0),
-                                         (2.0, 3.0, 16.0), (3.0, 6.0, 2.0), (3.0, 6.0, 8.0)])
-    def test_same_iterates_as_a_full_grid_newton(self, p, q, m):
-        g = grid_for_ell(1.0, 17)
+    @pytest.mark.parametrize("g, p, q, m", [
+        pytest.param(grid_for_ell(1.0, 17), p, q, m, id=f"{p}-{q}-{m}")
+        for p, q, m in [(1.5, 3.0, 2.0), (1.5, 3.0, 16.0), (2.0, 3.0, 2.0),
+                        (2.0, 3.0, 16.0), (3.0, 6.0, 2.0), (3.0, 6.0, 8.0)]
+    ] + [
+        # an even interior count, along x or along both axes: there the halo
+        # node mirrors the last representative instead of the one before it
+        pytest.param(Grid2D(1.2, 18, ny), p, q, m, id=f"18x{ny}-{p}-{q}-{m}")
+        for ny in (21, 20) for p, q, m in [(1.5, 3.0, 16.0), (2.0, 3.0, 16.0), (3.0, 6.0, 8.0)]
+    ])
+    def test_same_iterates_as_a_full_grid_newton(self, g, p, q, m):
         op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
         start = (pde2d._layer_profile(np.minimum.outer(*g.edge_distances), op, force, m)
                  if p > 2.0 else np.full((g.nx, g.ny), m))
@@ -420,7 +482,31 @@ class TestSymmetricFold:
 
         monkeypatch.setattr(pde2d, "solve_dirichlet", recorded)
         escalate_m(grid_for_ell(2.0, 65), op_p2, force_cubic)
-        assert slots[-1][0].lu.shape == (2048, 2048)    # of N = 63 * 127 = 8001
+        assert slots[-1][0].shape == (2048, 2048)    # of N = 63 * 127 = 8001
+
+    @pytest.mark.parametrize("grid", [grid_for_ell(1.0, 17), Grid2D(1.2, 18, 21),
+                                      Grid2D(1.2, 18, 20)], ids=["17x17", "18x21", "18x20"])
+    @pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 6.0)])
+    def test_quarter_residual_is_the_full_residual(self, grid, p, q, monkeypatch):
+        # each iterate's residual, read on the quarter and its halo, is bit for
+        # bit the residual at the representatives of the field mirrored out
+        # from them; a halo left stale after an update breaks this
+        op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
+        full, reps = (grid.nx, grid.ny), representatives(grid)
+        residual_interior = pde2d._residual_interior
+        same = []
+
+        def compared(v, *args):
+            R, fu = residual_interior(v, *args)
+            if v.shape != full:     # a quarter; _mirror reads none of its halo
+                want = residual_interior(v[pde2d._mirror(full)], *args)
+                same.append(all(np.array_equal(a, b[:reps[0], :reps[1]])
+                                for a, b in zip((R, fu), want)))
+            return R, fu
+
+        monkeypatch.setattr(pde2d, "_residual_interior", compared)
+        solve_dirichlet(grid, op, force, 8.0)
+        assert len(same) > 2 and all(same)
 
 
 class TestLayerProfile:
@@ -654,17 +740,19 @@ class TestContinuation:
 def test_discrete_cross_section_solves_three_point_scheme():
     # the 1D reduction is (F[i+1/2] - F[i-1/2]) / h = w[i]^q with the face flux
     # F = (g^2 + eps^2)^((p-2)/2) g of g = (w[i+1] - w[i]) / h; for p = 2 it
-    # is the 3-point Laplacian
-    for p, q in ((2.0, 3.0), (1.5, 3.0), (3.0, 6.0)):
+    # is the 3-point Laplacian.  At an even nx the halo mirrors the last
+    # representative, at an odd nx the one before it
+    for (p, q), grid in itertools.product(((2.0, 3.0), (1.5, 3.0), (3.0, 6.0)),
+                                          (grid_for_ell(1.0, 33), Grid2D(1.0, 32, 33))):
         op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
-        fld = solve_dirichlet(grid_for_ell(1.0, 33), op, force, 16.0)
+        fld = solve_dirichlet(grid, op, force, 16.0)
         w = pde2d.discrete_cross_section(fld)
         h = fld.grid.hx
         g = np.diff(w) / h
         flux = (g * g + pde2d.EPS ** 2) ** ((p - 2.0) / 2.0) * g
         fw = w[1:-1] ** q
-        assert w[0] == w[-1] == 16.0
-        assert np.max(np.abs(np.diff(flux) / h - fw) / np.maximum(1.0, fw)) <= 1e-11, p
+        assert w[0] == w[-1] == 16.0 and np.array_equal(w, w[::-1])
+        assert np.max(np.abs(np.diff(flux) / h - fw) / np.maximum(1.0, fw)) <= 1e-11, (p, grid)
 
 
 def test_discrete_cross_section_stall_raises(force_cubic):

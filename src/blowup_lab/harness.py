@@ -29,6 +29,7 @@ from .registry import Force, Operator, make_force, make_operator
 
 KINDS = ("ko-check", "solve-1d", "ell-map", "dead-core", "radial",
          "cylinder", "asymptotics")
+EXPECT_KINDS = ("ko-check", "solve-1d", "dead-core")   # the kinds that grade params.expect
 PROBE_OFFSET = 0.1              # dead-core: the relation is checked this far outside the core
 ASYMPTOTIC_DISTANCE = 1e-3      # radial: w(R - d) / Phi(d) is graded at this d
 
@@ -63,7 +64,7 @@ _OPERATOR_SCHEMA = {
 _PARAMS_SCHEMA = {
     "type": "object",
     "properties": {
-        # shared
+        # ko-check / solve-1d / dead-core (from_dict rejects it elsewhere)
         "expect": {"type": "object"},
         # ko-check
         "betas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0,
@@ -133,6 +134,9 @@ class ExperimentConfig:
                 f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
                 for e in errors)
             raise ConfigError(f"invalid configuration: {msgs}")
+        if "expect" in doc.get("params", {}) and doc["kind"] not in EXPECT_KINDS:
+            raise ConfigError(f"invalid configuration: params/expect: kind {doc['kind']!r} "
+                              "grades no expected values")
         return cls(doc["kind"], doc["force"], doc["operator"],
                    doc.get("params", {}), doc.get("output_dir"),
                    doc.get("deterministic", True))
@@ -344,14 +348,14 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
     return checks
 
 
-def _boundary_ratio(op, force, prof, rate, d) -> tuple[Optional[float], str]:
+def _boundary_ratio(op, force, prof, d) -> tuple[Optional[float], str]:
     """(w(R - d) / Phi(d), detail) for a ball profile, graded inside a shot,
     never on an extrapolation past its end; (None, why) without such a shot."""
-    phi_d = rate.phi(d)
+    phi_d = ko_mod.phi(op, force, d)
     psi_end = prof.R - prof.r[-1]       # the shot ends Psi(w_end) short of R
     try:
         graded = prof if psi_end <= d / 10.0 else radial.shoot_ball(
-            op, force, prof.n, prof.v0, w_cap=rate.phi(d / 10.0))
+            op, force, prof.n, prof.v0, w_cap=ko_mod.phi(op, force, d / 10.0))
         return graded.value(graded.R - d) / phi_d, ""
     except BracketError:
         return None, f"Psi(w_end) = {psi_end:.3g} > d/10 and no Phi(d/10) for d = {d:g}"
@@ -391,8 +395,7 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
         checks.append(CheckResult("equation-residual", res <= 1e-6, res, 1e-6))
         checks.append(CheckResult("nondecreasing", bool(np.all(np.diff(prof.w) >= -1e-12)),
                                   float(np.min(np.diff(prof.w)))))
-        ratio, detail = _boundary_ratio(op, force, prof, ko_mod.BlowupRateFn(op, force),
-                                        ASYMPTOTIC_DISTANCE)
+        ratio, detail = _boundary_ratio(op, force, prof, ASYMPTOTIC_DISTANCE)
         checks.append(CheckResult("boundary-asymptotic-ratio", ratio is not None
                                   and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     checks.insert(0, CheckResult("profile", True, {"n": n, "v0": prof.v0, "R": prof.R}))
@@ -509,9 +512,8 @@ def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     v0 = float(params.get("v0", 1.0))
     distances = [float(d) for d in params.get("distances", [1e-2, 1e-3, 1e-4])]
     ell = ode1d.ell_of_v0(op, force, v0)
-    rate = ko_mod.BlowupRateFn(op, force)
     values = ode1d.eval_profile(op, force, v0, ell - np.array(distances))
-    rows = [(d, v, p / d, v / rate.phi(d))
+    rows = [(d, v, p / d, v / ko_mod.phi(op, force, d))
             for d, v, p in zip(distances, values.tolist(), ko_mod.psi(op, force, values).tolist())]
     manifest.add("asymptotics.csv", write_csv, "distance,value,psi_ratio,phi_ratio", rows)
     finest = rows[-1]
@@ -525,7 +527,7 @@ def _run_asymptotics(op, force, params, manifest) -> list[CheckResult]:
     if "R_target" in params:
         n = int(params.get("n", 2))
         prof = radial.ball_large_solution(op, force, n, float(params["R_target"]))
-        ratio, detail = _boundary_ratio(op, force, prof, rate, ASYMPTOTIC_DISTANCE)
+        ratio, detail = _boundary_ratio(op, force, prof, ASYMPTOTIC_DISTANCE)
         checks.append(CheckResult("radial-phi-ratio", ratio is not None
                                   and 0.97 <= ratio <= 1.03, ratio, "[0.97, 1.03]", detail))
     return checks
@@ -546,7 +548,10 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Execute one experiment; artifacts and report land in out_dir."""
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else (config.output_dir or "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {out}: {exc}") from exc
     manifest = _Manifest(out)
     op, force = _build(config)
     t_build = time.perf_counter()

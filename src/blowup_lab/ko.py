@@ -4,16 +4,17 @@ Psi(r) = int_r^inf ds / B^-1{F(s)} is the distance-to-blow-up functional:
 its convergence for every r > 0 is the Keller-Osserman condition.  The
 behaviour of the same integrand at 0+ separates the Osgood regime
 (divergent, solutions cannot leave zero data) from the dead-core regime
-(convergent, with a finite total length L = int_0^inf).  Phi is the inverse
-of Psi and gives the universal boundary blow-up rate Phi(d) at distance d.
-:func:`increasing_root` is the one log-scale root finder behind Phi and every
-other monotone inversion of the lab.
+(convergent, with a finite total length L = int_0^inf).  :func:`phi` is
+the inverse of :func:`psi` and gives the universal boundary blow-up rate
+Phi(d) at distance d; it is cached per (operator, force, d), so every caller
+shares one inversion.  :func:`increasing_root` is the one log-scale root
+finder behind Phi and every other monotone inversion of the lab.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,35 +175,29 @@ def increasing_root(g, limit: float, ftol: float, name: str, goal: str, start=0.
         return hit.args[0]
 
 
-@dataclass
-class BlowupRateFn:
-    """Psi and its monotone inverse Phi, for d in [Psi(1e14), Psi(1e-14)]."""
+@lru_cache(maxsize=32)
+def _log_secant(op: Operator, force: Force) -> tuple[float, float]:
+    """log Psi(1), log Psi(e): the first secant of :func:`phi`."""
+    return math.log(psi(op, force, 1.0)), math.log(psi(op, force, math.e))
 
-    op: Operator
-    force: Force
 
-    def psi(self, r: float) -> float:
-        return psi(self.op, self.force, r)
-
-    @cached_property
-    def _secant(self) -> tuple[float, float]:     # log Psi(1), log Psi(e): phi's first secant
-        return math.log(self.psi(1.0)), math.log(self.psi(math.e))
-
-    def phi(self, d: float) -> float:
-        """r with Psi(r) = d, by :func:`increasing_root` on t = log r, from the
-        log-log secant through Psi(1) and Psi(e) when f grows like a power (log
-        Psi is then linear in t), else from t = 0.  Raises :class:`BracketError`
-        when r would leave [1e-14, 1e14], as for d >= L in the dead-core regime."""
-        if not d > 0.0:
-            raise ValueError("phi needs d > 0")
-        log_d, limit = math.log(d), math.log(1e14)
-        start = 0.0
-        if self.force.growth_inf is not None:
-            at_1, at_e = self._secant
-            start = min(max((log_d - at_1) / (at_e - at_1), -limit), limit)
-        return math.exp(increasing_root(
-            lambda t: log_d - math.log(self.psi(math.exp(t))), limit, 0.0,
-            "r", f"has Psi(r) = {d:g}", start))
+@lru_cache(maxsize=64)      # a cylinder family asks once per mesh width h
+def phi(op: Operator, force: Force, d: float) -> float:
+    """Phi(d) = Psi^-1(d): r with Psi(r) = d, by :func:`increasing_root` on
+    t = log r, from the log-log secant through Psi(1) and Psi(e) when f grows
+    like a power (log Psi is then linear in t), else from t = 0.  Raises
+    :class:`BracketError` when r would leave [1e-14, 1e14], as for d >= L in
+    the dead-core regime, and :class:`DivergenceError` when KO fails."""
+    if not d > 0.0:
+        raise ValueError("phi needs d > 0")
+    log_d, limit = math.log(d), math.log(1e14)
+    start = 0.0
+    if force.growth_inf is not None:
+        at_1, at_e = _log_secant(op, force)
+        start = min(max((log_d - at_1) / (at_e - at_1), -limit), limit)
+    return math.exp(increasing_root(
+        lambda t: log_d - math.log(psi(op, force, math.exp(t))), limit, 0.0,
+        "r", f"has Psi(r) = {d:g}", start))
 
 
 # ---------------------------------------------------------------------------

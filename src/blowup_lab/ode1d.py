@@ -10,12 +10,13 @@ This module evaluates profiles by one safeguarded Newton iteration on the
 implicit relation, batched over every sample point and bracketed by a
 cumulative table of that integral, maps ell <-> v0, and builds dead-core
 profiles (v0 = 0, flat zero core of half-width ell - L) when the 0+ integral
-converges.
+converges.  Every value v(x), sampled for export or read at given points,
+comes from :meth:`Profile1D.value`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -31,6 +32,8 @@ from .registry import Force, Operator
 _V_LIMIT = 1e280
 _NEWTON_RTOL = 1e-14       # stop once a Newton step is below this * |iterate|
 _NEWTON_MAX_STEPS = 100    # bisection from a full bracket needs about 50
+N_BODY = 161               # uniform profile samples on [0, 0.95 ell)
+N_EDGE = 40                # geometric profile samples toward ell
 
 
 def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
@@ -224,7 +227,7 @@ class Profile1D:
     force: Force
     v0: float
     ell: float
-    samples: tuple              # ((x, v), ...) on [0, x_max], x_max < ell
+    samples: tuple              # ((x, v), ...) on [0, x_max], x_max < ell; () unsampled
     dead_core: Optional[tuple]  # (-core, core) or None
 
     def value(self, x):
@@ -261,20 +264,23 @@ class Profile1D:
         })
 
 
-def _sample_grid(ell: float, n_body: int, n_edge: int) -> np.ndarray:
-    body = np.linspace(0.0, 0.95 * ell, n_body, endpoint=False)
-    # geometric approach to the blow-up end, down to distance 1e-4 * ell
-    d = 0.05 * ell * np.logspace(0.0, -3.0, n_edge)
-    return np.concatenate((body, ell - d))
+def _sampled(profile: Profile1D) -> Profile1D:
+    """``profile`` with ``value`` sampled on N_BODY uniform points of
+    [0, 0.95 ell) and N_EDGE geometric ones toward ell, down to 1e-4 ell."""
+    ell = profile.ell
+    xs = np.concatenate((np.linspace(0.0, 0.95 * ell, N_BODY, endpoint=False),
+                         ell - 0.05 * ell * np.logspace(0.0, -3.0, N_EDGE)))
+    return replace(profile, samples=tuple(zip(xs.tolist(), profile.value(xs).tolist())))
 
 
-def large_profile(op: Operator, force: Force, v0: float,
-                  n_body: int = 161, n_edge: int = 40) -> Profile1D:
+def _large(op: Operator, force: Force, v0: float) -> Profile1D:
+    """The unsampled large solution with minimum v0 > 0."""
+    return Profile1D(op, force, v0, _branch(op, force, v0).total, (), None)
+
+
+def large_profile(op: Operator, force: Force, v0: float) -> Profile1D:
     """Construct the even large solution with minimum v0 (sampled on [0, x_max])."""
-    br = _branch(op, force, v0)
-    xs = _sample_grid(br.total, n_body, n_edge)
-    samples = tuple(zip(xs.tolist(), br.upper_value(xs).tolist()))
-    return Profile1D(op, force, v0, br.total, samples, None)
+    return _sampled(_large(op, force, v0))
 
 
 def eval_profile(op: Operator, force: Force, v0: float, x):
@@ -282,11 +288,7 @@ def eval_profile(op: Operator, force: Force, v0: float, x):
     over an array of x (a float for scalar x)."""
     if not v0 > 0.0:
         raise ValueError("eval_profile needs v0 > 0 (see dead_core_profile)")
-    br = _branch(op, force, v0)
-    ax = np.abs(x)
-    if np.any(ax >= br.total):
-        raise ProfileDomainError(f"|x| = {np.max(ax):g} >= ell(v0) = {br.total:g}")
-    return br.upper_value(ax)
+    return _large(op, force, v0).value(x)
 
 
 @lru_cache(maxsize=64)
@@ -316,9 +318,8 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
         0.0, "v0", f"has the half-length {ell:g}"))
 
 
-def dead_core_profile(op: Operator, force: Force, ell: float,
-                      n_body: int = 161, n_edge: int = 40) -> Profile1D:
-    """Large solution with a flat zero core [-(ell-L), ell-L] for ell > L."""
+def _dead_core(op: Operator, force: Force, ell: float) -> Profile1D:
+    """The unsampled dead-core solution on (-ell, ell), for ell > L."""
     try:
         L = ko_mod.length_scale(op, force)
     except DivergenceError as exc:
@@ -328,10 +329,12 @@ def dead_core_profile(op: Operator, force: Force, ell: float,
     if not ell > L:
         raise ValueError(f"dead core needs ell > L = {L:g}, got ell = {ell:g}")
     core = ell - L
-    xs = _sample_grid(ell, n_body, n_edge)
-    vs = np.zeros(xs.size)
-    vs[xs > core] = _branch(op, force, 0.0).upper_value(xs[xs > core] - core)
-    return Profile1D(op, force, 0.0, ell, tuple(zip(xs.tolist(), vs.tolist())), (-core, core))
+    return Profile1D(op, force, 0.0, ell, (), (-core, core))
+
+
+def dead_core_profile(op: Operator, force: Force, ell: float) -> Profile1D:
+    """Large solution with a flat zero core [-(ell-L), ell-L] for ell > L."""
+    return _sampled(_dead_core(op, force, ell))
 
 
 @dataclass(frozen=True)
@@ -353,10 +356,6 @@ def decay_sweep(op: Operator, force: Force, ells: Sequence[float],
         if ell <= abs(x_probe):
             raise ValueError(f"probe {x_probe:g} outside (-{ell:g}, {ell:g})")
         v0 = v0_of_ell(op, force, ell)
-        if v0 == 0.0:
-            prof = dead_core_profile(op, force, ell, n_body=2, n_edge=2)
-            rows.append(DecayRow(float(ell), 0.0, prof.value(x_probe), True))
-        else:
-            rows.append(DecayRow(float(ell), v0,
-                                 eval_profile(op, force, v0, x_probe), False))
+        prof = _dead_core(op, force, ell) if v0 == 0.0 else _large(op, force, v0)
+        rows.append(DecayRow(float(ell), v0, prof.value(x_probe), v0 == 0.0))
     return rows

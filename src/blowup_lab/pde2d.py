@@ -484,33 +484,26 @@ def gradient_energy(field_: DiscreteField, mask: np.ndarray) -> float:
     return float(np.sum((mag[cell_in] ** field_.op.p)) * g.hx * g.hy)
 
 
-@lru_cache(maxsize=4)     # every grid of a family shares h
-def _phi(op: Operator, force: Force, target: float) -> float:
-    return ko_mod.BlowupRateFn(op, force).phi(target)
-
-
-def layer_cap_m(op: Operator, force: Force, grid: Grid2D, *,
-                max_levels: int = MAX_LEVELS) -> Optional[float]:
+def layer_cap_m(op: Operator, force: Force, grid: Grid2D) -> Optional[float]:
     """The m* = Phi_p(LAYER_FACTOR * h), where Psi_p(m*) = LAYER_FACTOR * h, or
     None when the tail functional diverges (KO fails: no cap, escalation must
     be caught by the no-plateau detector).
 
     m* is solved for (to about 1e-12 relative) rather than rounded to the
     doubling schedule, so grids of every mesh width stop at the same layer
-    resolution; the inversion is cached per (op, force, h).  The cap is
-    clamped to the schedule [M_START, M_START * M_FACTOR^max_levels]; when
-    Phi cannot bracket m* in [1e-14, 1e14] (or LAYER_FACTOR * h reaches a dead
-    core's L), Psi_p(M_START) tells which end it is."""
+    resolution; :func:`ko.phi` caches it per (op, force, h).  When Phi cannot
+    bracket m* in [1e-14, 1e14] (or LAYER_FACTOR * h reaches a dead core's L),
+    Psi_p(M_START) tells which end it is: 0.0 (the first level stops) or inf
+    (the cap never stops).  :func:`escalate_m`'s schedule bounds the cap: one
+    at or below M_START stops after the first level, and one past the last
+    level's m is never reached."""
     target = LAYER_FACTOR * max(grid.hx, grid.hy)
     try:
-        m = _phi(op, force, target)
+        return ko_mod.phi(op, force, target)
     except DivergenceError:
         return None
     except BracketError:
-        m = 0.0 if ko_mod.psi(op, force, M_START) <= target else math.inf
-    with np.errstate(over="ignore"):    # a long schedule may end at inf
-        m_end = M_START * np.float64(M_FACTOR) ** max_levels
-    return float(min(max(m, M_START), m_end))
+        return 0.0 if ko_mod.psi(op, force, M_START) <= target else math.inf
 
 
 def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
@@ -528,7 +521,7 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
     violating the blow-up growth condition."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
-    m_cap = layer_cap_m(op, force, grid, max_levels=max_levels)
+    m_cap = layer_cap_m(op, force, grid)
     lu = [None]         # the last LU of a level, carried into the next
     mask = None
     prev = None
@@ -536,7 +529,6 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
     field_ = None
     m = M_START
     stop = "schedule-exhausted"
-    sup_incs: list[float] = []
     for _ in range(max_levels):
         start = None if prev is None else prev.values
         if prev is not None and lu[0] is not None:      # the tangent predictor
@@ -555,7 +547,6 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
             diff = field_.values - prev.values
             sup_inc = float(np.max(diff[mask]))
             min_inc = float(np.min(diff))
-            sup_incs.append(sup_inc)
         levels.append(EscalationLevel(m, center, sup_inc, min_inc,
                                       gradient_energy(field_, mask),
                                       field_.diagnostics["iterations"]))
@@ -574,8 +565,8 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
     if stop == "schedule-exhausted":
         centers = [lv.center for lv in levels]
         increasing = all(b > a for a, b in zip(centers, centers[1:]))
-        last = sup_incs[-3:]
-        nondecreasing_incs = (len(sup_incs) >= 3
+        last = [lv.sup_increment_K for lv in levels[1:]][-3:]
+        nondecreasing_incs = (len(last) >= 3
                               and all(b >= a * (1.0 - 1e-6)
                                       for a, b in zip(last, last[1:])))
         ko_violated = increasing and nondecreasing_incs

@@ -64,7 +64,7 @@ def _end_point(op: Operator, force: Force, w_cap: float) -> tuple[float, float]:
     _require_ko(op, force)
     w_end = w_cap
     if ko_mod.psi(op, force, W_CAP) < PSI_FLOOR:
-        w_end = min(w_cap, ko_mod.BlowupRateFn(op, force).phi(PSI_FLOOR * W_CAP / w_cap))
+        w_end = min(w_cap, ko_mod.phi(op, force, PSI_FLOOR * W_CAP / w_cap))
     return w_end, ko_mod.psi(op, force, w_end)
 
 

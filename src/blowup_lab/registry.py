@@ -88,10 +88,6 @@ class Operator:
             raise ValidationError(f"operator kind {self.kind!r} has no exponent p")
         return self.params["p"]
 
-    def coefficient(self, r):
-        """Q(r) = A(r)/r for r > 0."""
-        return self.flux(r) / r
-
     def describe(self) -> dict:
         return {"kind": self.kind, **self.params}
 

@@ -228,9 +228,8 @@ def test_criterion_06_radial():
             worst_red = max(worst_red, abs(shot.value(x) - a) / a)
     # n = 2 ball asymptotics
     ball = bl.ball_large_solution(op, force, 2, 1.0)
-    rate = bl.BlowupRateFn(op, force)
     d = 1e-3
-    ball_ratio = ball.value(ball.R - d) / rate.phi(d)
+    ball_ratio = ball.value(ball.R - d) / bl.phi(op, force, d)
     # annulus one-sided inequality
     barrier = bl.annulus_barrier(op, force, 2, 1.0, 2.0)
     t = 1.0 + 1e-3

@@ -4,7 +4,6 @@ import importlib.util
 import json
 import tempfile
 import time
-from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
@@ -73,6 +72,21 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("kind", ["ell-map", "radial", "cylinder", "asymptotics"])
+    def test_expect_rejected_where_nothing_grades_it(self, tmp_path, kind):
+        doc = cfg_dict(kind=kind, params={"expect": {"R": 123.0}})
+        with pytest.raises(ConfigError, match=f"params/expect: kind '{kind}'"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", harness.EXPECT_KINDS)
+    def test_expect_accepted_where_it_is_graded(self, kind):
+        doc = cfg_dict(kind=kind, params={"expect": {"L": 1.0}})
+        assert ExperimentConfig.from_dict(doc).params["expect"] == {"L": 1.0}
 
     def test_every_param_key_has_traffic(self):
         # a key that no config, benchmark batch or script sets is a knob
@@ -252,14 +266,14 @@ class TestRunners:
         assert check.measured == pytest.approx(1.0, abs=1e-3)
 
     def test_asymptotic_ratio_without_a_long_shot_fails_plainly(self, tmp_path, monkeypatch):
-        real = harness.ko_mod.BlowupRateFn.phi
+        real = harness.ko_mod.phi
 
-        def no_phi_below(self, d):
+        def no_phi_below(op, force, d):
             if d < 1e-3:
                 raise harness.BracketError("not bracketed")
-            return real(self, d)
+            return real(op, force, d)
 
-        monkeypatch.setattr(harness.ko_mod.BlowupRateFn, "phi", no_phi_below)
+        monkeypatch.setattr(harness.ko_mod, "phi", no_phi_below)
         rep = run(ExperimentConfig.from_dict(cfg_dict(
             kind="radial", force={"kind": "power", "q": 2.98},
             operator={"kind": "p-laplace", "p": 2.92},
@@ -659,12 +673,10 @@ def test_random_profile_gives_report_or_config_error(kind, length, n_body, n_edg
             params["ell_offset" if length < 2.0 else "ell"] = length
     elif length is not None:
         params["ell"] = length
-    sampling = {"n_body": n_body, "n_edge": n_edge}
     try:
         cfg = ExperimentConfig.from_dict(cfg_dict(kind=kind, force=force, params=params))
         with tempfile.TemporaryDirectory() as out, \
-                patch.multiple(ode1d, large_profile=partial(ode1d.large_profile, **sampling),
-                               dead_core_profile=partial(ode1d.dead_core_profile, **sampling)), \
+                patch.multiple(ode1d, N_BODY=n_body, N_EDGE=n_edge), \
                 patch.object(harness, "PROBE_OFFSET", probe_offset):
             assert run(cfg, out).status in ("pass", "fail")
     except ConfigError:
@@ -754,6 +766,19 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, {"kind": "ko-check"})
         assert cli.main(["run", path]) == 2
+
+    @pytest.mark.parametrize("via", ["output_dir", "--out"])
+    def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys, via):
+        # a regular file where the output directory's parent should be
+        parent = tmp_path / "a-file"
+        parent.write_text("")
+        doc, out = cfg_dict(), []
+        if via == "output_dir":
+            doc["output_dir"] = str(parent / "run")
+        else:
+            out = ["--out", str(parent / "run")]
+        assert cli.main(["run", self.write_cfg(tmp_path, doc), *out]) == 2
+        assert "cannot create the output directory" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (BlowupRateFn, BracketError, DivergenceError, DomainExceededError,
+from blowup_lab import (BracketError, DivergenceError, DomainExceededError,
                         check_a5, classify, length_scale, make_force,
-                        make_operator, psi)
+                        make_operator, phi, psi)
 from blowup_lab import ko, quadrature as qk
 
 from conftest import psi_power_closed_form
@@ -131,29 +131,29 @@ class TestLengthScale:
 
 class TestPhi:
     def test_round_trip(self, op_p2, force_cubic):
-        rate = BlowupRateFn(op_p2, force_cubic)
         val = psi(op_p2, force_cubic, 5.0)
-        assert rate.phi(val) == pytest.approx(5.0, rel=1e-8)
+        assert phi(op_p2, force_cubic, val) == pytest.approx(5.0, rel=1e-8)
 
     def test_closed_form_inverse(self, op_p2, force_cubic):
         # Phi_2(d) = sqrt(2)/d for f = t^3
-        rate = BlowupRateFn(op_p2, force_cubic)
         for d in (1e-1, 1e-2, 1e-3):
-            assert rate.phi(d) == pytest.approx(math.sqrt(2.0) / d, rel=1e-8)
+            assert phi(op_p2, force_cubic, d) == pytest.approx(math.sqrt(2.0) / d, rel=1e-8)
 
     def test_phi_psi_round_trip_grid(self, op_p3, force_cubic):
-        rate = BlowupRateFn(op_p3, force_cubic)
         for r in np.logspace(-1, 3, 9):
-            assert rate.phi(psi(op_p3, force_cubic, float(r))) == pytest.approx(
+            assert phi(op_p3, force_cubic, psi(op_p3, force_cubic, float(r))) == pytest.approx(
                 float(r), rel=1e-8)
 
     def test_validity_edges(self, op_p2, force_cubic):
-        rate = BlowupRateFn(op_p2, force_cubic)
         with pytest.raises(ValueError):
-            rate.phi(0.0)
+            phi(op_p2, force_cubic, 0.0)
 
 
 def _counted_psi(monkeypatch):
+    """The radii of every Psi call from here on, with phi's caches emptied so
+    that the session-wide fixtures start cold."""
+    ko.phi.cache_clear()
+    ko._log_secant.cache_clear()
     calls = []
 
     def counted(op, force, r):
@@ -203,7 +203,7 @@ class TestIncreasingRoot:
 
     def test_phi_budget(self, monkeypatch, op_p2, force_cubic):
         calls = _counted_psi(monkeypatch)
-        assert BlowupRateFn(op_p2, force_cubic).phi(1e-3) == pytest.approx(
+        assert phi(op_p2, force_cubic, 1e-3) == pytest.approx(
             math.sqrt(2.0) / 1e-3, rel=1e-8)
         assert len(calls) <= 12
 
@@ -211,23 +211,26 @@ class TestIncreasingRoot:
         # Psi(w) = 3 (8/3)^(1/3) w^(-1/3), so Phi(d) = 72 / d^3; from t = 0 the
         # search took 21 Psi calls
         calls = _counted_psi(monkeypatch)
-        assert BlowupRateFn(op_p3, force_cubic).phi(1e-3) == pytest.approx(72e9, rel=1e-10)
+        assert phi(op_p3, force_cubic, 1e-3) == pytest.approx(72e9, rel=1e-10)
         assert len(calls) <= 10
 
-    def test_phi_secant_once_per_instance(self, monkeypatch, op_p3, force_cubic):
-        rate = BlowupRateFn(op_p3, force_cubic)
+    def test_phi_secant_once_per_pair(self, monkeypatch, op_p3, force_cubic):
         calls = _counted_psi(monkeypatch)
-        first = rate.phi(1e-3)
+        first = phi(op_p3, force_cubic, 1e-3)
         n_first = len(calls)
-        assert rate.phi(1e-3) == first
-        assert len(calls) - n_first == n_first - 2     # Psi(1) and Psi(e) are kept
+        assert calls[:2] == [1.0, math.e]               # the secant comes first
+        assert phi(op_p3, force_cubic, 1e-3) == first
+        assert len(calls) == n_first                    # a repeated d is cached
+        phi(op_p3, force_cubic, 2e-3)
+        assert 1.0 not in calls[n_first:] and math.e not in calls[n_first:]
+        assert ko._log_secant.cache_info().misses == 1
 
     def test_phi_beyond_dead_core_length(self, monkeypatch, op_p2, force_dead_core):
         # Psi(0+) = L, so no r has Psi(r) = 1.5 L
         L = length_scale(op_p2, force_dead_core)
         calls = _counted_psi(monkeypatch)
         with pytest.raises(BracketError):
-            BlowupRateFn(op_p2, force_dead_core).phi(1.5 * L)
+            phi(op_p2, force_dead_core, 1.5 * L)
         assert len(calls) <= 30
 
 

@@ -100,6 +100,15 @@ class TestEvalProfile:
         with pytest.raises(ProfileDomainError):
             eval_profile(op_p2, force_cubic, 1.0, ell)
 
+    def test_is_the_large_profile_value(self, op_p3, force_cubic):
+        prof = large_profile(op_p3, force_cubic, 0.7)
+        xs = np.array([0.0, -0.2, 0.5, 0.9, 0.999]) * prof.ell
+        assert eval_profile(op_p3, force_cubic, 0.7, xs).tolist() == prof.value(xs).tolist()
+        for x in xs.tolist():
+            assert eval_profile(op_p3, force_cubic, 0.7, x) == prof.value(x)
+        assert [v for _, v in prof.samples] == eval_profile(
+            op_p3, force_cubic, 0.7, np.array([x for x, _ in prof.samples])).tolist()
+
     def test_independent_rk4_oracle(self, op_p2, force_cubic):
         # fixed-step RK4, entirely separate from the quadrature machinery
         ell = ell_of_v0(op_p2, force_cubic, 1.0)
@@ -126,8 +135,10 @@ class TestEvalProfile:
         v = eval_profile(op_p2, force_cubic, 1.0, ell - d)
         assert 0.98 <= v * d / math.sqrt(2.0) <= 1.02
 
-    def test_implicit_relation_requadrature(self, op_p2, force_cubic):
-        prof = large_profile(op_p2, force_cubic, 1.0, n_body=40, n_edge=10)
+    def test_implicit_relation_requadrature(self, op_p2, force_cubic, monkeypatch):
+        monkeypatch.setattr(ode1d, "N_BODY", 40)
+        monkeypatch.setattr(ode1d, "N_EDGE", 10)
+        prof = large_profile(op_p2, force_cubic, 1.0)
         worst = max(prof.implicit_residual(x) for x, _ in prof.samples[::5])
         assert worst <= 1e-8
 
@@ -168,8 +179,10 @@ class TestProfileObject:
         scale = h * h * np.maximum(1.0, vb[1:-1] ** 3)
         assert np.min(d2 / scale) >= -1e-8
 
-    def test_csv_json_round_trip(self, op_p2, force_cubic, tmp_path):
-        prof = large_profile(op_p2, force_cubic, 1.0, n_body=20, n_edge=5)
+    def test_csv_json_round_trip(self, op_p2, force_cubic, tmp_path, monkeypatch):
+        monkeypatch.setattr(ode1d, "N_BODY", 20)
+        monkeypatch.setattr(ode1d, "N_EDGE", 5)
+        prof = large_profile(op_p2, force_cubic, 1.0)
         prof.to_csv(tmp_path / "p.csv")
         prof.to_json(tmp_path / "p.json")
         with open(tmp_path / "p.csv") as fh:
@@ -256,6 +269,15 @@ class TestDecaySweep:
         assert rows[-1].value == 0.0
         vals = [r.value for r in rows]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    def test_dead_core_rows_are_the_profile_value(self, op_p2, force_dead_core):
+        L = length_scale(op_p2, force_dead_core)
+        ells = [L + 0.1, L + 0.3, L + 1.0]
+        for x_probe in (0.0, 0.2, -0.35):
+            rows = decay_sweep(op_p2, force_dead_core, ells, x_probe)
+            assert all(r.dead_core for r in rows)
+            assert [r.value for r in rows] == [
+                dead_core_profile(op_p2, force_dead_core, ell).value(x_probe) for ell in ells]
 
     def test_probe_outside_domain_rejected(self, op_p2, force_cubic):
         with pytest.raises(ValueError):
@@ -447,7 +469,7 @@ class TestBatchedInversion:
             prof = dead_core_profile(op_p2, force_dead_core,
                                      length_scale(op_p2, force_dead_core) + 0.5)
         else:
-            prof = large_profile(op_p2, force_cubic, 1.0, n_body=2, n_edge=2)
+            prof = large_profile(op_p2, force_cubic, 1.0)
         xs = np.array([0.0, -0.3, 0.45, 0.6, -0.8]) * (1.0 if dead else prof.ell)
         res = prof.implicit_residual(xs)
         assert res.tolist() == [prof.implicit_residual(float(x)) for x in xs]

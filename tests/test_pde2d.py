@@ -632,35 +632,40 @@ class TestEscalation:
             pde2d.LAYER_FACTOR * g.hx, rel=1e-8)
         assert m == pytest.approx(m_star, abs=5e-3)
 
-    @pytest.mark.parametrize("force, layer_factor, cap", [
-        ({"kind": "piecewise-power", "a": 0.5, "b": 3}, 100.0, 2.0),   # past L = 4.73
-        ({"kind": "power", "q": 3}, 1e-20, 2.0 * 2.0 ** 24),           # m* above 1e14
-        ({"kind": "power", "q": 1}, 0.5, None),                        # KO fails
+    @pytest.mark.parametrize("force, layer_factor, cap, stop, ms", [
+        ({"kind": "piecewise-power", "a": 0.5, "b": 3}, 200.0, 0.0,         # 200 h > L = 4.73
+         "layer-cap", [2.0]),
+        ({"kind": "power", "q": 3}, 1e-20, math.inf,                        # m* above 1e14
+         "schedule-exhausted", [2.0, 4.0, 8.0]),
+        ({"kind": "power", "q": 1}, 0.5, None,                              # KO fails
+         "schedule-exhausted", [2.0, 4.0, 8.0]),
     ], ids=["dead-core-floor", "unbracketed-ceiling", "ko-fails"])
-    def test_layer_cap_clamped_to_the_schedule(self, op_p2, force, layer_factor, cap,
-                                               monkeypatch):
+    def test_layer_cap_clamped_to_the_schedule(self, op_p2, force, layer_factor, cap, stop,
+                                               ms, monkeypatch):
+        # layer_cap_m returns m* as it is; the escalation is what clamps it to
+        # the schedule: a cap at or below M_START ends the first level, and one
+        # past the last level's m never binds
         monkeypatch.setattr(pde2d, "LAYER_FACTOR", layer_factor)
-        got = pde2d.layer_cap_m(op_p2, make_force(**force), grid_for_ell(1.0, 65))
-        if cap is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(cap, rel=1e-9)
+        grid, f = grid_for_ell(1.0, 65), make_force(**force)
+        assert pde2d.layer_cap_m(op_p2, f, grid) == cap
+        res = escalate_m(grid_for_ell(1.0, 17), op_p2, f, max_levels=3)
+        assert res.stop_reason == stop
+        assert [lv.m for lv in res.levels] == ms
 
     def test_layer_cap_inverted_once_per_family(self, op_p3, monkeypatch):
         force = make_force(kind="power", q=6)
         grids = pde2d.family_grids([1.0, 2.0, 4.0], 65)
         want = [pde2d.layer_cap_m(op_p3, make_force(kind="power", q=6), g) for g in grids]
-        calls = []
-        phi = pde2d.ko_mod.BlowupRateFn.phi
+        searches = []
+        root = pde2d.ko_mod.increasing_root
 
-        def counted(rate, d):
-            calls.append(d)
-            return phi(rate, d)
+        def counted(*args, **kwargs):
+            searches.append(args[3:5])
+            return root(*args, **kwargs)
 
-        monkeypatch.setattr(pde2d.ko_mod.BlowupRateFn, "phi", counted)
+        monkeypatch.setattr(pde2d.ko_mod, "increasing_root", counted)
         assert [pde2d.layer_cap_m(op_p3, force, g) for g in grids] == want
-        assert [pde2d.layer_cap_m(op_p3, force, g, max_levels=2) for g in grids] == [8.0] * 3
-        assert calls == [pde2d.LAYER_FACTOR * grids[0].hx]
+        assert searches == [("r", f"has Psi(r) = {pde2d.LAYER_FACTOR * grids[0].hx:g}")]
 
     def test_chord_steps_reuse_the_factorisation(self, op_p3, monkeypatch):
         # record every level's diagnostics: escalate_m keeps only the last field

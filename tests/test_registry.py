@@ -120,12 +120,6 @@ class TestOperators:
     def test_p_laplace_has_infinite_ceiling(self):
         assert math.isinf(make_operator(kind="p-laplace", p=1.5).energy_sup)
 
-    def test_coefficient_identity(self):
-        for spec in ({"kind": "p-laplace", "p": 2.5}, {"kind": "mean-curvature"}):
-            op = make_operator(spec)
-            r = np.logspace(-6, 3, 30)
-            np.testing.assert_allclose(op.coefficient(r) * r, op.flux(r), rtol=1e-12)
-
     def test_rejects_bad_operators(self):
         with pytest.raises(ValidationError):
             make_operator(kind="p-laplace", p=1.0)

@@ -7,7 +7,7 @@ from .errors import (BlowupLabError, BracketError, ConfigError, DivergenceError,
 from .harness import ExperimentConfig, ExperimentReport, compare_runs, run
 from .ko import A5Report, KOReport, check_a5, classify, length_scale, phi, psi
 from .ode1d import (Profile1D, dead_core_profile, decay_sweep, ell_of_v0,
-                    eval_profile, large_profile, v0_of_ell)
+                    eval_profile, large_profile, large_solution, v0_of_ell)
 from .pde2d import (CrossSectionReport, DiscreteField, Grid2D, cross_section_compare,
                     escalate_m, grid_for_ell, residual, solve_dirichlet)
 from .radial import (LocalBoundReport, RadialProfile, annulus_barrier,
@@ -25,7 +25,7 @@ __all__ = [
     "SolverError", "ValidationError", "annulus_barrier",
     "ball_large_solution", "blowup_radius", "check_a5", "classify", "compare_runs",
     "cross_section_compare", "dead_core_profile", "decay_sweep", "ell_of_v0",
-    "escalate_m", "eval_profile", "grid_for_ell", "large_profile", "length_scale",
-    "local_bound_check", "make_force", "make_operator", "phi", "psi", "residual",
+    "escalate_m", "eval_profile", "grid_for_ell", "large_profile", "large_solution",
+    "length_scale", "local_bound_check", "make_force", "make_operator", "phi", "psi", "residual",
     "run", "shoot_ball", "solve_dirichlet", "v0_of_ell",
 ]

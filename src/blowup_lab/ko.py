@@ -44,12 +44,11 @@ def psi(op: Operator, force: Force, r):
                       ra.shape)
 
 
-@lru_cache(maxsize=32)     # a dead-core run and its profile share one classification
 def length_scale(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> float:
     """L = int_0^inf ds / B^-1{F(s)} as :func:`classify` measures it; finite
     only in the dead-core regime.  Raises :class:`DomainExceededError` at a
     finite energy ceiling and :class:`DivergenceError` when either end diverges."""
-    report = classify(op, force, max_blocks)
+    report = classify(op, force) if max_blocks == qk.MAX_BLOCKS else classify(op, force, max_blocks)
     if report.L is not None:
         return report.L
     if report.ko_holds is None:
@@ -62,9 +61,9 @@ def length_scale(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) ->
 class KOReport:
     """Classification of the growth conditions for one (operator, force) pair.
 
-    ``ko_holds`` / ``osgood_holds`` / ``a3_holds`` are None when the check is
-    undecidable because the operator's energy ceiling is reached (finite
-    B_sup); the diagnostics then carry the crossing location.
+    ``ko_holds`` is None when the tail is undecidable at a finite energy
+    ceiling B_sup; the diagnostics then carry the crossing location.  The
+    cached report is shared: never mutate ``diagnostics`` (``to_dict`` copies).
     """
 
     ko_holds: Optional[bool]
@@ -93,10 +92,11 @@ def _frontier_note(op: Operator, force: Force) -> Optional[str]:
     return "; ".join(parts)
 
 
+@lru_cache(maxsize=32)
 def classify(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> KOReport:
-    """Classify KO / Osgood / dead-core by quadrature, each ladder at most
-    ``max_blocks`` blocks long; never decides past a finite energy ceiling
-    (reports the crossing instead)."""
+    """Classify KO / Osgood / dead-core by quadrature, cached; each ladder is at
+    most ``max_blocks`` blocks long (passed only off the default, which the cache
+    keys apart).  Never decides past a finite energy ceiling (reports the crossing)."""
     diagnostics: dict = {}
     crossing = qk.ceiling_crossing(op, force)
     g = qk.shifted_integrand(op, force, 0.0)

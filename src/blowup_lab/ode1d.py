@@ -10,8 +10,8 @@ This module evaluates profiles by one safeguarded Newton iteration on the
 implicit relation, batched over every sample point and bracketed by a
 cumulative table of that integral, maps ell <-> v0, and builds dead-core
 profiles (v0 = 0, flat zero core of half-width ell - L) when the 0+ integral
-converges.  Every value v(x), sampled for export or read at given points,
-comes from :meth:`Profile1D.value`.
+converges; :func:`large_solution` alone picks between the two.  Every value
+v(x), sampled for export or read at given points, comes from :meth:`Profile1D.value`.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .registry import Force, Operator
 _V_LIMIT = 1e280
 _NEWTON_RTOL = 1e-14       # stop once a Newton step is below this * |iterate|
 _NEWTON_MAX_STEPS = 100    # bisection from a full bracket needs about 50
+_CORE_RTOL = 1e-12         # ell >= L (1 - _CORE_RTOL) is a dead core
 N_BODY = 161               # uniform profile samples on [0, 0.95 ell)
 N_EDGE = 40                # geometric profile samples toward ell
 
@@ -300,17 +301,15 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     Cached like :func:`_branch`: every field of a cylinder family asks for
     the same barrier half-length.
 
-    In the dead-core regime (0+ integral convergent) returns 0.0 for
-    ell >= L; otherwise searches [1e-12, 1e12] and raises
-    :class:`BracketError` when ell(v0) = ell has no root there.
+    In the dead-core regime (finite L in the cached :func:`ko.classify`)
+    returns 0.0 for ell >= L (1 - _CORE_RTOL); otherwise searches
+    [1e-12, 1e12] and raises :class:`BracketError` when ell(v0) = ell has no root there.
     """
     if not ell > 0.0:
         raise ValueError("v0_of_ell needs ell > 0")
-    try:
-        if ell >= ko_mod.length_scale(op, force) * (1.0 - 1e-12):
-            return 0.0
-    except DivergenceError:
-        pass    # Osgood regime (no dead core), or a KO failure ell_of_v0 reports
+    L = ko_mod.classify(op, force).L
+    if L is not None and ell >= L * (1.0 - _CORE_RTOL):
+        return 0.0
 
     log_ell = math.log(ell)
     return math.exp(ko_mod.increasing_root(
@@ -319,22 +318,29 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
 
 
 def _dead_core(op: Operator, force: Force, ell: float) -> Profile1D:
-    """The unsampled dead-core solution on (-ell, ell), for ell > L."""
+    """The unsampled dead core on (-ell, ell), for ell >= L (1 - _CORE_RTOL); empty below L."""
     try:
         L = ko_mod.length_scale(op, force)
     except DivergenceError as exc:
         raise DivergenceError(
             "dead-core profiles need a convergent 0+ integral "
             f"(Osgood regime detected): {exc}") from exc
-    if not ell > L:
-        raise ValueError(f"dead core needs ell > L = {L:g}, got ell = {ell:g}")
-    core = ell - L
+    if not ell >= L * (1.0 - _CORE_RTOL):
+        raise ValueError(f"dead core needs ell >= L = {L:g}, got ell = {ell:g}")
+    core = max(ell - L, 0.0)
     return Profile1D(op, force, 0.0, ell, (), (-core, core))
 
 
 def dead_core_profile(op: Operator, force: Force, ell: float) -> Profile1D:
     """Large solution with a flat zero core [-(ell-L), ell-L] for ell > L."""
     return _sampled(_dead_core(op, force, ell))
+
+
+def large_solution(op: Operator, force: Force, ell: float) -> Profile1D:
+    """The unsampled large solution on (-ell, ell): minimum v0_of_ell(ell) > 0,
+    or the dead core where that is 0.  The only code that decides which."""
+    v0 = v0_of_ell(op, force, ell)
+    return _dead_core(op, force, ell) if v0 == 0.0 else _large(op, force, v0)
 
 
 @dataclass(frozen=True)
@@ -355,7 +361,6 @@ def decay_sweep(op: Operator, force: Force, ells: Sequence[float],
     for ell in ells:
         if ell <= abs(x_probe):
             raise ValueError(f"probe {x_probe:g} outside (-{ell:g}, {ell:g})")
-        v0 = v0_of_ell(op, force, ell)
-        prof = _dead_core(op, force, ell) if v0 == 0.0 else _large(op, force, v0)
-        rows.append(DecayRow(float(ell), v0, prof.value(x_probe), v0 == 0.0))
+        prof = large_solution(op, force, ell)
+        rows.append(DecayRow(float(ell), prof.v0, prof.value(x_probe), prof.v0 == 0.0))
     return rows

@@ -48,20 +48,16 @@ LOC_TOL = 1e-8      # relative tolerance on the annulus' blow-up location
 
 
 @lru_cache(maxsize=32)
-def _require_ko(op: Operator, force: Force) -> None:
+def _end_point(op: Operator, force: Force, w_cap: float) -> tuple[float, float]:
+    """(w, Psi(w)) where a shot toward the value cap w_cap ends: w_cap, unless
+    Psi(W_CAP) < PSI_FLOOR; then where Psi = PSI_FLOOR * W_CAP / w_cap if that
+    comes first, so a cap 100 times further out puts the floor 100 times nearer.
+    Raises :class:`DivergenceError` unless :func:`ko.classify` finds KO holding."""
     report = ko_mod.classify(op, force)
     if report.ko_holds is False:
         raise DivergenceError("Keller-Osserman tail diverges; no blow-up solution exists")
     if report.ko_holds is None:
         raise DivergenceError(f"blow-up classification undecidable: {report.diagnostics}")
-
-
-@lru_cache(maxsize=32)
-def _end_point(op: Operator, force: Force, w_cap: float) -> tuple[float, float]:
-    """(w, Psi(w)) where a shot toward the value cap w_cap ends: w_cap, unless
-    Psi(W_CAP) < PSI_FLOOR; then where Psi = PSI_FLOOR * W_CAP / w_cap if that
-    comes first, so a cap 100 times further out puts the floor 100 times nearer."""
-    _require_ko(op, force)
     w_end = w_cap
     if ko_mod.psi(op, force, W_CAP) < PSI_FLOOR:
         w_end = min(w_cap, ko_mod.phi(op, force, PSI_FLOOR * W_CAP / w_cap))
@@ -296,19 +292,19 @@ def require_ball_inside(grid, center: tuple, R: float) -> None:
 
 def local_bound_check(field, center: tuple, R: float) -> LocalBoundReport:
     """max of the field over B_{R/2}(center) <= omega(R/2) + interpolation slack,
-    where omega is the 1D large solution on (-R, R) for the field's data.
+    where omega = :func:`ode1d.large_solution` on (-R, R) for the field's data:
+    the dead-core profile once R >= L.
 
     The slack is the variation of omega over two grid cells at R/2 (linear
     interpolation allowance at the discrete ball boundary).
     """
     grid = field.grid
-    cx, cy = center
     require_ball_inside(grid, center, R)
-    op, force = field.op, field.force
-    v0R = ode1d.v0_of_ell(op, force, R)
-    omega_half = ode1d.eval_profile(op, force, v0R, R / 2.0)
     hbar = max(grid.hx, grid.hy)
-    slack = ode1d.eval_profile(op, force, v0R, min(R / 2.0 + 2.0 * hbar, R * (1 - 1e-9))) - omega_half
+    omega_half, omega_far = ode1d.large_solution(field.op, field.force, R).value(
+        np.array([R / 2.0, min(R / 2.0 + 2.0 * hbar, R * (1 - 1e-9))])).tolist()
+    slack = omega_far - omega_half
+    cx, cy = center
     X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
     mask = (X - cx) ** 2 + (Y - cy) ** 2 <= (R / 2.0) ** 2
     max_u = float(np.max(field.values[mask]))

@@ -2,17 +2,20 @@ import ast
 import csv
 import importlib.util
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowup_lab import (ConfigError, ExperimentConfig, SolverError, compare_runs,
-                        make_force, make_operator, run, v0_of_ell)
+                        large_solution, make_force, make_operator, run, v0_of_ell)
 from blowup_lab import cli, harness, ode1d, pde2d, radial
+from blowup_lab import quadrature as qk
 
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED_KEYS = {"eps": 1e-8, "tol_res": 1e-9, "m_start": 2.0, "tol_m": 1e-4,
@@ -186,19 +189,38 @@ class TestRunners:
         assert {"L-cap-stable", "core-zero", "core-edge-continuity"} <= names
 
     def test_dead_core_classifies_twice(self, tmp_path, monkeypatch):
-        # length_scale at the default block cap serves the run and its
-        # profile; the second classification is the 56-block refinement
-        calls = []
-        classify = harness.ko_mod.classify
+        # one classification at the default block cap serves the run and its
+        # profile; the second is the 56-block refinement.  Each classification
+        # runs one 0+ ladder (only classify runs it), and a cache hit runs none
+        caps = []
+        ladder = qk.integrate_to_zero
 
-        def counted(*args, **kwargs):
-            calls.append(args[2:] + tuple(kwargs.values()))
-            return classify(*args, **kwargs)
+        def counted(g, end, *, max_blocks):
+            caps.append(max_blocks)
+            return ladder(g, end, max_blocks=max_blocks)
 
-        monkeypatch.setattr(harness.ko_mod, "classify", counted)
+        monkeypatch.setattr(qk, "integrate_to_zero", counted)
         rep = run(ExperimentConfig.from_file(ROOT / "configs" / "dead_core.json"), tmp_path)
         assert rep.status == "pass"
-        assert len(calls) == 2 and (56,) in calls, calls
+        assert caps == [qk.MAX_BLOCKS, 56]
+
+    def test_asymptotics_grades_the_smallest_distance(self, tmp_path):
+        # ell(1) = 1.854 for q = 3, p = 2; the last row (d = 1.5) is not the finest
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="asymptotics", params={"distances": [1e-4, 1e-2, 1.5]})), tmp_path)
+        rows = list(csv.DictReader((tmp_path / "asymptotics.csv").read_text().splitlines()))
+        (check,) = [c for c in rep.checks if c.name == "psi-ratio-at-finest"]
+        assert check.measured == float(rows[0]["psi_ratio"])
+        assert check.measured == pytest.approx(1.0, abs=1e-9)
+        assert rep.status == "pass"
+
+    def test_asymptotics_distance_past_the_center_rejected(self, tmp_path):
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="asymptotics", params={"distances": [2.5, 1e-4]})), tmp_path)
+        assert rep.files == []
+        (check,) = rep.checks
+        assert (check.name, check.measured) == ("experiment-completed", "ConfigError")
+        assert "distance 2.5 from the end exceeds ell(v0) = 1.85" in check.detail
 
     def test_radial(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(
@@ -583,6 +605,8 @@ _FORCES = st.one_of(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing shots end as reports
 @settings(max_examples=10, deadline=None)
 @given(force=_FORCES, p=st.floats(1.5, 4.0), m_start=st.floats(1e-3, 1e3))
+@example(force={"kind": "table", "points": [[0, 0], [1, 450], [2, 3600], [4, 28800]]},
+         p=3.0, m_start=2.0)      # a dead core on the cross-section (-1, 1): L = 0.95
 def test_random_cylinder_gives_report_or_config_error(force, p, m_start):
     # a schema-valid config ends in a report or a ConfigError, never a traceback
     try:
@@ -732,6 +756,30 @@ class TestCompareAndDeterminism:
         run(cfg, tmp_path / "b")
         assert compare_runs(tmp_path / "a", tmp_path / "b").identical
 
+    @staticmethod
+    def _report(*checks) -> dict:
+        return {"kind": "ko-check", "files": [],
+                "checks": [{"name": n, "passed": True, "measured": m} for n, m in checks]}
+
+    def test_changed_number_has_a_delta(self):
+        diff = compare_runs(self._report(("L", 1.5), ("same", 2)),
+                            self._report(("L", 1.25), ("same", 2)))
+        assert diff.check_diffs == [{"name": "L", "a": 1.5, "b": 1.25, "delta": 0.25}]
+        assert not diff.identical
+
+    def test_check_on_one_side_only(self):
+        diff = compare_runs(self._report(("L", 1.5), ("only-a", {"x": 1})),
+                            self._report(("L", 1.5), ("only-b", 3.0)))
+        assert diff.check_diffs == [
+            {"name": "only-a", "a": {"x": 1}, "b": None, "delta": None},
+            {"name": "only-b", "a": None, "b": 3.0, "delta": None}]
+
+    def test_changed_structure_has_no_delta(self):
+        diff = compare_runs(self._report(("classified", {"ko_holds": True})),
+                            self._report(("classified", {"ko_holds": False})))
+        assert diff.check_diffs == [{"name": "classified", "a": {"ko_holds": True},
+                                     "b": {"ko_holds": False}, "delta": None}]
+
     @pytest.mark.parametrize("broken", ["missing", "not-json", "empty-dir"])
     def test_compare_unreadable_report_is_config_error(self, tmp_path, broken):
         a = run(ExperimentConfig.from_dict(cfg_dict()), tmp_path / "a")
@@ -779,6 +827,44 @@ class TestCli:
             out = ["--out", str(parent / "run")]
         assert cli.main(["run", self.write_cfg(tmp_path, doc), *out]) == 2
         assert "cannot create the output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points, R_bound, rel_error", [
+        ([[0, 0], [1, 1000], [2, 8000], [4, 64000]], 0.8, 0.1137599),
+        ([[0, 0], [1, 450], [2, 3600], [4, 28800]], 1.0, 0.1137613),
+        ([[0, 0], [1, 750000], [2, 6000000], [4, 48000000]], 0.8, math.inf),
+    ], ids=["L0.73", "L0.95-R1", "L0.08-core-covers-window"])
+    def test_dead_core_cross_section_ends_in_a_full_report(self, tmp_path, capsys, points,
+                                                            R_bound, rel_error):
+        # 1 > L: the cross-section (-1, 1) holds a dead core, and every
+        # cylinder check is graded against it
+        doc = cfg_dict(kind="cylinder", force={"kind": "table", "points": points},
+                       operator={"kind": "p-laplace", "p": 3},
+                       params={"ells": [1, 2], "nx": 17, "translation_y": 0.5,
+                               "local_bound_R": R_bound})
+        out = tmp_path / "out"
+        assert cli.main(["run", self.write_cfg(tmp_path, doc), "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        names = {"ko-violation-flag", "ell-anti-monotone", "cross-section-error-decreasing",
+                 "cross-section-final-rel-error", "translation-invariance"}
+        for ell in (1, 2):
+            names |= {f"symmetry-ell{ell}", f"grad-energy-growth-decaying-ell{ell}",
+                      f"local-bound-ell{ell}"}
+            levels = len((out / f"escalation_ell{ell}.csv").read_text().splitlines()) - 1
+            if levels > 1:
+                names.add(f"m-monotone-ell{ell}")
+        assert set(checks) == names
+        measured = checks["cross-section-final-rel-error"]["measured"]
+        assert measured == pytest.approx(rel_error, rel=1e-6)
+        # graded against the large solution on (-1, 1), dead core included
+        x, u = np.loadtxt(out / "mid_slice_ell2.csv", delimiter=",", skiprows=1).T
+        window = np.abs(x) <= pde2d.X_WINDOW + 1e-12
+        v = large_solution(make_operator(doc["operator"]), make_force(doc["force"]),
+                           1.0).value(x[window])
+        errors = np.loadtxt(out / "cross_section_errors.csv", delimiter=",", skiprows=1)
+        assert v.min() == 0.0
+        assert errors[-1, 1] == float(np.max(np.abs(u[window] - v)))
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2

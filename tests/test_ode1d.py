@@ -10,9 +10,9 @@ from scipy.optimize import brentq
 
 from blowup_lab import (DivergenceError, DomainExceededError, ProfileDomainError,
                         SolverError, dead_core_profile, decay_sweep, ell_of_v0, eval_profile,
-                        large_profile, length_scale, make_force, make_operator,
-                        psi, v0_of_ell)
-from blowup_lab import ode1d, radial
+                        large_profile, large_solution, length_scale, make_force,
+                        make_operator, psi, v0_of_ell)
+from blowup_lab import ko, ode1d, radial
 from blowup_lab import quadrature as qk
 
 from conftest import rk4_profile
@@ -251,6 +251,52 @@ class TestDeadCore:
     def test_requires_convergent_zero_end(self, op_p2, force_cubic):
         with pytest.raises(DivergenceError):
             dead_core_profile(op_p2, force_cubic, 10.0)
+
+
+class TestLargeSolution:
+    """``large_solution`` is the one choice between a large profile and a dead
+    core on (-ell, ell)."""
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 3.0])
+    def test_osgood_side_is_the_large_profile(self, op_p2, force_cubic, ell):
+        sol = large_solution(op_p2, force_cubic, ell)
+        prof = large_profile(op_p2, force_cubic, v0_of_ell(op_p2, force_cubic, ell))
+        xs = np.array([x for x, _ in prof.samples])
+        assert (sol.v0, sol.ell, sol.dead_core, sol.samples) == (prof.v0, prof.ell, None, ())
+        assert sol.value(xs).tolist() == [v for _, v in prof.samples]
+
+    def test_past_L_has_a_core_of_half_width_ell_minus_L(self, op_p2, force_dead_core):
+        L = length_scale(op_p2, force_dead_core)
+        sol = large_solution(op_p2, force_dead_core, L + 0.7)
+        assert sol.v0 == 0.0 and sol.dead_core == (-(L + 0.7 - L), L + 0.7 - L)
+        assert sol.value(0.3) == 0.0 and sol.value(0.75) > 0.0
+        assert sol.value(0.75) == dead_core_profile(op_p2, force_dead_core, L + 0.7).value(0.75)
+
+    def test_below_L_within_the_threshold_does_not_raise(self, op_p2, force_dead_core):
+        # v0_of_ell returns 0 from L (1 - 1e-12) on; the dead core must accept
+        # every ell it hands over, with an empty core below L
+        L = length_scale(op_p2, force_dead_core)
+        ell = L * (1.0 - 1e-13)
+        assert v0_of_ell(op_p2, force_dead_core, ell) == 0.0
+        sol = large_solution(op_p2, force_dead_core, ell)
+        assert sol.dead_core == (0.0, 0.0)
+        assert 0.0 < sol.value(0.5 * L) < sol.value(0.9 * L)
+
+    def test_osgood_pair_classified_once(self, monkeypatch):
+        # three half-lengths, three v0_of_ell misses, one classification: each
+        # classification runs one 0+ ladder, and only classify runs that ladder
+        op, force = make_operator(kind="p-laplace", p=2), make_force(kind="power", q=3)
+        ladder, caps = qk.integrate_to_zero, []
+
+        def counted(g, end, *, max_blocks):
+            caps.append(max_blocks)
+            return ladder(g, end, max_blocks=max_blocks)
+
+        monkeypatch.setattr(qk, "integrate_to_zero", counted)
+        for ell in (0.5, 1.0, 2.0):
+            v0_of_ell(op, force, ell)
+        assert ko.classify(op, force).osgood_holds
+        assert caps == [qk.MAX_BLOCKS]
 
 
 class TestDecaySweep:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (BlowupLabError, DivergenceError, ExperimentConfig,
+from blowup_lab import (BlowupLabError, DiscreteField, DivergenceError, ExperimentConfig,
                         ValidationError, annulus_barrier, ball_large_solution,
                         blowup_radius, ell_of_v0, eval_profile, grid_for_ell,
-                        local_bound_check, make_force, make_operator, phi, psi, run,
-                        shoot_ball, solve_dirichlet, v0_of_ell)
+                        large_solution, length_scale, local_bound_check, make_force,
+                        make_operator, phi, psi, run, shoot_ball, solve_dirichlet,
+                        v0_of_ell)
 from blowup_lab import radial
 
 
@@ -296,6 +297,20 @@ class TestLocalBound:
             v0R = v0_of_ell(op_p2, force_cubic, R)
             vals.append(eval_profile(op_p2, force_cubic, v0R, R / 2.0))
         assert vals[1] < vals[0]
+
+    def test_barrier_past_L_is_the_dead_core(self):
+        # R = 1 > L = 0.95: omega is the dead-core profile on (-1, 1), not a
+        # profile with v0 = 0 on (-L, L) or a ValueError
+        op = make_operator(kind="p-laplace", p=3)
+        force = make_force(kind="table", points=[[0, 0], [1, 450], [2, 3600], [4, 28800]])
+        assert length_scale(op, force) < 1.0
+        grid = grid_for_ell(1.0, 17)
+        fld = DiscreteField(grid, np.zeros((grid.nx, grid.ny)), 0.0, op, force)
+        rep = local_bound_check(fld, (0.0, 0.0), 1.0)
+        omega = large_solution(op, force, 1.0)
+        assert omega.dead_core is not None
+        assert rep.bound == omega.value(0.5) > 0.0
+        assert rep.passed and rep.max_u == 0.0
 
     def test_ball_must_fit(self, small_field):
         with pytest.raises(ValueError):

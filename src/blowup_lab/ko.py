@@ -175,10 +175,17 @@ def increasing_root(g, limit: float, ftol: float, name: str, goal: str, start=0.
         return hit.args[0]
 
 
+def _log_psi(op: Operator, force: Force, r: float) -> float:
+    """log Psi(r); BracketError where Psi reads 0 because F overflows."""
+    if (value := psi(op, force, r)) == 0.0:
+        raise BracketError(f"Psi({r:g}) reads 0: F overflows")
+    return math.log(value)
+
+
 @lru_cache(maxsize=32)
 def _log_secant(op: Operator, force: Force) -> tuple[float, float]:
     """log Psi(1), log Psi(e): the first secant of :func:`phi`."""
-    return math.log(psi(op, force, 1.0)), math.log(psi(op, force, math.e))
+    return _log_psi(op, force, 1.0), _log_psi(op, force, math.e)
 
 
 @lru_cache(maxsize=64)      # a cylinder family asks once per mesh width h
@@ -187,7 +194,8 @@ def phi(op: Operator, force: Force, d: float) -> float:
     t = log r, from the log-log secant through Psi(1) and Psi(e) when f grows
     like a power (log Psi is then linear in t), else from t = 0.  Raises
     :class:`BracketError` when r would leave [1e-14, 1e14], as for d >= L in
-    the dead-core regime, and :class:`DivergenceError` when KO fails."""
+    the dead-core regime, or Psi reads 0 on the way, and
+    :class:`DivergenceError` when KO fails."""
     if not d > 0.0:
         raise ValueError("phi needs d > 0")
     log_d, limit = math.log(d), math.log(1e14)
@@ -196,7 +204,7 @@ def phi(op: Operator, force: Force, d: float) -> float:
         at_1, at_e = _log_secant(op, force)
         start = min(max((log_d - at_1) / (at_e - at_1), -limit), limit)
     return math.exp(increasing_root(
-        lambda t: log_d - math.log(psi(op, force, math.exp(t))), limit, 0.0,
+        lambda t: log_d - _log_psi(op, force, math.exp(t)), limit, 0.0,
         "r", f"has Psi(r) = {d:g}", start))
 
 

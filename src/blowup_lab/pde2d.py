@@ -10,16 +10,17 @@ _flux_derivatives for every Jacobian.  For p = 2 the scheme is exactly the
 p > 2 from the half-line boundary-layer profile U(d) = Phi(Psi(m) + d) of
 Bandle & Marcus (J. Anal. Math. 58, 1992), where u = m would leave gamma =
 EPS^{p-2} and a flat Newton step; a stalled solve restarts once from it.
-The Jacobian's sparsity pattern is built once per grid; each step sums its
-terms in scipy's COO-to-CSC order, so the matrix is bit-identical to a COO one.
 Constant data and a mirror-invariant scheme make the solution even in each
 axis, so residual, Jacobian, LU and predictor act only on the nodes with
 k <= n-1-k per axis (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
 29, 1992), a quarter in 2D, plus a halo node per axis that copies its mirror.
-The last LU is kept, also across m levels: a chord step with it is accepted
-when it at least halves the scaled residual (_CHORD_CONTRACTION); otherwise
-the Jacobian is refactored at the current iterate for a damped Newton step.
-Both reject a trial outside [0, m].  One loop, _newton, solves the field and
+Numbered with the shorter axis fastest, the Jacobian is a band: its pattern is
+built once per grid, each step sums its terms straight into LAPACK band
+storage, and the LU is LAPACK's band LU with partial pivoting (dgbtrf/dgbtrs;
+Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999).  The last LU is
+kept, also across m levels: a chord step with it is accepted when it at least
+halves the scaled residual (_CHORD_CONTRACTION); otherwise the Jacobian is
+refactored at the current iterate for a damped Newton step.  Both reject a trial outside [0, m].  One loop, _newton, solves the field and
 its discrete cross-section alike.
 
 Boundary blow-up is approached through finite constant data m, doubled per
@@ -40,9 +41,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import ko as ko_mod
 from . import ode1d
@@ -224,21 +224,32 @@ def _scaled_norm(R, fu):
     return float(np.max(np.abs(R) / np.maximum(1.0, fu)))
 
 
+@lru_cache(maxsize=4)     # a grid's field and its cross-section
+def _band_layout(shape):
+    """(number, order): the mirror representatives of a field of this shape
+    numbered with the axis of fewer fastest, which makes the Jacobian a band of
+    about that half-width; number[k] is the unknown at :func:`_quarter` node k
+    (its mirror's on the halo, -1 on the boundary), np.append(R, 0)[order]
+    lists R at the representatives in that numbering."""
+    reps = tuple((n - 1) // 2 for n in shape)
+    x_first = reps[0] < reps[-1]
+    inner = np.arange(math.prod(reps)).reshape(reps[::-1] if x_first else reps)
+    inner = inner.T if x_first else inner
+    return (np.pad(inner, 1, constant_values=-1)[_quarter(shape)],
+            np.append(np.argsort(inner, axis=None), inner.size))
+
+
 @lru_cache(maxsize=1)     # one grid per escalation; more measured a higher peak RSS
 def _jacobian_pattern(nx, ny, nine_point):
-    """(indices, indptr, rank, gather) of the 5- or 9-point CSC Jacobian at the
-    mirror representatives of an nx x ny grid, from the faces of its
-    :func:`_quarter`.  Sorted by falling term count, entry e sits at rank[e], and
-    gather[k] indexes the k-th terms of the sorted entries that have one (a
-    prefix) in the vector that :func:`_assemble_jacobian` builds.
-    The terms are in the order coo_matrix.tocsc sums them (COO order, a stable
-    scatter by column, scipy's own sort_indices), so the sums keep its bits."""
-    reps = ((nx - 1) // 2, (ny - 1) // 2)
-    N = reps[0] * reps[1]
-    # each quarter node's unknown, -1 on the boundary; rows drop the halo, columns fold it
-    row = np.pad(np.arange(N, dtype=np.int32).reshape(reps), 1, constant_values=-1)
-    col = row[_quarter((nx, ny))]
-    rows, cols, terms = [], [], []
+    """(positions, source, shape) of the 5- or 9-point Jacobian at the mirror
+    representatives of an nx x ny grid, from the faces of its :func:`_quarter`:
+    term k is entry source[k] of the vector that :func:`_assemble_jacobian`
+    builds, at flat position positions[k] of Fortran-ordered band storage of
+    this shape (A[i, j] at [2 bw + i - j, j], bw the half-bandwidth)."""
+    col = _band_layout((nx, ny))[0]     # each quarter node's unknown; columns fold the halo
+    row = col.copy()                    # rows drop it
+    row[-1, :] = row[:, -1] = -1
+    rows, cols, source = [], [], []
     offset = 0
     # faces between (i, j) and (i, j) + n, i >= t[0] and j >= t[1]; the flux
     # enters the residual at (i, j) with +1/hn and at (i, j) + n with -1/hn
@@ -259,37 +270,27 @@ def _jacobian_pattern(nx, ny, nine_point):
             for r, value in ((node(row, (0, 0)), v), (node(row, n), v ^ 1)):
                 keep = (r >= 0) & (c >= 0)
                 rows.append(r[keep]); cols.append(c[keep])
-                terms.append(np.flatnonzero(keep) + float(offset + value * r.size))
+                source.append(np.flatnonzero(keep) + (offset + value * r.size))
         offset += 4 * r.size
-    rows.append(np.arange(N, dtype=np.int32)); cols.append(rows[-1])
-    terms.append(np.arange(N) + float(offset))
-    cols = np.concatenate(cols)
-    order = np.argsort(cols, kind="stable")     # coo_tocsr's scatter by column
-    indptr = np.append(0, np.cumsum(np.bincount(cols, minlength=N))).astype(np.int32)
-    del cols
-    A = sp.csc_matrix((np.concatenate(terms)[order], np.concatenate(rows)[order], indptr),
-                      shape=(N, N))
-    del rows, terms, order
-    A.sort_indices()
-    first = np.diff(A.indices, prepend=-1) != 0     # an entry starts where the row
-    first[A.indptr[:-1]] = True                     # changes or a column starts
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=A.nnz)
-    order = np.argsort(-counts, kind="stable")
-    gather = tuple(A.data[starts[order[:np.count_nonzero(counts > k)]] + k].astype(np.int32)
-                   for k in range(counts.max()))
-    pattern = (A.indices[starts], np.searchsorted(starts, A.indptr).astype(np.int32),
-               np.argsort(order).astype(np.int32), gather)
-    for a in pattern[:3] + gather:
+    diagonal = row[1:-1, 1:-1].ravel()     # -f'(u) in C order
+    rows.append(diagonal); cols.append(diagonal)
+    source.append(np.arange(diagonal.size) + offset)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    bw = int(np.max(np.abs(rows - cols)))
+    positions = (3 * bw + 1) * cols + 2 * bw + rows - cols
+    sweep = np.argsort(positions, kind="stable")   # in band order, each entry's sum kept
+    pattern = (positions[sweep], np.concatenate(source)[sweep], (3 * bw + 1, diagonal.size))
+    for a in pattern[:2]:
         a.flags.writeable = False   # shared by every Jacobian on the grid
     return pattern
 
 
 def _assemble_jacobian(u, grid, p, eps, force):
     """Exact Jacobian of the residual at the mirror representatives along even
-    directions, at the grid's :func:`_quarter` u, in CSC form on the 9-point
-    :func:`_jacobian_pattern`, 5-point for p = 2 (dF/dg_t carries p - 2)."""
-    indices, indptr, rank, gather = _jacobian_pattern(grid.nx, grid.ny, p != 2.0)
+    directions, at the grid's :func:`_quarter` u, as the Fortran-ordered band
+    of :func:`_jacobian_pattern`, 5-point for p = 2 (dF/dg_t carries p - 2);
+    each entry sums its terms in the pattern's order."""
+    positions, source, shape = _jacobian_pattern(grid.nx, grid.ny, p != 2.0)
     values = []     # per face axis s, -s, c, -c; then -f'(u)
     for uu, hn, ht, transposed in ((u, grid.hx, grid.hy, False),
                                    (u.T, grid.hy, grid.hx, True)):
@@ -299,10 +300,7 @@ def _assemble_jacobian(u, grid, p, eps, force):
         s, c = dF_dgn / hn / hn, dF_dgt / (4 * ht) / hn
         values += [(a.T if transposed else a).ravel() for a in (s, -s, c, -c)]
     values = np.concatenate(values + [-force.derivative(u[1:-1, 1:-1]).ravel()])
-    data = values[gather[0]]
-    for g in gather[1:]:
-        data[:g.size] += values[g]
-    return sp.csc_matrix((data[rank], indices, indptr), shape=(indptr.size - 1,) * 2)
+    return np.bincount(positions, values[source], shape[0] * shape[1]).reshape(shape[::-1]).T
 
 
 def _jacobian_times(u, v, grid, p, eps, force):
@@ -344,25 +342,43 @@ def _quarter(shape):
     return np.ix_(*(k.ravel()[:(n - 1) // 2 + 2] for n, k in zip(shape, _mirror(shape))))
 
 
+def _factor(band, shape, where):
+    """The band LU with partial pivoting (dgbtrf, in place) of a Jacobian in
+    Fortran-ordered band storage with kl = ku = (rows - 1) / 3, and the
+    :func:`_band_layout` of its field's shape; SolverError at a zero pivot."""
+    bw = (band.shape[0] - 1) // 3
+    lu, piv, info = dgbtrf(band, bw, bw, overwrite_ab=True)
+    if info > 0:
+        raise SolverError(f"singular Jacobian{where}: zero pivot in column {info - 1}")
+    return (lu, piv, bw) + _band_layout(shape)
+
+
+def _correction(factor, R):
+    """-J^-1 R on the quarter, by dgbtrs; its trailing 0 is the boundary's."""
+    lu, piv, bw, number, order = factor
+    return dgbtrs(lu, bw, bw, np.append(-R, 0.0)[order], piv, overwrite_b=True)[0][number]
+
+
 def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
     """Chord/damped Newton (Kelley 2003, ch. 2 and 5) on the interior of an
     even field u of any dimension with boundary values m, to a scaled residual
     max |R| / max(1, f(u)) <= tol; returns the field and its diagnostics.  The
     iterate is u's :func:`_quarter`, whose halo moves with its mirror, and is
     mirrored out on return: ``residual(v)`` gives (R, f(v)) at its
-    representatives or raises SolverError, and ``jacobian(v)`` the CSC
-    Jacobian there with each halo column folded onto its mirror's.
+    representatives or raises SolverError, and ``jacobian(v)`` the Jacobian
+    there, each halo column folded onto its mirror's, in the band storage of
+    :func:`_factor` on the :func:`_band_layout` numbering.
 
     A trial that leaves [0, m] or has a non-finite residual is rejected like
     one whose scaled residual is too large.  While an LU is kept, each step
     first tries the full chord step with it, accepted at most
     _CHORD_CONTRACTION times the current scaled residual; otherwise the
-    Jacobian is factored (MMD ordering on A^T + A) at the iterate for
+    Jacobian is factored (:func:`_factor`) at the iterate for
     a damped Newton step, halved until the scaled residual falls.  When no
     halving helps, the solve restarts once from :func:`_layer_profile` at the
     node distances ``dist`` (counted in ``gs_rescues``) and scales later
-    trials by the current iterate's max(1, f(u)); a second stall or
-    MAX_NEWTON steps raise SolverError naming ``where``.  The LU is dropped
+    trials by the current iterate's max(1, f(u)); a second stall, MAX_NEWTON
+    steps or a zero pivot raise SolverError naming ``where``.  The LU is dropped
     after a damped step with alpha < 1 and at a restart.  The one-slot list
     ``lu`` carries an LU in and the last LU out, and is emptied before each
     factorisation.  ``iterations`` counts accepted steps, ``factorizations``
@@ -390,16 +406,16 @@ def _newton(u, m, dist, op, force, residual, jacobian, tol, lu, where):
                 f"no convergence{where} in {MAX_NEWTON} Newton iterations "
                 f"(m = {m:g}, last scaled residual {rn:.3e})")
         if lu[0] is not None:
-            u_try = u + np.pad(lu[0].solve(-R.ravel()).reshape(R.shape), 1)[fill]
+            u_try = u + _correction(lu[0], R)
             R_try, fu_try, rn_try = score(u_try)
             if rn_try <= _CHORD_CONTRACTION * rn:
                 u, R, fu, rn = u_try, R_try, fu_try, _scaled_norm(R_try, fu_try)
                 it += 1
                 continue
         lu[0] = None    # free the old factor before the new one is built
-        lu[0] = spla.splu(jacobian(u), permc_spec="MMD_AT_PLUS_A")
+        lu[0] = _factor(jacobian(u), shape, where)
         factorizations += 1
-        delta = np.pad(lu[0].solve(-R.ravel()).reshape(R.shape), 1)[fill]
+        delta = _correction(lu[0], R)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             u_try = u + alpha * delta
@@ -535,7 +551,7 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
             e = np.pad(np.zeros((grid.nx - 2, grid.ny - 2)), 1, constant_values=1.0)
             quarter = _quarter(e.shape)
             Je = _jacobian_times(start[quarter], e[quarter], grid, op.p, EPS, force)
-            du = np.pad(lu[0].solve(-Je.ravel()).reshape(Je.shape), 1)[_mirror(e.shape)]
+            du = _correction(lu[0], Je)[_mirror(e.shape)]
             start = start + (m - prev.m) * (e + du)
         field_ = solve_dirichlet(grid, op, force, m, initial=start, factor=lu)
         if mask is None:
@@ -624,11 +640,13 @@ def discrete_cross_section(field_: DiscreteField) -> np.ndarray:
 
     halo = _quarter((g.nx,))[0][-1] - 1     # the column of the halo's mirror
 
-    def jacobian_1d(w):
+    def jacobian_1d(w):     # a band with kl = ku = 1: A[i, j] at [2 + i - j, j]
         dF = _flux_derivatives(np.diff(w) / hx, 0.0, p, EPS)[0] / (hx * hx)   # g_t = 0
-        J = sp.diags([dF[1:-1], -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1]), dF[1:-1]],
-                     [-1, 0, 1])
-        return (J + sp.csr_matrix(([dF[-1]], ([dF.size - 2], [halo])), shape=J.shape)).tocsc()
+        band = np.zeros((4, w.size - 2), order="F")
+        band[1, 1:] = band[3, :-1] = dF[1:-1]
+        band[2] = -(dF[1:] + dF[:-1]) - force.derivative(w[1:-1])
+        band[2 + w.size - 3 - halo, halo] += dF[-1]
+        return band
 
     return _newton(field_.mid_slice()[1], field_.m, g.edge_distances[0], field_.op, force,
                    residual_1d, jacobian_1d, 1e-12, [None],

@@ -284,10 +284,13 @@ class LocalBoundReport:
 
 
 def require_ball_inside(grid, center: tuple, R: float) -> None:
-    """Raise ValueError unless the ball B_R(center) lies in the grid's domain."""
+    """Raise ValueError unless the ball B_R(center) lies in the grid's domain
+    and R > 4 h, so that local_bound_check's R/2 + 2h stays short of R."""
     cx, cy = center
     if abs(cx) + R > grid.half_widths[0] or abs(cy) + R > grid.half_widths[1]:
         raise ValueError(f"ball of radius {R:g} at {center} leaves the domain")
+    if not R > 4.0 * max(grid.hx, grid.hy):
+        raise ValueError(f"R = {R:g} is not above 4 h = {4.0 * max(grid.hx, grid.hy):g}")
 
 
 def local_bound_check(field, center: tuple, R: float) -> LocalBoundReport:
@@ -302,7 +305,7 @@ def local_bound_check(field, center: tuple, R: float) -> LocalBoundReport:
     require_ball_inside(grid, center, R)
     hbar = max(grid.hx, grid.hy)
     omega_half, omega_far = ode1d.large_solution(field.op, field.force, R).value(
-        np.array([R / 2.0, min(R / 2.0 + 2.0 * hbar, R * (1 - 1e-9))])).tolist()
+        np.array([R / 2.0, R / 2.0 + 2.0 * hbar])).tolist()
     slack = omega_far - omega_half
     cx, cy = center
     X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")

@@ -360,9 +360,10 @@ class TestRunners:
         (None, {"ells": [1.0, 1.3]}, "ConfigError", "y = 0 is not a grid node"),
         (None, {"ells": [1.0, 1.32]}, "ConfigError", "do not nest"),
         (None, {"translation_y": 0.3}, "ConfigError", "y = 0.3 is not a grid node"),
+        (None, {"nx": 17, "local_bound_R": 0.5}, "ConfigError", "R = 0.5 is not above 4 h = 0.5"),
         ({"kind": "mean-curvature"}, {}, "ValidationError", "p-laplace operators only"),
     ], ids=["nx16", "decreasing-ells", "ells-1-1.3", "ells-1-1.32", "translation-0.3",
-            "mean-curvature"])
+            "local-bound-R-4h", "mean-curvature"])
     def test_cylinder_rejected_before_solving(self, tmp_path, operator, params, error,
                                               match):
         cfg = ExperimentConfig.from_dict(cfg_dict(kind="cylinder", operator=operator,
@@ -864,6 +865,18 @@ class TestCli:
         errors = np.loadtxt(out / "cross_section_errors.csv", delimiter=",", skiprows=1)
         assert v.min() == 0.0
         assert errors[-1, 1] == float(np.max(np.abs(u[window] - v)))
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_force_ends_in_a_report(self, tmp_path, capsys):
+        # p = 40, f = t^45 past 1: F overflows and Psi reads 0 on the way to
+        # the layer cap, which Phi reports as unbracketed instead of taking its log
+        doc = cfg_dict(kind="cylinder", force={"kind": "piecewise-power", "a": 3, "b": 45},
+                       operator={"kind": "p-laplace", "p": 40},
+                       params={"ells": [1], "nx": 17})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", self.write_cfg(tmp_path, doc), "--out", str(out)])
+        assert code == 2 or (out / "report.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):

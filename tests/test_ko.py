@@ -225,6 +225,14 @@ class TestIncreasingRoot:
         assert 1.0 not in calls[n_first:] and math.e not in calls[n_first:]
         assert ko._log_secant.cache_info().misses == 1
 
+    def test_phi_where_psi_reads_zero(self):
+        # F(s) ~ s^46 / 46 overflows past s ~ 1e6, so Psi reads 0 well before
+        # the r with Psi(r) = 0.0625 at p = 40
+        op = make_operator(kind="p-laplace", p=40)
+        force = make_force(kind="piecewise-power", a=3, b=45)
+        with pytest.raises(BracketError, match="reads 0"):
+            phi(op, force, 0.0625)
+
     def test_phi_beyond_dead_core_length(self, monkeypatch, op_p2, force_dead_core):
         # Psi(0+) = L, so no r has Psi(r) = 1.5 L
         L = length_scale(op_p2, force_dead_core)

@@ -43,6 +43,29 @@ def spread(values, shape):
     return np.pad(values, 1)[pde2d._mirror(shape)]
 
 
+def band_to_dense(band, shape):
+    """The matrix held in a Fortran-ordered LAPACK band of half-bandwidth
+    (rows - 1) / 3 on the unknowns of a field of this shape, as a dense matrix
+    on its representatives in C order; the fill-in rows and the slots past the
+    matrix's corners must hold 0."""
+    bw, N = (band.shape[0] - 1) // 3, band.shape[1]
+    r, j = np.mgrid[:band.shape[0], :N]
+    i = r - 2 * bw + j
+    inside = (r >= bw) & (i >= 0) & (i < N)
+    assert not band[~inside].any()
+    A = np.zeros((N, N))
+    A[i[inside], j[inside]] = band[inside]
+    order = pde2d._band_layout(shape)[1][:-1]     # C index of each unknown
+    C = np.empty_like(A)
+    C[np.ix_(order, order)] = A
+    return C
+
+
+def jacobian_matrix(u, grid, p, eps, force):
+    """_assemble_jacobian at an even field's quarter, dense on its representatives."""
+    return band_to_dense(_assemble_jacobian(quarter(u), grid, p, eps, force), u.shape)
+
+
 class TestResidual:
     def test_zero_field_exact(self, op_p2, force_cubic):
         g = grid_for_ell(1.0, 17)
@@ -78,7 +101,7 @@ class TestResidual:
         g = Grid2D(1.2, 8, 9)
         force = make_force(force)
         u = even(1.0 + rng.random((g.nx, g.ny)))
-        J = _assemble_jacobian(quarter(u), g, p, 1e-8, force).toarray()
+        J = jacobian_matrix(u, g, p, 1e-8, force)
         reps = representatives(g)
         R0, _ = _residual_interior(u, g, p, 1e-8, force)
         h = 1e-7
@@ -103,7 +126,7 @@ class TestResidual:
         force = make_force(force)
         u = even(1.0 + rng.random((g.nx, g.ny)))
         v = rng.standard_normal(representatives(g))
-        Jv = _assemble_jacobian(quarter(u), g, p, 1e-8, force) @ v.ravel()
+        Jv = jacobian_matrix(u, g, p, 1e-8, force) @ v.ravel()
         got = _jacobian_times(quarter(u), quarter(spread(v, u.shape)), g, p, 1e-8,
                               force).ravel()
         # rounding is relative to the terms that each entry sums: on the 8-node
@@ -130,11 +153,13 @@ class TestResidual:
         assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(fd))
 
     def test_jacobian_five_point_pattern_for_p2(self, force_cubic):
-        # the tangential entries vanish identically for p = 2 and are not stored
+        # the tangential entries vanish identically for p = 2 and are not
+        # stored: the band is one narrower than at p != 2
         g = grid_for_ell(1.0, 17)
-        u = 1.0 + np.random.default_rng(3).random((g.nx, g.ny))
-        J = _assemble_jacobian(quarter(u), g, 2.0, 1e-8, force_cubic)
-        assert J.nnz <= 5 * J.shape[0]
+        u = even(1.0 + np.random.default_rng(3).random((g.nx, g.ny)))
+        band = _assemble_jacobian(quarter(u), g, 2.0, 1e-8, force_cubic)
+        assert band.shape == (3 * 8 + 1, 64)
+        assert np.count_nonzero(band_to_dense(band, u.shape)) <= 5 * band.shape[1]
 
     @pytest.mark.parametrize("p,min_rate", [(2.0, 1.8), (3.0, 0.9)])
     def test_manufactured_solution_convergence(self, p, min_rate):
@@ -218,9 +243,17 @@ def folded_terms(u, grid, p, eps, force):
 
 
 def folded_jacobian(u, grid, p, eps, force):
-    """folded_terms converted by scipy's tocsc: the reference whose bits the
-    pattern-based assembly on the quarter must reproduce."""
-    return folded_terms(u, grid, p, eps, force).tocsc()
+    """folded_terms summed by scipy's tocsc, dense."""
+    return folded_terms(u, grid, p, eps, force).tocsc().toarray()
+
+
+def summed_in_order(terms, data=None):
+    """The dense matrix of COO terms (or of ``data`` at their places), each
+    entry summed from 0.0 in the terms' order: the reference whose bits the
+    band assembly must reproduce."""
+    A = np.zeros(terms.shape)
+    np.add.at(A, (terms.row, terms.col), terms.data if data is None else data)
+    return A
 
 
 class TestJacobianPattern:
@@ -234,10 +267,11 @@ class TestJacobianPattern:
                              ids=["8x9", "11x8", "ell1-17", "ell2-33"])
     def test_bit_identical_to_the_coo_assembly(self, grid, p):
         # random even fields, and the flat start, where eps = 1e-300 underflows
-        # and the stored values include +-0, inf (p = 1.5) and NaN (p = 1.5).
-        # A folded entry can sum NaNs of both signs (from c and -c terms), and
-        # numpy's add keeps the sign of either operand depending on the loop it
-        # takes, so NaN entries are compared as NaN and every other one by its bits
+        # and the terms include +-0, inf (p = 1.5) and NaN (p = 1.5).  The band
+        # sums each entry's terms in the order folded_terms lists them, so it
+        # keeps the bits of that sum; scipy's tocsc sums them in its sort's
+        # order, so against it an entry may differ in rounding, read +0 for
+        # its -0 and carry the other sign on a NaN
         rng = np.random.default_rng(11)
         flat = np.full((grid.nx, grid.ny), 2.0)
         for name, spec in self.FORCES.items():
@@ -245,27 +279,32 @@ class TestJacobianPattern:
             for u, eps in ((even(1.0 + rng.random(flat.shape)), 1e-8), (flat, 1e-8),
                            (flat, 1e-300)):
                 with np.errstate(all="ignore"):
-                    want = folded_jacobian(u, grid, p, eps, force)
-                    got = _assemble_jacobian(quarter(u), grid, p, eps, force)
-                assert got.format == "csc" and got.shape == want.shape
-                assert np.array_equal(got.indptr, want.indptr), name
-                assert np.array_equal(got.indices, want.indices), name
-                nan = np.isnan(want.data)
-                assert np.array_equal(np.isnan(got.data), nan), name
-                assert np.array_equal(got.data[~nan].view(np.int64),
-                                      want.data[~nan].view(np.int64)), name
+                    terms = folded_terms(u, grid, p, eps, force)
+                    want = summed_in_order(terms)
+                    got = jacobian_matrix(u, grid, p, eps, force)
+                    scale = summed_in_order(terms, np.abs(terms.data))
+                    coo = folded_jacobian(u, grid, p, eps, force)
+                    close = (got == coo) | (np.abs(got - coo) <= 1e-15 * scale)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), name
+                assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), name
+                assert np.array_equal(np.isnan(coo), nan) and np.all(close[~nan]), name
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), grid_for_ell(2, 65)],
-                             ids=["8x9", "ell2-65"])
+    @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), grid_for_ell(2, 65),
+                                      grid_for_ell(0.5, 65), grid_for_ell(1, 17)],
+                             ids=["8x9", "ell2-65", "ell0.5-65", "ell1-17"])
     def test_one_stored_index_per_term(self, grid, p):
-        # no padding: gather[k] covers exactly the entries with more than k terms
-        indices, indptr, rank, gather = pde2d._jacobian_pattern(grid.nx, grid.ny, p != 2.0)
+        # no padding: one band position per term, every one inside the band,
+        # whose half-bandwidth is the shorter axis' count of representatives
+        # (plus one for 9 points), whichever axis that is
+        positions, source, shape = pde2d._jacobian_pattern(grid.nx, grid.ny, p != 2.0)
         u = np.full((grid.nx, grid.ny), 2.0)
         terms = folded_terms(u, grid, p, 1e-8, make_force(kind="power", q=3)).nnz
-        assert sum(g.size for g in gather) == terms
-        assert [g.size for g in gather] == sorted((g.size for g in gather), reverse=True)
-        assert np.array_equal(np.sort(rank), np.arange(indices.size))
+        assert positions.size == source.size == terms
+        bw = min(representatives(grid)) + (p != 2.0)
+        assert shape == (3 * bw + 1, math.prod(representatives(grid)))
+        assert np.all(positions % shape[0] >= bw) and positions.max() < math.prod(shape)
 
     def test_build_and_assembly_peak_below_the_coo_assembly(self):
         g = grid_for_ell(2, 65)
@@ -344,8 +383,8 @@ class TestSolveDirichlet:
         g = grid_for_ell(1.0, 17)
         u = np.full((g.nx, g.ny), 2.0)
         for p in (2.0, 3.0):
-            J = _assemble_jacobian(quarter(u), g, p, 1e-300, force_cubic)
-            assert np.all(np.isfinite(J.data))
+            band = _assemble_jacobian(quarter(u), g, p, 1e-300, force_cubic)
+            assert np.all(np.isfinite(band))
         monkeypatch.setattr(pde2d, "EPS", 1e-300)
         fld = solve_dirichlet(g, op_p2, force_cubic, 2.0)
         assert fld.diagnostics["gs_rescues"] == 0
@@ -435,11 +474,14 @@ class TestSymmetricFold:
         for _ in range(3):
             u = even(1.0 + rng.random((grid.nx, grid.ny)))
             R, _ = _residual_interior(quarter(u), grid, p, pde2d.EPS, force)
-            lu = spla.splu(_assemble_jacobian(quarter(u), grid, p, pde2d.EPS, force))
-            got = spread(lu.solve(-R.ravel()).reshape(R.shape), u.shape)[1:-1, 1:-1].ravel()
+            factor = pde2d._factor(_assemble_jacobian(quarter(u), grid, p, pde2d.EPS, force),
+                                   u.shape, "")
+            got = pde2d._correction(factor, R)[pde2d._mirror(u.shape)]
             R_full, _ = _residual_interior(u, grid, p, pde2d.EPS, force)
             want = spla.spsolve(coo_jacobian(u, grid, p, pde2d.EPS, force), -R_full.ravel())
-            assert lu.shape == (math.prod(representatives(grid)),) * 2
+            assert factor[0].shape[1] == math.prod(representatives(grid))
+            assert np.all(got[[0, -1], :] == 0.0) and np.all(got[:, [0, -1]] == 0.0)
+            got = got[1:-1, 1:-1].ravel()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("g, p, q, m", [
@@ -472,7 +514,9 @@ class TestSymmetricFold:
         fld = solve_dirichlet(g, op_p2, force_cubic, 4.0, initial=start)
         assert np.array_equal(fld.values, solve_dirichlet(g, op_p2, force_cubic, 4.0).values)
 
-    def test_escalation_factors_a_quarter_of_the_unknowns(self, op_p2, force_cubic, monkeypatch):
+    def test_escalation_factors_a_quarter_of_the_unknowns(self, op_p3, monkeypatch):
+        # 2,048 of N = 63 * 127 = 8001 unknowns, numbered along x first: a
+        # 9-point band of half-width 32 + 1
         slots = []
         solve = pde2d.solve_dirichlet
 
@@ -481,8 +525,8 @@ class TestSymmetricFold:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(pde2d, "solve_dirichlet", recorded)
-        escalate_m(grid_for_ell(2.0, 65), op_p2, force_cubic)
-        assert slots[-1][0].shape == (2048, 2048)    # of N = 63 * 127 = 8001
+        escalate_m(grid_for_ell(2.0, 65), op_p3, make_force(kind="power", q=6))
+        assert slots[-1][0][0].shape == (3 * 33 + 1, 2048)
 
     @pytest.mark.parametrize("grid", [grid_for_ell(1.0, 17), Grid2D(1.2, 18, 21),
                                       Grid2D(1.2, 18, 20)], ids=["17x17", "18x21", "18x20"])
@@ -721,21 +765,19 @@ class TestContinuation:
         assert [d["gs_rescues"] for d in diagnostics] == [0] * len(res.levels)
 
     def test_one_factor_alive_at_a_time(self, op_p3, monkeypatch):
-        class Factor:       # SuperLU takes no weak references; this wrapper does
-            def __init__(self, lu):
-                self.solve = lu.solve
-
+        # the band is factored in place: the LU dgbtrf returns is the band
         alive = []
         built = []
-        splu = pde2d.spla.splu
+        dgbtrf = pde2d.dgbtrf
 
-        def tracked(*args, **kwargs):
+        def tracked(band, *args, **kwargs):
             alive.append(sum(ref() is not None for ref in built))
-            factor = Factor(splu(*args, **kwargs))
-            built.append(weakref.ref(factor))
-            return factor
+            lu, piv, info = dgbtrf(band, *args, **kwargs)
+            assert lu is band
+            built.append(weakref.ref(lu))
+            return lu, piv, info
 
-        monkeypatch.setattr(pde2d.spla, "splu", tracked)
+        monkeypatch.setattr(pde2d, "dgbtrf", tracked)
         for grid in pde2d.family_grids([1.0, 2.0], 17):
             escalate_m(grid, op_p3, make_force(kind="power", q=6))
         assert len(built) > 2
@@ -758,6 +800,29 @@ def test_discrete_cross_section_solves_three_point_scheme():
         fw = w[1:-1] ** q
         assert w[0] == w[-1] == 16.0 and np.array_equal(w, w[::-1])
         assert np.max(np.abs(np.diff(flux) / h - fw) / np.maximum(1.0, fw)) <= 1e-11, (p, grid)
+
+
+def test_zero_pivot_raises(op_p2, force_cubic):
+    # a planted 1D system whose diagonal band has a zero column
+    def jacobian(v):
+        band = np.zeros((4, v.size - 2), order="F")
+        band[2] = 1.0
+        band[2, 2] = 0.0
+        return band
+
+    u = np.ones(9)
+    with pytest.raises(SolverError, match="singular Jacobian on the planted system: "
+                                          "zero pivot in column 2"):
+        pde2d._newton(u, 1.0, np.zeros(9), op_p2, force_cubic,
+                      lambda v: (np.ones(v.size - 2), np.zeros(v.size - 2)), jacobian,
+                      1e-9, [None], " on the planted system")
+
+
+def test_newton_budget_exhaustion_raises(op_p2, force_cubic, monkeypatch):
+    # this level takes 18 steps
+    monkeypatch.setattr(pde2d, "MAX_NEWTON", 2)
+    with pytest.raises(SolverError, match=r"no convergence in 2 Newton iterations \(m = 8,"):
+        solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, 8.0)
 
 
 def test_discrete_cross_section_stall_raises(force_cubic):

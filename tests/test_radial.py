@@ -315,3 +315,11 @@ class TestLocalBound:
     def test_ball_must_fit(self, small_field):
         with pytest.raises(ValueError):
             local_bound_check(small_field, (0.5, 0.0), 0.8)
+
+    @pytest.mark.parametrize("R", [0.25, 0.1])
+    def test_ball_must_span_more_than_four_cells(self, small_field, R):
+        # h = 1/16: at R <= 4 h the slack point R/2 + 2h reaches omega's
+        # blow-up at R, where the bound cannot fail
+        with pytest.raises(ValueError, match="not above 4 h"):
+            local_bound_check(small_field, (0.0, 0.0), R)
+        assert local_bound_check(small_field, (0.0, 0.0), 0.26).slack < math.inf

@@ -355,7 +355,7 @@ def _boundary_ratio(op, force, prof, d) -> tuple[Optional[float], str]:
     psi_end = prof.R - prof.r[-1]       # the shot ends Psi(w_end) short of R
     try:
         graded = prof if psi_end <= d / 10.0 else radial.shoot_ball(
-            op, force, prof.n, prof.v0, w_cap=ko_mod.phi(op, force, d / 10.0))
+            op, force, prof.n, prof.v0, w_cap=ko_mod.phi(op, force, d / 10.0), reuse=prof)
         return graded.value(graded.R - d) / phi_d, ""
     except BracketError:
         return None, f"Psi(w_end) = {psi_end:.3g} > d/10 and no Phi(d/10) for d = {d:g}"
@@ -384,7 +384,7 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
     else:
         v0 = float(params.get("v0", 1.0))
         prof = radial.shoot_ball(op, force, n, v0)
-        cap2 = radial.blowup_radius(op, force, n, v0, w_cap=radial.W_CAP * 100.0)
+        cap2 = radial.blowup_radius(op, force, n, v0, w_cap=radial.W_CAP * 100.0, reuse=prof)
         rel = abs(cap2 - prof.R) / prof.R
         checks.append(CheckResult("blowup-radius-cap-stable", rel <= 1e-6, rel, 1e-6))
     manifest.add("radial.csv", prof.to_csv)

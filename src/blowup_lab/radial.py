@@ -14,10 +14,12 @@ is extrapolated from there by the tail functional Psi, which is exact in 1D
 and subdominant-error in the radial case.
 
 Only sampled shots (`shoot_ball`, the accepted annulus shot) keep DOP853's
-dense interpolants.  The ball's center value and the annulus' outer slope are
-found on a log scale, where R is a power of v0 for power forces, by the lab's
-one monotone root finder (:func:`ko.increasing_root`), which shoots each
-point once; the annulus stops within 1e-8 (relative) of r_inner.
+dense interpolants, and a profile's re-shots to a larger cap reuse its phase 1.
+The ball's center value and the annulus' outer slope are found on a log scale
+by the lab's one monotone root finder (:func:`ko.increasing_root`), which
+shoots each point once; R is a power of v0 for power forces, so the ball's
+search starts, and ends, at that power law's root through the shot at v0 = 1
+(3 shots in all); the annulus stops within 1e-8 (relative) of r_inner.
 
 This doubles as the independent IVP oracle for the implicit-relation
 profiles of the 1D module (n = 1 removes the curvature term).
@@ -45,6 +47,7 @@ ATOL = 1e-12
 R_START = 1e-6
 N_SAMPLES = 400     # samples kept of a ball or annulus profile
 LOC_TOL = 1e-8      # relative tolerance on the annulus' blow-up location
+BALL_TOL = 1e-8     # tolerance on log R of the ball's center-value search
 
 
 @lru_cache(maxsize=32)
@@ -81,11 +84,13 @@ def _prestep(op: Operator, force: Force, n: int, v0: float, r0: float) -> tuple[
 
 
 def _shoot(op: Operator, force: Force, n: int, r_span: tuple, y0: tuple, w_end: float,
-           dense: bool):
+           dense: bool, phase1=None):
     """One shot from (w, z) = y0 at r_span[0] toward w = w_end, stopped at
     r = r_span[1].  Phase 1 hands over at w = 4 max(w0, 1) (or w_end), so the
     profile's body keeps the r-steps of a shot in r alone.  Returns r at w_end
-    (None if r_span[1] came first) and, if dense, the map r -> (w, z)."""
+    (None if r_span[1] came first) and, if dense, the map r -> (w, z), which
+    keeps ((r_span, y0, w_switch), phase-1 result) as `phase1`; passed back in,
+    that pair replaces phase 1 of a shot with the same three inputs."""
     Ainv, fval = op.flux_inverse, force.value
     sign = math.copysign(1.0, r_span[1] - r_span[0])    # the sign of z
     w_switch = min(4.0 * max(y0[0], 1.0), w_end)
@@ -107,8 +112,10 @@ def _shoot(op: Operator, force: Force, n: int, r_span: tuple, y0: tuple, w_end: 
         return y[0] - r_span[1]
     switch.terminal = r_limit.terminal = True
 
-    near = sol = solve_ivp(in_r, r_span, y0, method="DOP853", rtol=RTOL, atol=ATOL,
-                           events=switch, dense_output=dense)
+    if phase1 is None or phase1[0] != (r_span, y0, w_switch):
+        phase1 = (r_span, y0, w_switch), solve_ivp(in_r, r_span, y0, method="DOP853", rtol=RTOL,
+                                                   atol=ATOL, events=switch, dense_output=dense)
+    near = sol = phase1[1]
     far, (r, w) = None, (near.t[-1], near.y[0, -1])
     if near.status == 1:      # w reached w_switch
         w_sw, z_sw = near.y[:, -1]
@@ -134,6 +141,7 @@ def _shoot(op: Operator, force: Force, n: int, r_span: tuple, y0: tuple, w_end: 
             w[past], z[past] = np.exp(t), sign * np.exp(far.sol(t)[1])
         return w, z
 
+    state.phase1 = phase1
     return (float(r) if far is not None and far.status == 0 else None), state
 
 
@@ -184,23 +192,24 @@ class RadialProfile:
         })
 
 
-def _integrate_outward(op, force, n, v0, w_cap, dense):
+def _integrate_outward(op, force, n, v0, w_cap, dense, reuse):
     """r_end, R = r_end + Psi(w_end) and the state map of the shot from the center."""
     w_end, psi_end = _end_point(op, force, w_cap)
-    r_end, state = _shoot(op, force, n, (R_START, 1e6),
-                          _prestep(op, force, n, v0, R_START), w_end, dense)
+    r_end, state = _shoot(op, force, n, (R_START, 1e6), _prestep(op, force, n, v0, R_START),
+                          w_end, dense, phase1=reuse and reuse._state.phase1)
     if r_end is None:
         raise BlowupLabError("no blow-up reached by r = 1e+06")
     return r_end, r_end + psi_end, state
 
 
-def shoot_ball(op: Operator, force: Force, n: int, v0: float,
-               w_cap: float = W_CAP) -> RadialProfile:
-    """Integrate from the center; blow-up radius R = r_end + Psi(w_end)."""
+def shoot_ball(op: Operator, force: Force, n: int, v0: float, w_cap: float = W_CAP,
+               reuse: Optional[RadialProfile] = None) -> RadialProfile:
+    """Integrate from the center; blow-up radius R = r_end + Psi(w_end).
+    `reuse`, a ball of the same op, force, n and v0, lends its phase 1."""
     _check_operator(op, n)
     if not v0 > 0.0:
         raise ValueError("shoot_ball needs v0 > 0")
-    r_end, R, state = _integrate_outward(op, force, n, v0, w_cap, dense=True)
+    r_end, R, state = _integrate_outward(op, force, n, v0, w_cap, True, reuse)
     rs = np.linspace(R_START, r_end, N_SAMPLES)
     ws, zs = state(rs)
     wps = op.flux_inverse(zs)
@@ -210,24 +219,25 @@ def shoot_ball(op: Operator, force: Force, n: int, v0: float,
     return RadialProfile(op, force, n, v0, R, rs, ws, wps, "ball", None, state)
 
 
-def blowup_radius(op: Operator, force: Force, n: int, v0: float,
-                  w_cap: float = W_CAP) -> float:
-    """R(v0) alone (no sampling); strictly decreasing in v0."""
+def blowup_radius(op: Operator, force: Force, n: int, v0: float, w_cap: float = W_CAP,
+                  reuse: Optional[RadialProfile] = None) -> float:
+    """R(v0) alone (no sampling); strictly decreasing in v0; `reuse` as in shoot_ball."""
     _check_operator(op, n)
-    return _integrate_outward(op, force, n, v0, w_cap, dense=False)[1]
+    return _integrate_outward(op, force, n, v0, w_cap, False, reuse)[1]
 
 
 def ball_large_solution(op: Operator, force: Force, n: int,
                         R_target: float) -> RadialProfile:
-    """Find v0 with R(v0) = R_target by root finding on t = log v0.
+    """Find v0 with R(v0) = R_target by root finding on t = log v0, to BALL_TOL in log R.
 
-    log R is linear in t for power forces (R(lam v0) = lam^(-(q-p+1)/p) R(v0)),
-    so once bracketed, one secant step lands on the root.  How close the
-    profile's R came to R_target is for the caller to grade."""
+    log R is linear in t for power forces (R(lam v0) = lam^(-kappa) R(v0),
+    kappa = (q-p+1)/p), so the search starts, and ends, at the root of that line
+    through the shot at v0 = 1 (a start only, for q reached asymptotically).
+    How close the profile's R came to R_target is for the caller to grade."""
     _check_operator(op, n)
     if not R_target > 0.0:
         raise ValueError("ball_large_solution needs R_target > 0")
-    log_target = math.log(R_target)
+    log_target, limit = math.log(R_target), math.log(1e12)
     w_end, goal = _end_point(op, force, W_CAP)[0], f"reaches the radius {R_target:g}"
 
     def g(t: float) -> float:       # no shot starts past its end point w_end
@@ -235,7 +245,11 @@ def ball_large_solution(op: Operator, force: Force, n: int,
             raise BracketError(f"no v0 below the shots' end point {w_end:g} {goal}")
         return log_target - math.log(blowup_radius(op, force, n, math.exp(t)))
 
-    t = ko_mod.increasing_root(g, math.log(1e12), 0.0, "v0", goal)
+    t = 0.0
+    if op.kind == "p-laplace" and force.growth_inf is not None:
+        kappa = (force.growth_inf - op.p + 1.0) / op.p
+        t = min(max(-g(0.0) / kappa, -limit), limit, math.log(w_end / 4.0))
+    t = ko_mod.increasing_root(g, limit, BALL_TOL, "v0", goal, t)
     return shoot_ball(op, force, n, math.exp(t))
 
 

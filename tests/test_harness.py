@@ -256,6 +256,23 @@ class TestRunners:
         failed = [c.name for c in rep.checks if not c.passed]
         assert failed == ["radius-round-trip"]
 
+    def test_cap_stability_can_fail(self, tmp_path, monkeypatch):
+        # planted defect: Psi at the 100 W_CAP end point off by 1e-5 R; the
+        # capped shot shares phase 1 with the profile but must still disagree
+        R = radial.blowup_radius(make_operator(kind="p-laplace", p=2),
+                                 make_force(kind="power", q=3), 2, 1.0)
+        real = radial._end_point
+
+        def off_end(op, force, w_cap):
+            w, psi_end = real(op, force, w_cap)
+            return w, psi_end + (1e-5 * R if w_cap == 100.0 * radial.W_CAP else 0.0)
+
+        monkeypatch.setattr(radial, "_end_point", off_end)
+        rep = run(ExperimentConfig.from_dict(cfg_dict(
+            kind="radial", params={"n": 2, "v0": 1.0})), tmp_path)
+        failed = [c.name for c in rep.checks if not c.passed]
+        assert failed == ["blowup-radius-cap-stable"]
+
     def test_rate_past_dead_core_length_is_reported(self, tmp_path, monkeypatch):
         # Phi(10) does not exist: Psi stays below L = 4.04 for a = 0.4
         monkeypatch.setattr(harness, "ASYMPTOTIC_DISTANCE", 10.0)

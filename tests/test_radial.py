@@ -129,9 +129,9 @@ def _counted(build):
     """build() under a shot function that counts shots and dense shots."""
     shots = []
 
-    def shoot(*args):
+    def shoot(*args, **kwargs):
         shots.append(args[-1])
-        return real(*args)
+        return real(*args, **kwargs)
 
     real = radial._shoot
     with pytest.MonkeyPatch.context() as mp:
@@ -169,6 +169,12 @@ class TestAnnulusAccuracy:
         assert n_dense == 1          # only the accepted shot is sampled
 
 
+# a seeded 10-knot table of the general-operator benchmark: a shot in r alone
+# gives up near w = 1.1e9 on its q = 4 re-shot to w = 1e10
+_TABLE = [[0.0, 0.0], [0.128, 0.17], [0.297, 0.499], [0.541, 0.933], [1.095, 1.98],
+          [1.801, 3.183], [3.061, 5.297], [6.562, 8.608], [12.453, 19.97], [20.724, 27.172]]
+
+
 class TestShotBudget:
     @pytest.mark.parametrize("p,q,n,R", [(2.0, 3.0, 2, 1.0), (3.0, 5.0, 3, 0.7),
                                          (2.0, 2.5, 2, 1.0)])
@@ -176,8 +182,68 @@ class TestShotBudget:
         op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
         prof, n_shots, n_dense = _counted(lambda: ball_large_solution(op, force, n, R))
         assert prof.R == pytest.approx(R, rel=1e-6)
-        assert n_shots <= 7
+        # v0 = 1, then the root of the power-law line through it, then the
+        # dense shot
+        assert n_shots <= 3
         assert n_dense == 1
+
+    @pytest.mark.parametrize("force,R", [
+        ({"kind": "exp-minus-one"}, 1.0),                 # no power law: starts at v0 = 1
+        ({"kind": "piecewise-power", "a": 0.5, "b": 3}, 3.0),    # v0 = 0.57, below the knee
+    ], ids=["exp", "piecewise"])
+    def test_ball_fallbacks(self, force, R, op_p2):
+        prof, _, n_dense = _counted(
+            lambda: ball_large_solution(op_p2, make_force(**force), 2, R))
+        assert abs(prof.R - R) <= 1e-6 * R
+        assert n_dense == 1
+
+    def test_ball_start_below_end_point(self, op_p2):
+        # q = 1.2 past the last knot puts the power-law root near v0 = 1.4e9,
+        # past the end point w = 1e8; the root lies at v0 = 6.0e6
+        force = make_force(kind="table", points=[[0, 0], [1, 1], [10, 1e6],
+                                                 [20, 1e6 * 2 ** 1.2]])
+        shots = []
+        real = radial.blowup_radius
+
+        def counted(*args, **kwargs):
+            shots.append(args[3])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "blowup_radius", counted)
+            prof = ball_large_solution(op_p2, force, 2, 0.01)
+        assert shots[:2] == [1.0, pytest.approx(radial.W_CAP / 4.0, rel=1e-12)]
+        assert abs(prof.R - 0.01) <= 1e-6 * 0.01
+
+    @pytest.mark.parametrize("force,operator,n,v0,n_phase1", [
+        ({"kind": "power", "q": 3.0}, {"kind": "table", "points": _TABLE}, 1, 0.8, 1),
+        # Psi(1e8) = 4.7e-3 > d / 10: the asymptotic ratio re-shoots to Phi(d / 10)
+        ({"kind": "power", "q": 2.98}, {"kind": "p-laplace", "p": 2.92}, 2, 1.0, 1),
+        # 4 v0 = 80 lies past the end point w = 65.2, where the profile's phase 1
+        # handed over, so the capped shot integrates phase 1 again
+        ({"kind": "exp-minus-one"}, {"kind": "p-laplace", "p": 2}, 1, 20.0, 2),
+    ], ids=["table", "frontier", "exp-past-switch"])
+    def test_cap_reshots_reuse_phase1(self, tmp_path, force, operator, n, v0, n_phase1):
+        phase1 = []
+        real = radial.solve_ivp
+
+        def solve_ivp(fun, *args, **kwargs):
+            phase1.append(fun.__name__ == "in_r")
+            return real(fun, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "solve_ivp", solve_ivp)
+            rep = _radial_report(tmp_path, force, operator, n=n, v0=v0)
+        assert sum(phase1) == n_phase1
+        # each check reads what fresh shots give, bit for bit
+        op, f, d = make_operator(**operator), make_force(**force), 1e-3
+        prof = shoot_ball(op, f, n, v0)
+        capped = blowup_radius(op, f, n, v0, w_cap=100.0 * radial.W_CAP)
+        graded = prof if prof.R - prof.r[-1] <= d / 10.0 else shoot_ball(
+            op, f, n, v0, w_cap=phi(op, f, d / 10.0))
+        checks = {c.name: c.measured for c in rep.checks}
+        assert checks["blowup-radius-cap-stable"] == abs(capped - prof.R) / prof.R
+        assert checks["boundary-asymptotic-ratio"] == graded.value(graded.R - d) / phi(op, f, d)
 
     @pytest.mark.parametrize("operator,n", [
         ({"kind": "p-laplace", "p": 2}, 2), ({"kind": "p-laplace", "p": 3}, 3),
@@ -262,12 +328,6 @@ class TestExponentialForce:
         for v0 in (0.5, 1.0, 2.0):
             assert blowup_radius(op, force, 1, v0) == pytest.approx(
                 ell_of_v0(op, force, v0), rel=1e-9)
-
-
-# a seeded 10-knot table of the general-operator benchmark: a shot in r alone
-# gives up near w = 1.1e9 on its q = 4 re-shot to w = 1e10
-_TABLE = [[0.0, 0.0], [0.128, 0.17], [0.297, 0.499], [0.541, 0.933], [1.095, 1.98],
-          [1.801, 3.183], [3.061, 5.297], [6.562, 8.608], [12.453, 19.97], [20.724, 27.172]]
 
 
 def test_table_shot_is_cap_stable_at_q4(tmp_path):

@@ -243,17 +243,13 @@ def _expect_checks(expect: dict, measured: dict) -> list[CheckResult]:
 
 def _run_ko_check(op, force, params, manifest) -> list[CheckResult]:
     report = ko_mod.classify(op, force)
-    checks = []
     doc = report.to_dict()
-    if report.osgood_holds is not None:
-        checks.append(CheckResult(
-            "osgood-a3-exclusive", report.osgood_holds != report.a3_holds,
-            {"osgood": report.osgood_holds, "a3": report.a3_holds}))
+    measured = {"ko_holds": report.ko_holds, "osgood_holds": report.osgood_holds,
+                "a3_holds": report.a3_holds, "L": report.L}
+    checks = [CheckResult("classified", True, measured)]
     if report.a3_holds and report.ko_holds:
         checks.append(CheckResult("L-finite-positive",
                                   report.L is not None and report.L > 0, report.L))
-    measured = {"ko_holds": report.ko_holds, "osgood_holds": report.osgood_holds,
-                "a3_holds": report.a3_holds, "L": report.L}
     if params.get("with_a5"):
         betas = params.get("betas", [0.25, 0.5, 0.75])
         a5 = ko_mod.check_a5(force, op, betas)
@@ -261,7 +257,6 @@ def _run_ko_check(op, force, params, manifest) -> list[CheckResult]:
         measured["a5_likely"] = a5.likely_holds
     manifest.add("ko_report.json", write_json, doc)
     checks.extend(_expect_checks(params.get("expect", {}), measured))
-    checks.insert(0, CheckResult("classified", True, measured))
     return checks
 
 
@@ -278,8 +273,6 @@ def _profile_checks(profile) -> list[CheckResult]:
         scale = h[0] ** 2 * np.maximum(1.0, profile.force.value(vs_b[1:-1]))
         worst = float(np.min(d2 / scale))
         checks.append(CheckResult("convexity", worst >= -1e-8, worst, -1e-8))
-    sym = float(np.ptp(profile.value(np.array([-0.5, 0.5]) * profile.ell)))    # |v(-x) - v(x)|
-    checks.append(CheckResult("even-symmetry", sym == 0.0, sym, 0.0))
     return checks
 
 
@@ -335,11 +328,10 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
     manifest.add("profile.json", profile.to_json)
     core = profile.dead_core[1]
     cap_rel = abs(L_refined - L) / L
-    at_zero, inside, edge = profile.value(np.array([0.0, core - 1e-3, core + 1e-6])).tolist()
+    edge = profile.value(core + 1e-6)
     checks = [
         CheckResult("L", True, L),
         CheckResult("L-cap-stable", cap_rel <= 1e-6, cap_rel, 1e-6),
-        CheckResult("core-zero", at_zero == 0.0 and inside == 0.0, inside),
         CheckResult("core-edge-continuity", edge <= 1e-3, edge, 1e-3),
     ]
     res = profile.implicit_residual(core + PROBE_OFFSET)
@@ -350,8 +342,11 @@ def _run_dead_core(op, force, params, manifest) -> list[CheckResult]:
 
 def _boundary_ratio(op, force, prof, d) -> tuple[Optional[float], str]:
     """(w(R - d) / Phi(d), detail) for a ball profile, graded inside a shot,
-    never on an extrapolation past its end; (None, why) without such a shot."""
+    never on an extrapolation past its end; (None, why) without such a shot
+    or when d does not fit in R."""
     phi_d = ko_mod.phi(op, force, d)
+    if not d < prof.R:
+        return None, f"d = {d:g} does not fit in R = {prof.R:.6g}"
     psi_end = prof.R - prof.r[-1]       # the shot ends Psi(w_end) short of R
     try:
         graded = prof if psi_end <= d / 10.0 else radial.shoot_ball(
@@ -370,9 +365,6 @@ def _run_radial(op, force, params, manifest) -> list[CheckResult]:
             raise ConfigError(f"an annulus needs r_outer > r_inner, got r_inner = "
                               f"{r_inner:g}, r_outer = {r_outer:g}")
         prof = radial.annulus_barrier(op, force, n, r_inner, r_outer)
-        checks.append(CheckResult("annulus-blowup-location",
-                                  abs(prof.R - r_inner) <= 1e-4 * r_inner,
-                                  prof.R, 1e-4))
         checks.append(CheckResult("decreasing-in-r",
                                   bool(np.all(np.diff(prof.w) <= 1e-12)),
                                   float(np.max(np.diff(prof.w)))))
@@ -438,20 +430,17 @@ def _run_cylinder(op, force, params, manifest) -> list[CheckResult]:
             worst_mono = min(increments)
             checks.append(CheckResult(f"m-monotone-ell{tag}", worst_mono >= -1e-10,
                                       worst_mono, -1e-10))
-        # 0 by construction; test_pde2d::TestSymmetricFold is the oracle now
-        defect = pde2d.symmetry_defect(res.field)
-        checks.append(CheckResult(f"symmetry-ell{tag}", defect <= 1e-8, defect, 1e-8))
         energies = [lv.grad_energy_K for lv in res.levels]
         # a flat level (energy 0: M_START small enough to pass TOL_RES
         # unsolved) has no relative growth
         rel = [(b - a) / a for a, b in zip(energies, energies[1:]) if a > 0.0]
-        if not expect_violation:
+        if not expect_violation and len(rel) >= 2:
             # decaying relative growth is the bounded-gradient shadow; a
             # KO-violating run shows flat or growing relative increments
-            decel = all(b < a for a, b in zip(rel, rel[1:])) if len(rel) >= 2 else True
+            decel = all(b < a for a, b in zip(rel, rel[1:]))
             checks.append(CheckResult(f"grad-energy-growth-decaying-ell{tag}", decel,
                                       {"final_energy": energies[-1],
-                                       "last_rel_increment": rel[-1] if rel else None}))
+                                       "last_rel_increment": rel[-1]}))
 
     fields = [r.field for r in results]
     violated = any(r.ko_violated for r in results)

@@ -28,10 +28,10 @@ level as a continuation in m (Allgower & Georg 1990, ch. 2) with a tangent
 predictor.  A fixed grid cannot follow the boundary layer once
 its width Psi_p(m) drops below the mesh size - past that point the discrete
 solution at boundary-adjacent nodes grows without bound (there is no
-discrete analogue of the interior blow-up bound), so besides the increment
-plateau test the escalation ends at the m* with Psi_p(m*) = LAYER_FACTOR * h:
-the doubling that would pass m* steps to m* itself.  The method's settings
-are the constants below; only the number of levels is a caller's choice.
+discrete analogue of the interior blow-up bound), so the escalation ends at
+the m* with Psi_p(m*) = LAYER_FACTOR * h: the doubling that would pass m*
+steps to m* itself.  The method's settings are the constants below; only the
+number of levels is a caller's choice.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ TOL_RES = 1e-9              # scaled residual sup-norm of a converged field
 M_START = 2.0               # boundary data of the first level
 M_FACTOR = 2.0              # the escalation doubles m per level
 MAX_LEVELS = 24             # default cap on the number of levels
-TOL_M = 1e-4                # increment plateau tolerance on K
 LAYER_FACTOR = 0.5          # cap: stop once Psi_p(m) <= LAYER_FACTOR * h
 COMPACT_SCALE = 0.75        # K = the centered sub-rectangle at this scale
 X_WINDOW = 0.9              # slices are graded on |x| <= X_WINDOW
@@ -485,7 +484,7 @@ class EscalationLevel:
 class EscalationResult:
     field: DiscreteField
     levels: tuple
-    stop_reason: str            # "plateau" | "layer-cap" | "schedule-exhausted"
+    stop_reason: str            # "layer-cap" | "schedule-exhausted"
     ko_violated: bool
 
 
@@ -500,10 +499,10 @@ def gradient_energy(field_: DiscreteField, mask: np.ndarray) -> float:
     return float(np.sum((mag[cell_in] ** field_.op.p)) * g.hx * g.hy)
 
 
-def layer_cap_m(op: Operator, force: Force, grid: Grid2D) -> Optional[float]:
+def layer_cap_m(op: Operator, force: Force, grid: Grid2D) -> float:
     """The m* = Phi_p(LAYER_FACTOR * h), where Psi_p(m*) = LAYER_FACTOR * h, or
-    None when the tail functional diverges (KO fails: no cap, escalation must
-    be caught by the no-plateau detector).
+    inf when the tail functional diverges (KO fails: no cap; the schedule
+    runs out and :func:`escalate_m` grades the growth of its increments).
 
     m* is solved for (to about 1e-12 relative) rather than rounded to the
     doubling schedule, so grids of every mesh width stop at the same layer
@@ -517,7 +516,7 @@ def layer_cap_m(op: Operator, force: Force, grid: Grid2D) -> Optional[float]:
     try:
         return ko_mod.phi(op, force, target)
     except DivergenceError:
-        return None
+        return math.inf
     except BracketError:
         return 0.0 if ko_mod.psi(op, force, M_START) <= target else math.inf
 
@@ -529,17 +528,16 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
     Each level starts from the tangent predictor u_prev + (m - m_prev) du/dm,
     J du/dm = -J e (e = 1 on the boundary), solved on the quarter with the
     previous level's last LU, which its solve then reuses; without an LU,
-    from u_prev.  Stops at the increment plateau on the interior compact K
-    or at the layer-resolution cap m* of :func:`layer_cap_m`, whichever comes
-    first; a doubling that would pass m* steps to m* instead, so a capped
-    escalation ends exactly at Psi_p(m) = LAYER_FACTOR * h.  A schedule that
-    exhausts with non-decreasing increments is flagged as numerically
-    violating the blow-up growth condition."""
+    from u_prev.  Stops at the layer-resolution cap m* of
+    :func:`layer_cap_m` or when the schedule runs out; a doubling that would
+    pass m* steps to m* instead, so a capped escalation ends exactly at
+    Psi_p(m) = LAYER_FACTOR * h.  A schedule that exhausts with non-decreasing
+    increments on the interior compact K is flagged as numerically violating
+    the blow-up growth condition."""
     if op.kind != "p-laplace":
         raise ValidationError("the 2D solver supports p-laplace operators only")
     m_cap = layer_cap_m(op, force, grid)
     lu = [None]         # the last LU of a level, carried into the next
-    mask = None
     prev = None
     levels: list[EscalationLevel] = []
     field_ = None
@@ -554,11 +552,9 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
             du = _correction(lu[0], Je)[_mirror(e.shape)]
             start = start + (m - prev.m) * (e + du)
         field_ = solve_dirichlet(grid, op, force, m, initial=start, factor=lu)
-        if mask is None:
-            mask = field_.compact_mask()
         center = float(field_.values[(grid.nx - 1) // 2, (grid.ny - 1) // 2])
         if prev is None:
-            sup_inc, min_inc = None, None
+            sup_inc, min_inc, mask = None, None, field_.compact_mask()
         else:
             diff = field_.values - prev.values
             sup_inc = float(np.max(diff[mask]))
@@ -566,26 +562,17 @@ def escalate_m(grid: Grid2D, op: Operator, force: Force, *,
         levels.append(EscalationLevel(m, center, sup_inc, min_inc,
                                       gradient_energy(field_, mask),
                                       field_.diagnostics["iterations"]))
-        if sup_inc is not None and sup_inc <= TOL_M:
-            stop = "plateau"
-            break
-        if m_cap is not None and m >= m_cap:
+        if m >= m_cap:
             stop = "layer-cap"
             break
         prev = field_
-        m *= M_FACTOR
-        if m_cap is not None:
-            m = min(m, m_cap)
+        m = min(m * M_FACTOR, m_cap)
 
-    ko_violated = False
-    if stop == "schedule-exhausted":
-        centers = [lv.center for lv in levels]
-        increasing = all(b > a for a, b in zip(centers, centers[1:]))
-        last = [lv.sup_increment_K for lv in levels[1:]][-3:]
-        nondecreasing_incs = (len(last) >= 3
-                              and all(b >= a * (1.0 - 1e-6)
-                                      for a, b in zip(last, last[1:])))
-        ko_violated = increasing and nondecreasing_incs
+    centers = [lv.center for lv in levels]
+    last = [lv.sup_increment_K for lv in levels[1:]][-3:]
+    ko_violated = (stop == "schedule-exhausted" and len(last) >= 3
+                   and all(b > a for a, b in zip(centers, centers[1:]))
+                   and all(b >= a * (1.0 - 1e-6) for a, b in zip(last, last[1:])))
     return EscalationResult(field_, tuple(levels), stop, ko_violated)
 
 
@@ -613,11 +600,6 @@ def ell_monotonicity_violation(fields: Sequence[DiscreteField]) -> float:
         offset = nested_offset(a.grid, b.grid)
         worst = max(worst, float(np.max(b.values[:, offset:offset + a.grid.ny] - a.values)))
     return worst
-
-
-def symmetry_defect(field_: DiscreteField) -> float:
-    u = field_.values
-    return float(max(np.max(np.abs(u - u[::-1, :])), np.max(np.abs(u - u[:, ::-1]))))
 
 
 def discrete_cross_section(field_: DiscreteField) -> np.ndarray:

@@ -195,8 +195,12 @@ class RadialProfile:
 def _integrate_outward(op, force, n, v0, w_cap, dense, reuse):
     """r_end, R = r_end + Psi(w_end) and the state map of the shot from the center."""
     w_end, psi_end = _end_point(op, force, w_cap)
-    r_end, state = _shoot(op, force, n, (R_START, 1e6), _prestep(op, force, n, v0, R_START),
-                          w_end, dense, phase1=reuse and reuse._state.phase1)
+    y0 = _prestep(op, force, n, v0, R_START)
+    if not y0[0] < w_end:
+        raise BracketError(f"the prestep from v0 = {v0:g} to r = {R_START:g} lands at "
+                           f"w = {y0[0]:.6g}, past the shots' end point {w_end:g}")
+    r_end, state = _shoot(op, force, n, (R_START, 1e6), y0, w_end, dense,
+                          phase1=reuse and reuse._state.phase1)
     if r_end is None:
         raise BlowupLabError("no blow-up reached by r = 1e+06")
     return r_end, r_end + psi_end, state

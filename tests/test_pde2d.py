@@ -33,6 +33,12 @@ def quarter(u):
     return u[pde2d._quarter(u.shape)]
 
 
+def symmetry_defect(field_):
+    """The largest change of the field under the mirror of either axis."""
+    u = field_.values
+    return float(max(np.max(np.abs(u - u[::-1, :])), np.max(np.abs(u - u[:, ::-1]))))
+
+
 def representatives(grid):
     return (grid.nx - 1) // 2, (grid.ny - 1) // 2
 
@@ -418,7 +424,7 @@ class TestSolveDirichlet:
 
     def test_symmetry(self, op_p2, force_cubic):
         fld = solve_dirichlet(grid_for_ell(1.0, 17), op_p2, force_cubic, 8.0)
-        assert pde2d.symmetry_defect(fld) <= 1e-8
+        assert symmetry_defect(fld) <= 1e-8
 
     def test_regularization_insensitivity(self, op_p3, monkeypatch):
         f6 = make_force(kind="power", q=6)
@@ -463,7 +469,7 @@ def full_grid_newton(grid, op, force, u):
 class TestSymmetricFold:
     """Newton runs on the quarter of the mirror representatives plus one halo
     node per axis, so fields are even to the bit; these tests are the oracle
-    that the symmetry check of a cylinder run no longer is."""
+    for that evenness, which a cylinder run does not check."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("grid", [Grid2D(1.2, 8, 9), Grid2D(1.2, 9, 8), grid_for_ell(1, 17)],
@@ -505,7 +511,7 @@ class TestSymmetricFold:
         # the stopping test holds at every interior node, not only on a quarter
         R, fu = _residual_interior(fld.values, g, p, pde2d.EPS, force)
         assert np.all(np.abs(R) / np.maximum(1.0, fu) <= pde2d.TOL_RES)
-        assert pde2d.symmetry_defect(fld) == 0.0
+        assert symmetry_defect(fld) == 0.0
 
     def test_an_asymmetric_start_is_mirrored(self, op_p2, force_cubic):
         g = grid_for_ell(1.0, 17)
@@ -622,13 +628,26 @@ class TestLayerProfile:
 class TestEscalation:
     def test_monotone_with_shrinking_increments(self, op_p2, force_cubic):
         res = escalate_m(grid_for_ell(1.0, 33), op_p2, force_cubic)
-        assert res.stop_reason in ("plateau", "layer-cap")
+        assert res.stop_reason == "layer-cap"
         incs = [lv.sup_increment_K for lv in res.levels if lv.sup_increment_K is not None]
         assert all(b < a for a, b in zip(incs[1:], incs[2:]))  # after warmup
         assert all(lv.min_increment >= -1e-10 for lv in res.levels
                    if lv.min_increment is not None)
         centers = [lv.center for lv in res.levels]
         assert all(b > a for a, b in zip(centers, centers[1:]))
+
+    def test_a_dead_core_on_K_escalates_to_the_layer_cap(self, op_p3):
+        # L = 0.234 at nx = 33, so a dead core covers K and the increments on K
+        # read 8e-7 at m = 4: an increment plateau is no sign of convergence
+        # here, and the escalation runs on to the layer cap
+        force = make_force(kind="table", points=[[0, 0], [1, 30000], [2, 240000],
+                                                 [4, 1920000]])
+        res = escalate_m(grid_for_ell(1.0, 33), op_p3, force)
+        assert res.stop_reason == "layer-cap"
+        assert res.levels[1].sup_increment_K < 1e-6
+        ms = [lv.m for lv in res.levels]
+        assert ms[:-1] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert ms[-1] == pytest.approx(78.643, abs=1e-3)
 
     def test_center_increment_shrinks_8_to_16(self, op_p2, force_cubic):
         res = escalate_m(grid_for_ell(1.0, 33), op_p2, force_cubic, max_levels=5)
@@ -681,7 +700,7 @@ class TestEscalation:
          "layer-cap", [2.0]),
         ({"kind": "power", "q": 3}, 1e-20, math.inf,                        # m* above 1e14
          "schedule-exhausted", [2.0, 4.0, 8.0]),
-        ({"kind": "power", "q": 1}, 0.5, None,                              # KO fails
+        ({"kind": "power", "q": 1}, 0.5, math.inf,                          # KO fails
          "schedule-exhausted", [2.0, 4.0, 8.0]),
     ], ids=["dead-core-floor", "unbracketed-ceiling", "ko-fails"])
     def test_layer_cap_clamped_to_the_schedule(self, op_p2, force, layer_factor, cap, stop,
@@ -843,7 +862,7 @@ def family(op_p2, force_cubic):
     worst = max(0.0, pde2d.ell_monotonicity_violation(fields))
     return fields, SimpleNamespace(
         monotone_in_ell=worst <= 1e-6, max_ell_violation=worst,
-        symmetry_defects=[pde2d.symmetry_defect(f) for f in fields])
+        symmetry_defects=[symmetry_defect(f) for f in fields])
 
 
 class TestCylinderFamily:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import (BlowupLabError, DiscreteField, DivergenceError, ExperimentConfig,
-                        ValidationError, annulus_barrier, ball_large_solution,
-                        blowup_radius, ell_of_v0, eval_profile, grid_for_ell,
-                        large_solution, length_scale, local_bound_check, make_force,
-                        make_operator, phi, psi, run, shoot_ball, solve_dirichlet,
-                        v0_of_ell)
+from blowup_lab import (BlowupLabError, BracketError, DiscreteField, DivergenceError,
+                        ExperimentConfig, ValidationError, annulus_barrier,
+                        ball_large_solution, blowup_radius, ell_of_v0, eval_profile,
+                        grid_for_ell, large_solution, length_scale, local_bound_check,
+                        make_force, make_operator, phi, psi, run, shoot_ball,
+                        solve_dirichlet, v0_of_ell)
 from blowup_lab import radial
 
 
@@ -30,6 +30,8 @@ class TestShootBall:
         assert prof.w[0] == 1.0
         assert prof.wprime[0] == 0.0
         assert np.all(np.diff(prof.w) >= -1e-12)
+        # the shot starts at R_START; nearer the centre the profile reads v0
+        assert prof.value(0.0) == prof.value(radial.R_START) == 1.0
 
     def test_equation_residual(self, op_p2, op_p3, force_cubic):
         f6 = make_force(kind="power", q=6)
@@ -123,6 +125,15 @@ class TestAnnulusBarrier:
         t = 1.0 + 1e-3
         ratio = psi(op_p2, force_cubic, barrier.value(t)) / (t - 1.0)
         assert ratio <= 1.05
+
+    def test_a_slope_off_its_root_raises(self, op_p2, force_cubic, monkeypatch):
+        # planted defect: the outer slope's search returns a log s 1e-4 off its
+        # root, which moves the blow-up location by far more than LOC_TOL
+        root = radial.ko_mod.increasing_root
+        monkeypatch.setattr(radial.ko_mod, "increasing_root",
+                            lambda *args: root(*args) + 1e-4)
+        with pytest.raises(BracketError, match=r"beyond 1e-08 of r = 1 \(relative\)"):
+            annulus_barrier(op_p2, force_cubic, 2, 1.0, 2.0)
 
 
 def _counted(build):
@@ -220,7 +231,8 @@ class TestShotBudget:
         # Psi(1e8) = 4.7e-3 > d / 10: the asymptotic ratio re-shoots to Phi(d / 10)
         ({"kind": "power", "q": 2.98}, {"kind": "p-laplace", "p": 2.92}, 2, 1.0, 1),
         # 4 v0 = 80 lies past the end point w = 65.2, where the profile's phase 1
-        # handed over, so the capped shot integrates phase 1 again
+        # handed over, so the capped shot integrates phase 1 again; R = 1.01e-4
+        # leaves no room for d, so the asymptotic ratio is not graded
         ({"kind": "exp-minus-one"}, {"kind": "p-laplace", "p": 2}, 1, 20.0, 2),
     ], ids=["table", "frontier", "exp-past-switch"])
     def test_cap_reshots_reuse_phase1(self, tmp_path, force, operator, n, v0, n_phase1):
@@ -243,7 +255,8 @@ class TestShotBudget:
             op, f, n, v0, w_cap=phi(op, f, d / 10.0))
         checks = {c.name: c.measured for c in rep.checks}
         assert checks["blowup-radius-cap-stable"] == abs(capped - prof.R) / prof.R
-        assert checks["boundary-asymptotic-ratio"] == graded.value(graded.R - d) / phi(op, f, d)
+        assert checks["boundary-asymptotic-ratio"] == (
+            graded.value(graded.R - d) / phi(op, f, d) if d < prof.R else None)
 
     @pytest.mark.parametrize("operator,n", [
         ({"kind": "p-laplace", "p": 2}, 2), ({"kind": "p-laplace", "p": 3}, 3),

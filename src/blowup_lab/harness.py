@@ -247,9 +247,6 @@ def _run_ko_check(op, force, params, manifest) -> list[CheckResult]:
     measured = {"ko_holds": report.ko_holds, "osgood_holds": report.osgood_holds,
                 "a3_holds": report.a3_holds, "L": report.L}
     checks = [CheckResult("classified", True, measured)]
-    if report.a3_holds and report.ko_holds:
-        checks.append(CheckResult("L-finite-positive",
-                                  report.L is not None and report.L > 0, report.L))
     if params.get("with_a5"):
         betas = params.get("betas", [0.25, 0.5, 0.75])
         a5 = ko_mod.check_a5(force, op, betas)

@@ -139,6 +139,11 @@ def classify(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> KOR
 # monotone inversion on a log scale, and the blow-up rate Phi = Psi^-1
 # ---------------------------------------------------------------------------
 
+# |log Psi| or |log ell| misfit that ends the inversions of Psi and ell(v0):
+# 1e-13 / kappa in t, inside brentq's xtol 1e-12 for kappa >= 0.1
+LOG_FTOL = 1e-13
+
+
 class _Hit(Exception):
     """A point landed within the function tolerance; carries its t."""
 
@@ -191,8 +196,9 @@ def _log_secant(op: Operator, force: Force) -> tuple[float, float]:
 @lru_cache(maxsize=64)      # a cylinder family asks once per mesh width h
 def phi(op: Operator, force: Force, d: float) -> float:
     """Phi(d) = Psi^-1(d): r with Psi(r) = d, by :func:`increasing_root` on
-    t = log r, from the log-log secant through Psi(1) and Psi(e) when f grows
-    like a power (log Psi is then linear in t), else from t = 0.  Raises
+    t = log r to LOG_FTOL in log Psi, from the log-log secant through Psi(1)
+    and Psi(e) when f grows like a power (log Psi is then linear in t, and
+    the search ends at its start), else from t = 0.  Raises
     :class:`BracketError` when r would leave [1e-14, 1e14], as for d >= L in
     the dead-core regime, or Psi reads 0 on the way, and
     :class:`DivergenceError` when KO fails."""
@@ -204,7 +210,7 @@ def phi(op: Operator, force: Force, d: float) -> float:
         at_1, at_e = _log_secant(op, force)
         start = min(max((log_d - at_1) / (at_e - at_1), -limit), limit)
     return math.exp(increasing_root(
-        lambda t: log_d - _log_psi(op, force, math.exp(t)), limit, 0.0,
+        lambda t: log_d - _log_psi(op, force, math.exp(t)), limit, LOG_FTOL,
         "r", f"has Psi(r) = {d:g}", start))
 
 

@@ -48,9 +48,12 @@ def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
     return _head_and_total(op, force, v0)[2]
 
 
+@lru_cache(maxsize=64)
 def _head_and_total(op: Operator, force: Force, v0: float) -> tuple[float, float, float]:
     """(h0, head, head + tail) of int_{v0}^inf ds / B^-1{F(s) - F(v0)}, split
-    at v0 + h0 with h0 = max(v0, 1)/2; raises like :func:`ell_of_v0`."""
+    at v0 + h0 with h0 = max(v0, 1)/2; raises like :func:`ell_of_v0`.  Cached
+    like :func:`_branch`, which reuses the evaluation at the root of
+    :func:`v0_of_ell`."""
     h0 = 0.5 * max(v0, 1.0)
     head = qk.singular_head(op, force, v0, v0 + h0)
     tail = qk.require_converged(qk.shifted_tail(op, force, v0, v0 + h0),
@@ -173,41 +176,48 @@ class _ImplicitBranch:
             for b in self.op.energy_knots]
         return np.sort(energy + [t - self.v0 for t in self.force.knots if t > self.v0])
 
-    def _tanh_sinh_head(self, V: float) -> float:
-        """int_{v0}^{V} by scipy's tanh-sinh in the gap t = s - v0 (nodes next
-        to the singular endpoint keep full precision), one piece per kink."""
-        gap = V - self.v0
-        edges = np.concatenate(([0.0], self._kink_gaps[self._kink_gaps < gap], [gap]))
+    def integral_to(self, V):
+        """Independent re-quadrature of I(V) on scipy alone (no table, head
+        substitution or ``integrate_block``), elementwise (a float for scalar
+        V): one tanh-sinh call in the gap t = s - v0 (nodes next to the
+        singular endpoint keep full precision) over the head [v0, min(V, v0 +
+        h0)] of every point, then one Gauss-Kronrod ``cubature`` vectorised over
+        the doubling blocks from v0 + h0 up to every larger V, both split at
+        the kinks s_k, which neither rule resolves to 1e-12."""
+        vs = np.asarray(V, dtype=float)
+        gaps, owner = np.unique(np.minimum(vs.ravel(), self.v0 + self.h0) - self.v0,
+                                return_inverse=True)
+        edges = [np.concatenate(([0.0], self._kink_gaps[self._kink_gaps < gap], [gap]))
+                 for gap in gaps.tolist()]
 
-        def integrand(t):       # tanhsinh passes arrays
+        def head(t):        # tanhsinh passes arrays
             y = qk.primitive_gap(self.force, self.v0, t)
             out = np.zeros_like(y)
             pos = y > 0.0
             out[pos] = 1.0 / self.op.energy_inverse(y[pos])
             return out
 
-        return float(np.sum(tanhsinh(integrand, edges[:-1], edges[1:],
-                                     rtol=1e-12, atol=0.0).integral))
-
-    @cached_property
-    def _oracle_head(self) -> float:
-        return self._tanh_sinh_head(self.v0 + self.h0)
-
-    def integral_to(self, V: float) -> float:
-        """Independent re-quadrature of I(V) on scipy alone (no table, head
-        substitution or ``integrate_block``): tanh-sinh on the head, then one
-        Gauss-Kronrod ``cubature`` vectorised over doubling blocks up to V,
-        both split at the kinks s_k, which neither rule resolves to 1e-12."""
-        if V <= self.v0 + self.h0:
-            return self._tanh_sinh_head(V)
-        knots = [self.v0 + self.h0]
-        while knots[-1] < V:
-            knots.append(min(2.0 * knots[-1], V))
-        knots = np.union1d(knots, [s for s in self.v0 + self._kink_gaps if knots[0] < s < V])
-        lo, w = knots[:-1], np.diff(knots)
-        blocks = cubature(lambda tau: self._g(lo + tau * w) * w, [0.0], [1.0], rule="gk21",
-                          rtol=qk.BLOCK_EPSREL, atol=0.0).estimate
-        return self._oracle_head + float(np.sum(blocks))
+        pieces = tanhsinh(head, np.concatenate([e[:-1] for e in edges]),
+                          np.concatenate([e[1:] for e in edges]), rtol=1e-12, atol=0.0).integral
+        out = np.bincount(np.repeat(np.arange(gaps.size), [e.size - 1 for e in edges]),
+                          pieces, gaps.size)[owner]
+        lo, w, block_owner = [], [], []
+        for i, v in enumerate(vs.ravel().tolist()):
+            knots = [self.v0 + self.h0]
+            while knots[-1] < v:
+                knots.append(min(2.0 * knots[-1], v))
+            knots = np.union1d(knots, [s for s in self.v0 + self._kink_gaps if knots[0] < s < v])
+            lo.append(knots[:-1])
+            w.append(np.diff(knots))
+            block_owner += [i] * (knots.size - 1)
+        if block_owner:
+            lo, w = np.concatenate(lo), np.concatenate(w)
+            # column-major, so that numpy sums each block's nodes in one order
+            # however many blocks the batch holds
+            out += np.bincount(block_owner, cubature(
+                lambda tau: np.asfortranarray(self._g(lo + tau * w) * w), [0.0], [1.0],
+                rule="gk21", rtol=qk.BLOCK_EPSREL, atol=0.0).estimate, out.size)
+        return np.reshape(out, vs.shape) if vs.ndim else float(out[0])
 
 
 @lru_cache(maxsize=64)
@@ -242,14 +252,13 @@ class Profile1D:
         return v if v.ndim else float(v)
 
     def implicit_residual(self, x):
-        """|I(value(x)) - shifted x| by the oracle, point by point, elementwise
-        (a float for scalar x); the relation check (0 inside a dead core)."""
-        x = np.asarray(x, dtype=float)
-        shifted = (np.abs(x) - (self.dead_core[1] if self.dead_core else 0.0)).ravel().tolist()
-        oracle = _branch(self.op, self.force, self.v0).integral_to
-        res = [0.0 if s <= 0.0 and self.dead_core else abs(oracle(v) - s)
-               for s, v in zip(shifted, np.ravel(self.value(x)).tolist())]
-        return np.reshape(res, x.shape) if x.ndim else res[0]
+        """|I(value(x)) - max(|x| - core, 0)| by the oracle, elementwise (a
+        float for scalar x), all points in one oracle call; the relation
+        check (0 inside a dead core, where v = v0 = 0)."""
+        core = self.dead_core[1] if self.dead_core else 0.0
+        shifted = np.maximum(np.abs(np.asarray(x, dtype=float)) - core, 0.0)
+        res = np.abs(_branch(self.op, self.force, self.v0).integral_to(self.value(x)) - shifted)
+        return res if res.ndim else float(res)
 
     def to_csv(self, path) -> None:
         write_csv(path, "x,v", self.samples)
@@ -295,11 +304,15 @@ def eval_profile(op: Operator, force: Force, v0: float, x):
 @lru_cache(maxsize=64)
 def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     """Invert the strictly decreasing map ell(v0) by
-    :func:`ko.increasing_root` on t = log v0 (xtol 1e-12 in t, so about
-    1e-12 relative in v0; log ell is linear in t for power forces).
+    :func:`ko.increasing_root` on t = log v0, to ``ko.LOG_FTOL`` in log ell
+    (else brentq's xtol 1e-12 in t).
 
-    Cached like :func:`_branch`: every field of a cylinder family asks for
-    the same barrier half-length.
+    For a p-Laplace operator and a force with a power growth at infinity,
+    ell(lam v0) = lam^(-kappa) ell(v0) with kappa = (q - p + 1)/p, exactly for
+    f = t^q, so the search starts, and ends, at the root of that line through
+    ell(1) (a start only, for q reached asymptotically); other pairs start
+    at v0 = 1.  Cached like :func:`_branch`: every field of a cylinder family
+    asks for the same barrier half-length.
 
     In the dead-core regime (finite L in the cached :func:`ko.classify`)
     returns 0.0 for ell >= L (1 - _CORE_RTOL); otherwise searches
@@ -311,10 +324,17 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     if L is not None and ell >= L * (1.0 - _CORE_RTOL):
         return 0.0
 
-    log_ell = math.log(ell)
-    return math.exp(ko_mod.increasing_root(
-        lambda t: log_ell - math.log(ell_of_v0(op, force, math.exp(t))), math.log(1e12),
-        0.0, "v0", f"has the half-length {ell:g}"))
+    log_ell, limit = math.log(ell), math.log(1e12)
+
+    def g(t: float) -> float:
+        return log_ell - math.log(ell_of_v0(op, force, math.exp(t)))
+
+    t = 0.0
+    if op.kind == "p-laplace" and force.growth_inf is not None:
+        kappa = (force.growth_inf - op.p + 1.0) / op.p
+        t = min(max(-g(0.0) / kappa, -limit), limit)
+    return math.exp(ko_mod.increasing_root(g, limit, ko_mod.LOG_FTOL, "v0",
+                                           f"has the half-length {ell:g}", t))
 
 
 def _dead_core(op: Operator, force: Force, ell: float) -> Profile1D:

@@ -593,12 +593,14 @@ def family_grids(ells: Sequence[float], nx: int) -> list[Grid2D]:
 
 def ell_monotonicity_violation(fields: Sequence[DiscreteField]) -> float:
     """Largest pointwise increase from a shorter to a longer cylinder on the
-    shared (nested) y-nodes; negative values mean strict decrease, -inf for
-    fewer than two fields."""
+    shared (nested) y-nodes of the interior x-rows (both fields hold m on
+    the x-boundary); negative values mean strict decrease, -inf for fewer
+    than two fields."""
     worst = -math.inf
     for a, b in zip(fields, fields[1:]):
         offset = nested_offset(a.grid, b.grid)
-        worst = max(worst, float(np.max(b.values[:, offset:offset + a.grid.ny] - a.values)))
+        worst = max(worst, float(np.max(b.values[1:-1, offset:offset + a.grid.ny]
+                                        - a.values[1:-1])))
     return worst
 
 

@@ -166,15 +166,43 @@ class TestRunners:
         assert float(rows[1][1]) == pytest.approx(
             v0_of_ell(op_p2, force_cubic, 1.0), rel=1e-12)
 
-    @pytest.mark.parametrize("params", [{"ell": 1.0}, {"v0": 1.0}], ids=["ell", "v0"])
-    def test_ell_round_trip_sees_an_inexact_inversion(self, tmp_path, monkeypatch, params):
+    @pytest.mark.parametrize("kind, params, check", [
+        ("solve-1d", {"ell": 1.0}, "ell-round-trip"),
+        ("solve-1d", {"v0": 1.0}, "ell-round-trip"),
+        ("ell-map", {"v0_grid": [0.5, 1.0, 2.0]}, "v0-round-trip"),
+    ], ids=["ell", "v0", "ell-map"])
+    def test_ell_round_trip_sees_an_inexact_inversion(self, tmp_path, monkeypatch, kind,
+                                                      params, check):
         monkeypatch.setattr(ode1d, "v0_of_ell",
                             lambda op, force, ell: v0_of_ell(op, force, ell) * (1.0 + 1e-3))
-        rep = run(ExperimentConfig.from_dict(cfg_dict(kind="solve-1d", params=params)),
-                  tmp_path)
-        (check,) = [c for c in rep.checks if c.name == "ell-round-trip"]
+        rep = run(ExperimentConfig.from_dict(cfg_dict(kind=kind, params=params)), tmp_path)
+        (check,) = [c for c in rep.checks if c.name == check]
         assert not check.passed
         assert check.measured > 1e-4
+
+    @pytest.mark.parametrize("kind, force, params, check, graded", [
+        ("solve-1d", None, {"ell": 1.0}, "implicit-relation",
+         lambda prof: np.linspace(0.0, 0.9 * prof.ell, 20)[7]),
+        ("dead-core", {"kind": "piecewise-power", "a": 0.5, "b": 3}, {"ell_offset": 0.5},
+         "implicit-relation-outside-core", lambda prof: prof.dead_core[1] + harness.PROBE_OFFSET),
+    ], ids=["solve-1d", "dead-core"])
+    def test_implicit_relation_sees_a_value_off_at_one_point(self, tmp_path, monkeypatch,
+                                                             kind, force, params, check, graded):
+        # Profile1D.value 1e-6 relative off at one graded point
+        doc = cfg_dict(kind=kind, force=force, params=params)
+        clean = {c.name: c for c in run(ExperimentConfig.from_dict(doc), tmp_path / "clean").checks}
+        assert clean[check].passed
+        value = ode1d.Profile1D.value
+
+        def planted(self, x):
+            v = np.where(np.abs(x) == graded(self), 1.0 + 1e-6, 1.0) * value(self, x)
+            return v if v.ndim else float(v)
+
+        monkeypatch.setattr(ode1d.Profile1D, "value", planted)
+        rep = {c.name: c for c in run(ExperimentConfig.from_dict(doc), tmp_path / "planted").checks}
+        assert not rep[check].passed
+        assert rep[check].measured > 1e-8 > clean[check].measured
+        assert [n for n, c in rep.items() if not c.passed] == [check]
 
     def test_solve_1d_dead_core_config_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_dict(cfg_dict(

@@ -71,20 +71,55 @@ class TestV0OfEll:
     @pytest.mark.parametrize("p,q", [(2.0, 3.0), (3.0, 5.0)])
     @pytest.mark.parametrize("ell", [0.3, 1.0, 5.0])
     def test_power_law_inverts_in_few_evaluations(self, monkeypatch, p, q, ell):
-        # log ell is linear in log v0, so the bracketing secant step lands on
-        # the root; the cache is bypassed so every evaluation is counted
+        # log ell is linear in log v0, so the search starts on the root of the
+        # line through ell(1) and ends there, within ko.LOG_FTOL in log ell;
+        # the cache is bypassed so every evaluation is counted
         op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
-        seen = []
-
-        def counted(op_, force_, v0):
-            seen.append(v0)
-            return ell_of_v0(op_, force_, v0)
-
-        monkeypatch.setattr(ode1d, "ell_of_v0", counted)
+        seen = _counted_ell(monkeypatch)
         v0 = ode1d.v0_of_ell.__wrapped__(op, force, ell)
         assert ell_of_v0(op, force, v0) == pytest.approx(ell, rel=1e-12)
-        assert len(seen) <= 6
-        assert len(set(seen)) == len(seen)
+        assert seen == [1.0, v0]
+
+    def test_large_solution_reuses_the_root_evaluation(self, monkeypatch):
+        # the branch takes ell(v0) at the inversion's root from the cache: no
+        # head or tail quadrature is run twice for it
+        op, force = make_operator(kind="p-laplace", p=3), make_force(kind="power", q=5)
+        calls = []
+        for name in ("singular_head", "shifted_tail"):
+            monkeypatch.setattr(qk, name, lambda *args, _fn=getattr(qk, name), _name=name:
+                                calls.append((_name, args[2])) or _fn(*args))
+        v0 = v0_of_ell(op, force, 0.8)
+        assert sorted(calls) == [("shifted_tail", 1.0), ("shifted_tail", v0),
+                                 ("singular_head", 1.0), ("singular_head", v0)]
+        prof = large_solution(op, force, 0.8)
+        assert len(calls) == 4
+        assert prof.v0 == v0 and prof.ell == ell_of_v0(op, force, v0)
+
+    @pytest.mark.parametrize("force", [
+        {"kind": "piecewise-power", "a": 1.5, "b": 3},
+        {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1, 1.5], [2, 8], [4, 64]]},
+    ], ids=["piecewise-power-below-the-knee", "table"])
+    def test_start_off_the_power_law(self, monkeypatch, force):
+        # f ~ t^3 only past the knee or the last knot, so the start through
+        # ell(1) misses the root at v0 = 0.3 and the search goes on from it
+        op, force = make_operator(kind="p-laplace", p=2), make_force(force)
+        ell = ell_of_v0(op, force, 0.3)
+        seen = _counted_ell(monkeypatch)
+        v0 = ode1d.v0_of_ell.__wrapped__(op, force, ell)
+        assert abs(math.log(v0 / 0.3)) <= 1e-12
+        assert len(seen) > 2 and seen[0] == 1.0
+
+
+def _counted_ell(monkeypatch):
+    """The v0 of every ell_of_v0 call from here on."""
+    seen = []
+
+    def counted(op, force, v0):
+        seen.append(v0)
+        return ell_of_v0(op, force, v0)
+
+    monkeypatch.setattr(ode1d, "ell_of_v0", counted)
+    return seen
 
 
 class TestEvalProfile:
@@ -428,6 +463,37 @@ class TestInversion:
         monkeypatch.setattr(qk, "integrate_block", kernel)
         for x, v in zip(xs, vs):
             assert br.integral_to(v) == pytest.approx(x, rel=1e-12)
+        assert br.integral_to(np.array(vs)).tolist() == pytest.approx(xs, rel=1e-12)
+
+    @pytest.mark.parametrize("case", _INVERSION_CASES, ids=_INVERSION_IDS)
+    def test_array_oracle_is_the_scalar_oracle(self, case, monkeypatch):
+        # one tanh-sinh and one cubature call grade every point, 39 of them
+        # with one block each.  A block that cubature subdivides splits the
+        # [0, 1] that all blocks share, which may move the others' estimates
+        # by an ulp; without a split the batch equals the scalar calls bit
+        # for bit
+        br, _ = _branch_for(case)
+        s0 = br.v0 + br.h0
+        xs = np.linspace(0.0, 0.9 * br.total, 20)
+        vs = np.concatenate((br.upper_value(xs), [br.v0 + 0.5 * br.h0],
+                             np.linspace(s0, 2.0 * s0, 40)[1:]))
+        calls = []
+
+        def kept(fn):
+            def call(*args, **kwargs):
+                calls.append(fn(*args, **kwargs))
+                return calls[-1]
+            return call
+
+        for name in ("tanhsinh", "cubature"):
+            monkeypatch.setattr(ode1d, name, kept(getattr(ode1d, name)))
+        batched = br.integral_to(vs.reshape(2, -1))
+        assert len(calls) == 2 and batched.shape == (2, 30)
+        alone = np.array([br.integral_to(v) for v in vs.tolist()])
+        if calls[1].subdivisions == 0:
+            assert batched.ravel().tolist() == alone.tolist()
+        np.testing.assert_array_max_ulp(batched.ravel(), alone, maxulp=2)
+        assert batched.ravel()[:20] == pytest.approx(xs, rel=1e-12, abs=1e-300)
 
     def test_quadratures_per_point(self, monkeypatch):
         calls = {"n": 0}

@@ -870,6 +870,9 @@ class TestCylinderFamily:
         fields, report = family
         assert report.monotone_in_ell
         assert report.max_ell_violation <= 1e-6
+        # the interior margin: the x-boundary rows, where both fields hold m,
+        # are left out
+        assert pde2d.ell_monotonicity_violation(fields) < 0.0
 
     def test_nonnegative(self, family):
         fields, _ = family

@@ -8,7 +8,8 @@ behaviour of the same integrand at 0+ separates the Osgood regime
 the inverse of :func:`psi` and gives the universal boundary blow-up rate
 Phi(d) at distance d; it is cached per (operator, force, d), so every caller
 shares one inversion.  :func:`increasing_root` is the one log-scale root
-finder behind Phi and every other monotone inversion of the lab.
+finder behind Phi and every other monotone inversion of the lab, and
+:func:`power_law_root` the one start of those that follow a power law.
 """
 from __future__ import annotations
 
@@ -110,8 +111,11 @@ def classify(op: Operator, force: Force, max_blocks: int = qk.MAX_BLOCKS) -> KOR
         diagnostics["ceiling_crossing"] = crossing
     else:   # F stays below B_sup, so the integrand cannot raise a domain error
         est = qk.integrate_to_infinity(g, 1.0, max_blocks=max_blocks)
-        ko = est.converged
-        if ko:
+        ko = est.converged if est.cut is None else None
+        if ko is None:
+            diagnostics["domain_exceeded"] = (f"F overflows by s ~ {est.cut:.3g}, before the "
+                                              "tail decays; the tail condition is undecidable")
+        elif ko:
             diagnostics["psi_at_1"] = est.value
             diagnostics["tail_cap"] = est.cap
         else:
@@ -180,38 +184,35 @@ def increasing_root(g, limit: float, ftol: float, name: str, goal: str, start=0.
         return hit.args[0]
 
 
-def _log_psi(op: Operator, force: Force, r: float) -> float:
-    """log Psi(r); BracketError where Psi reads 0 because F overflows."""
-    if (value := psi(op, force, r)) == 0.0:
-        raise BracketError(f"Psi({r:g}) reads 0: F overflows")
-    return math.log(value)
-
-
-@lru_cache(maxsize=32)
-def _log_secant(op: Operator, force: Force) -> tuple[float, float]:
-    """log Psi(1), log Psi(e): the first secant of :func:`phi`."""
-    return _log_psi(op, force, 1.0), _log_psi(op, force, math.e)
+def power_law_root(op: Operator, force: Force, g, limit: float) -> float:
+    """Start of a log-scale inversion g(t) = 0, t = log x, of Psi(x), ell(x) or
+    R(x): each ~ x^-kappa for f ~ t^q, kappa = (q - r + 1)/r with r =
+    ``op.order_zero``, so g(t) = g(0) + kappa t and the root -g(0)/kappa is
+    returned, clamped to |t| <= limit; 0.0, g unevaluated, without ``growth_inf``."""
+    if force.growth_inf is None:
+        return 0.0
+    kappa = (force.growth_inf - op.order_zero + 1.0) / op.order_zero
+    return min(max(-g(0.0) / kappa, -limit), limit)
 
 
 @lru_cache(maxsize=64)      # a cylinder family asks once per mesh width h
 def phi(op: Operator, force: Force, d: float) -> float:
     """Phi(d) = Psi^-1(d): r with Psi(r) = d, by :func:`increasing_root` on
-    t = log r to LOG_FTOL in log Psi, from the log-log secant through Psi(1)
-    and Psi(e) when f grows like a power (log Psi is then linear in t, and
-    the search ends at its start), else from t = 0.  Raises
-    :class:`BracketError` when r would leave [1e-14, 1e14], as for d >= L in
-    the dead-core regime, or Psi reads 0 on the way, and
-    :class:`DivergenceError` when KO fails."""
+    t = log r to LOG_FTOL in log Psi, from :func:`power_law_root` (2 Psi calls
+    for f = t^q).  Raises :class:`BracketError` when r would leave [1e-14,
+    1e14], as for d >= L in the dead-core regime, or Psi reads 0 on the way,
+    and like :func:`psi` otherwise."""
     if not d > 0.0:
         raise ValueError("phi needs d > 0")
     log_d, limit = math.log(d), math.log(1e14)
-    start = 0.0
-    if force.growth_inf is not None:
-        at_1, at_e = _log_secant(op, force)
-        start = min(max((log_d - at_1) / (at_e - at_1), -limit), limit)
-    return math.exp(increasing_root(
-        lambda t: log_d - _log_psi(op, force, math.exp(t)), limit, LOG_FTOL,
-        "r", f"has Psi(r) = {d:g}", start))
+
+    def g(t: float) -> float:
+        if (value := psi(op, force, math.exp(t))) == 0.0:
+            raise BracketError(f"Psi({math.exp(t):g}) reads 0: F overflows")
+        return log_d - math.log(value)
+
+    return math.exp(increasing_root(g, limit, LOG_FTOL, "r", f"has Psi(r) = {d:g}",
+                                    power_law_root(op, force, g, limit)))
 
 
 # ---------------------------------------------------------------------------

@@ -301,18 +301,11 @@ def eval_profile(op: Operator, force: Force, v0: float, x):
     return _large(op, force, v0).value(x)
 
 
-@lru_cache(maxsize=64)
 def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     """Invert the strictly decreasing map ell(v0) by
     :func:`ko.increasing_root` on t = log v0, to ``ko.LOG_FTOL`` in log ell
-    (else brentq's xtol 1e-12 in t).
-
-    For a p-Laplace operator and a force with a power growth at infinity,
-    ell(lam v0) = lam^(-kappa) ell(v0) with kappa = (q - p + 1)/p, exactly for
-    f = t^q, so the search starts, and ends, at the root of that line through
-    ell(1) (a start only, for q reached asymptotically); other pairs start
-    at v0 = 1.  Cached like :func:`_branch`: every field of a cylinder family
-    asks for the same barrier half-length.
+    (else brentq's xtol 1e-12 in t), from :func:`ko.power_law_root`: 2
+    evaluations of ell(v0) for f = t^q, which :func:`_head_and_total` caches.
 
     In the dead-core regime (finite L in the cached :func:`ko.classify`)
     returns 0.0 for ell >= L (1 - _CORE_RTOL); otherwise searches
@@ -329,12 +322,9 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     def g(t: float) -> float:
         return log_ell - math.log(ell_of_v0(op, force, math.exp(t)))
 
-    t = 0.0
-    if op.kind == "p-laplace" and force.growth_inf is not None:
-        kappa = (force.growth_inf - op.p + 1.0) / op.p
-        t = min(max(-g(0.0) / kappa, -limit), limit)
     return math.exp(ko_mod.increasing_root(g, limit, ko_mod.LOG_FTOL, "v0",
-                                           f"has the half-length {ell:g}", t))
+                                           f"has the half-length {ell:g}",
+                                           ko_mod.power_law_root(op, force, g, limit)))
 
 
 def _dead_core(op: Operator, force: Force, ell: float) -> Profile1D:

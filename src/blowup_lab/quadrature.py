@@ -122,18 +122,20 @@ class TailEstimate:
     cap: float                 # last block boundary actually integrated
     extrapolated: float        # geometric remainder added beyond the cap
     last_ratio: Optional[float]
+    cut: Optional[float] = None     # s where the integrand read 0 (F overflowed) mid-tail
 
 
 def _block_ladders(g, heads: list, step: float, max_blocks: int) -> list[TailEstimate]:
     """Per knot list in ``heads``: its blocks, then blocks between T and step*T
     (step 2 toward inf, 1/2 toward 0+) from its last knot until negligible,
-    else a geometric extrapolation or a divergence flag.  One kernel call takes
+    else a geometric extrapolation or a divergence flag; a block reading 0
+    mid-tail marks the ladder ``cut`` (not converged).  One kernel call takes
     all heads, then each the next BLOCK_CHUNK blocks of every ladder still
     running, read row by row; rows are independent, so no ladder sees another."""
     lo, hi = [a for k in heads for a in k[:-1]], [b for k in heads for b in k[1:]]
     head = iter(integrate_block(g, *((lo, hi) if step > 1.0 else (hi, lo))).tolist())
     total = [sum(next(head) for _ in k[1:]) for k in heads]
-    T, blocks = [k[-1] for k in heads], [[] for _ in heads]
+    T, blocks, cut = [k[-1] for k in heads], [[] for _ in heads], [None] * len(heads)
     live, used = list(range(len(heads))), 0
     while live and used < max_blocks:
         n = min(BLOCK_CHUNK, max_blocks - used)
@@ -149,6 +151,10 @@ def _block_ladders(g, heads: list, step: float, max_blocks: int) -> list[TailEst
                 b.append(c)
                 acc += c
                 if c <= 1e-14 * abs(acc):
+                    # 0 right after a block above this share (as every earlier
+                    # block is): g reads 0 where F overflowed, not a decayed tail
+                    if c == 0.0 and len(b) > 1:
+                        cut[i] = t / step
                     break
             else:
                 running.append(i)
@@ -160,8 +166,8 @@ def _block_ladders(g, heads: list, step: float, max_blocks: int) -> list[TailEst
         rho = rs[-1] if rs else None
         geometric = i in live and len(rs) >= 3 and all(r < DIVERGENCE_RATIO for r in rs[-3:])
         tail = b[-1] * rho / (1.0 - rho) if geometric else 0.0
-        out.append(TailEstimate(total[i] + tail, geometric or i not in live, len(b), T[i],
-                                tail, rho))
+        out.append(TailEstimate(total[i] + tail, geometric or i not in live and cut[i] is None,
+                                len(b), T[i], tail, rho, cut[i]))
     return out
 
 
@@ -204,14 +210,14 @@ def ceiling_crossing(op: Operator, force: Force, shift: float = 0.0) -> Optional
 
 def primitive_gap(force: Force, v0: float, gap):
     """F(v0 + gap) - F(v0), elementwise, without the cancellation that kills
-    accuracy for small gaps: there a Simpson step of f over [v0, v0 + gap]
-    (exact through cubic f, relative error O(gap^4) otherwise).  Callers
-    pass the gap itself so sub-ulp-of-v0 gaps stay meaningful.  A float for
-    scalar input."""
+    accuracy for gaps below 1e-3 v0: there a Simpson step of f over [v0, v0 +
+    gap] (exact through cubic f, relative error O((gap/v0)^4) otherwise for
+    f ~ t^q).  Callers pass the gap itself so sub-ulp-of-v0 gaps stay
+    meaningful.  A float for scalar input."""
     t = np.atleast_1d(np.asarray(gap, dtype=float))
     y = force.primitive(v0 + t) - force.primitive(v0)       # F(0) = 0 exactly
-    near = (0.0 < t) & (t < 1e-3 * max(v0, 1.0))
-    if v0 > 0.0 and near.any():
+    near = (0.0 < t) & (t < 1e-3 * v0)
+    if near.any():
         t = t[near]
         y[near] = t / 6.0 * (force.value(v0) + 4.0 * force.value(v0 + 0.5 * t) + force.value(v0 + t))
     return y if np.ndim(gap) else float(y[0])
@@ -319,6 +325,9 @@ def shifted_tail(op: Operator, force: Force, v0: float, start):
 
 
 def require_converged(est: TailEstimate, what: str) -> float:
+    if est.cut is not None:
+        raise DomainExceededError(f"{what}: F overflows by s ~ {est.cut:.3g}, "
+                                  "before the tail decays")
     if not est.converged:
         raise DivergenceError(
             f"{what} diverges: block ratio {est.last_ratio} after {est.blocks_used} doublings "

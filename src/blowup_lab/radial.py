@@ -17,9 +17,9 @@ Only sampled shots (`shoot_ball`, the accepted annulus shot) keep DOP853's
 dense interpolants, and a profile's re-shots to a larger cap reuse its phase 1.
 The ball's center value and the annulus' outer slope are found on a log scale
 by the lab's one monotone root finder (:func:`ko.increasing_root`), which
-shoots each point once; R is a power of v0 for power forces, so the ball's
-search starts, and ends, at that power law's root through the shot at v0 = 1
-(3 shots in all); the annulus stops within 1e-8 (relative) of r_inner.
+shoots each point once; the ball's search starts at :func:`ko.power_law_root`
+through the shot at v0 = 1, and ends there for f = t^q (3 shots in all);
+the annulus stops within 1e-8 (relative) of r_inner.
 
 This doubles as the independent IVP oracle for the implicit-relation
 profiles of the 1D module (n = 1 removes the curvature term).
@@ -234,9 +234,9 @@ def ball_large_solution(op: Operator, force: Force, n: int,
                         R_target: float) -> RadialProfile:
     """Find v0 with R(v0) = R_target by root finding on t = log v0, to BALL_TOL in log R.
 
-    log R is linear in t for power forces (R(lam v0) = lam^(-kappa) R(v0),
-    kappa = (q-p+1)/p), so the search starts, and ends, at the root of that line
-    through the shot at v0 = 1 (a start only, for q reached asymptotically).
+    log R is linear in t for power forces, so the search starts, and ends, at
+    :func:`ko.power_law_root` through the shot at v0 = 1 (a start only, for q
+    reached asymptotically), kept below the shots' end point.
     How close the profile's R came to R_target is for the caller to grade."""
     _check_operator(op, n)
     if not R_target > 0.0:
@@ -249,10 +249,7 @@ def ball_large_solution(op: Operator, force: Force, n: int,
             raise BracketError(f"no v0 below the shots' end point {w_end:g} {goal}")
         return log_target - math.log(blowup_radius(op, force, n, math.exp(t)))
 
-    t = 0.0
-    if op.kind == "p-laplace" and force.growth_inf is not None:
-        kappa = (force.growth_inf - op.p + 1.0) / op.p
-        t = min(max(-g(0.0) / kappa, -limit), limit, math.log(w_end / 4.0))
+    t = min(ko_mod.power_law_root(op, force, g, limit), math.log(w_end / 4.0))
     t = ko_mod.increasing_root(g, limit, BALL_TOL, "v0", goal, t)
     return shoot_ball(op, force, n, math.exp(t))
 

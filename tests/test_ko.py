@@ -116,6 +116,18 @@ class TestClassify:
                             "frontier", "diagnostics"}
 
 
+    def test_f_overflow_before_the_tail_decays_is_undecidable(self):
+        # q = 38.5 < p - 1: KO fails, but the integrand ~ s^-0.9875 reads 0
+        # once F(s) = s^39.5 / 39.5 overflows (s ~ 7e7), one block after a
+        # block that held a few % of the total; it used to read ko_holds True
+        op, force = make_operator(kind="p-laplace", p=40), make_force(kind="power", q=38.5)
+        rep = classify(op, force)
+        assert rep.ko_holds is None and rep.L is None
+        assert rep.diagnostics["domain_exceeded"].startswith("F overflows by s ~ 8.39e+07")
+        with pytest.raises(DomainExceededError, match="F overflows by s ~ 8.39e"):
+            length_scale(op, force)
+
+
 class TestLengthScale:
     def test_piecewise_value(self, op_p2, force_dead_core):
         # head over [0,1] in closed form: sqrt(3/4) * 4 = 2 sqrt(3)
@@ -153,7 +165,6 @@ def _counted_psi(monkeypatch):
     """The radii of every Psi call from here on, with phi's caches emptied so
     that the session-wide fixtures start cold."""
     ko.phi.cache_clear()
-    ko._log_secant.cache_clear()
     calls = []
 
     def counted(op, force, r):
@@ -207,31 +218,44 @@ class TestIncreasingRoot:
             math.sqrt(2.0) / 1e-3, rel=1e-8)
         assert len(calls) <= 12
 
-    def test_phi_starts_on_the_secant(self, monkeypatch, op_p3, force_cubic):
+    def test_phi_starts_on_the_power_law(self, monkeypatch, op_p3, force_cubic):
         # Psi(w) = 3 (8/3)^(1/3) w^(-1/3), so Phi(d) = 72 / d^3; from t = 0 the
-        # search took 21 Psi calls, with brentq from the secant root 5; the
-        # secant root lands within ko.LOG_FTOL in log Psi and ends the search
-        calls = _counted_psi(monkeypatch)
-        assert phi(op_p3, force_cubic, 1e-3) == pytest.approx(72e9, rel=1e-10)
-        assert len(calls) == 3
-
-    def test_phi_secant_once_per_pair(self, monkeypatch, op_p3, force_cubic):
+        # search took 21 Psi calls; the root of the power law through Psi(1)
+        # lands within ko.LOG_FTOL in log Psi and ends the search
         calls = _counted_psi(monkeypatch)
         first = phi(op_p3, force_cubic, 1e-3)
-        n_first = len(calls)
-        assert calls[:2] == [1.0, math.e]               # the secant comes first
+        assert first == pytest.approx(72e9, rel=1e-10)
+        assert len(calls) == 2 and calls[0] == 1.0 and math.e not in calls
         assert phi(op_p3, force_cubic, 1e-3) == first
-        assert len(calls) == n_first                    # a repeated d is cached
-        phi(op_p3, force_cubic, 2e-3)
-        assert 1.0 not in calls[n_first:] and math.e not in calls[n_first:]
-        assert ko._log_secant.cache_info().misses == 1
+        assert len(calls) == 2                          # a repeated d is cached
 
-    def test_phi_where_psi_reads_zero(self):
-        # F(s) ~ s^46 / 46 overflows past s ~ 1e6, so Psi reads 0 well before
-        # the r with Psi(r) = 0.0625 at p = 40
+    def test_phi_table_operator_starts_on_the_power_law(self, monkeypatch):
+        # B is quadratic past the last knot, so Psi ~ r^-(q-1)/2 there and the
+        # start through Psi(1) lands a constant factor (e^0.22) short; the
+        # search goes on from it (9 Psi calls from t = 0); the start's
+        # exponent is keyed on order_zero, not on a p-Laplace p
+        op = make_operator(kind="table", points=[[0, 0], [1, 1], [2, 3], [5, 12]])
+        force = make_force(kind="power", q=3)
+        calls = _counted_psi(monkeypatch)
+        r = phi(op, force, 1e-3)
+        assert psi(op, force, r) == pytest.approx(1e-3, rel=1e-12)
+        assert calls[0] == 1.0 and abs(math.log(calls[1] / r)) < 0.25
+        assert len(calls) <= 4
+
+    def test_phi_where_psi_reads_zero(self, op_p2):
+        # Psi(r) ~ 2 sqrt(2) e^(-r/2) for exp-minus-one; it reads 0 from
+        # r ~ 710, where F(r) = e^r - 1 - r overflows, before the r with
+        # Psi(r) = 1e-200 (about 923)
+        with pytest.raises(BracketError, match="reads 0"):
+            phi(op_p2, make_force(kind="exp-minus-one"), 1e-200)
+
+    def test_phi_where_f_overflows_before_the_tail_decays(self):
+        # F(s) ~ s^46 / 46 overflows past s ~ 5e6, where the block before
+        # still holds a few % of Psi(1) at p = 40: the tail is undecidable
+        # (its true value, 6.6 by the ladder, was read as if it had decayed)
         op = make_operator(kind="p-laplace", p=40)
         force = make_force(kind="piecewise-power", a=3, b=45)
-        with pytest.raises(BracketError, match="reads 0"):
+        with pytest.raises(DomainExceededError, match=r"Psi\(1\): F overflows by s ~ 5.24e\+06"):
             phi(op, force, 0.0625)
 
     def test_phi_beyond_dead_core_length(self, monkeypatch, op_p2, force_dead_core):

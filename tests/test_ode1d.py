@@ -54,6 +54,18 @@ class TestEllOfV0:
             ell_of_v0(op_p2, force_cubic, 1.0) / v0, rel=1e-9)
 
 
+    def test_scaling_law_at_small_v0(self):
+        # ell(v0) = ell(1) v0^-kappa for f = t^q; at v0 = 0.0105 a Simpson
+        # step of F over every gap below 1e-3 (a tenth of v0) put log ell
+        # 5.7e-8 off this law and the profile 4.5e-6 off its relation
+        op, force = make_operator(kind="p-laplace", p=4), make_force(kind="power", q=6.49)
+        v0, kappa = 0.0105, (6.49 - 4.0 + 1.0) / 4.0
+        assert math.log(ell_of_v0(op, force, v0) / ell_of_v0(op, force, 1.0)) == pytest.approx(
+            -kappa * math.log(v0), abs=1e-13)
+        prof = large_profile(op, force, v0)
+        assert max(prof.implicit_residual(np.linspace(0.0, 0.9 * prof.ell, 20))) <= 1e-10
+
+
 class TestV0OfEll:
     def test_round_trip(self, op_p2, force_cubic):
         ell = ell_of_v0(op_p2, force_cubic, 1.0)
@@ -72,13 +84,24 @@ class TestV0OfEll:
     @pytest.mark.parametrize("ell", [0.3, 1.0, 5.0])
     def test_power_law_inverts_in_few_evaluations(self, monkeypatch, p, q, ell):
         # log ell is linear in log v0, so the search starts on the root of the
-        # line through ell(1) and ends there, within ko.LOG_FTOL in log ell;
-        # the cache is bypassed so every evaluation is counted
+        # line through ell(1) and ends there, within ko.LOG_FTOL in log ell
         op, force = make_operator(kind="p-laplace", p=p), make_force(kind="power", q=q)
         seen = _counted_ell(monkeypatch)
-        v0 = ode1d.v0_of_ell.__wrapped__(op, force, ell)
+        v0 = v0_of_ell(op, force, ell)
         assert ell_of_v0(op, force, v0) == pytest.approx(ell, rel=1e-12)
         assert seen == [1.0, v0]
+
+    def test_repeated_call_runs_no_quadrature(self, monkeypatch):
+        # v0_of_ell keeps no cache of its own: a repeated call evaluates
+        # ell(v0) at the same two points, each from _head_and_total's cache
+        op, force = make_operator(kind="p-laplace", p=3), make_force(kind="power", q=4.5)
+        v0 = v0_of_ell(op, force, 0.7)
+        blocks = []
+        monkeypatch.setattr(qk, "integrate_block", lambda *args, _fn=qk.integrate_block:
+                            blocks.append(args) or _fn(*args))
+        seen = _counted_ell(monkeypatch)
+        assert v0_of_ell(op, force, 0.7) == v0
+        assert seen == [1.0, v0] and blocks == []
 
     def test_large_solution_reuses_the_root_evaluation(self, monkeypatch):
         # the branch takes ell(v0) at the inversion's root from the cache: no
@@ -105,7 +128,7 @@ class TestV0OfEll:
         op, force = make_operator(kind="p-laplace", p=2), make_force(force)
         ell = ell_of_v0(op, force, 0.3)
         seen = _counted_ell(monkeypatch)
-        v0 = ode1d.v0_of_ell.__wrapped__(op, force, ell)
+        v0 = v0_of_ell(op, force, ell)
         assert abs(math.log(v0 / 0.3)) <= 1e-12
         assert len(seen) > 2 and seen[0] == 1.0
 

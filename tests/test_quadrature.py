@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestArrayIntegrands:
     @pytest.mark.parametrize("v0", [0.0, 0.4, 3.0])
     def test_primitive_gap(self, force_spec, v0):
         force = make_force(force_spec)
-        edge = 1e-3 * max(v0, 1.0)      # the Simpson branch lies below this gap
+        edge = 1e-3 * (v0 or 1.0)       # the Simpson branch lies below this gap
         gaps = np.concatenate(([0.0, 1e-300, 1e-9], edge * np.array([0.5, 0.999, 1.0, 1.001]),
                                [0.3, 1.0, 7.0, 40.0, 300.0]))
         _assert_matches_scalars(lambda t: qk.primitive_gap(force, v0, t), gaps)
@@ -286,6 +287,23 @@ class TestBatchedLadders:
         assert {(e.blocks_used - 1) // qk.BLOCK_CHUNK for e in tails("p2-q3.6")} == {1, 2}
         assert 0 < sum(e.extrapolated != 0.0 for e in tails("p3-q4.7")) < self.RS.size
         assert psi(*_batch_case("exp"), self.RS)[-1] == 0.0 < psi(*_batch_case("exp"), 700.0)
+
+
+def test_ladder_cut_where_f_overflows():
+    # p = 40, f = t^45 past 1: the integrand decays like s^-1.15, so the last
+    # block before F overflows holds a few % of the total, and the next reads 0
+    force = make_force(kind="piecewise-power", a=3, b=45)
+    est = qk.shifted_tail(make_operator(kind="p-laplace", p=40), force, 0.0, 1.0)
+    assert not est.converged and est.cut == est.cap / 2.0
+    with np.errstate(over="ignore"):
+        assert np.isinf(force.primitive(np.array([0.5, 1.01]) * est.cut)).tolist() == [False, True]
+    with pytest.raises(DomainExceededError, match=re.escape(f"Psi: F overflows by s ~ {est.cut:.3g},")):
+        qk.require_converged(est, "Psi")
+    # exp-minus-one: the integrand is about e^-350 where F overflows, far past
+    # the block that ends its ladder
+    op, force = make_operator(kind="p-laplace", p=2), make_force(kind="exp-minus-one")
+    assert all(e.cut is None and e.converged
+               for e in qk.shifted_tail(op, force, 0.0, [1.0, 100.0, 700.0, 800.0]))
 
 
 def test_require_converged_raises():

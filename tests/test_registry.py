@@ -117,6 +117,24 @@ class TestOperators:
         assert op.energy(1.0) == pytest.approx(val, rel=1e-10)
         assert op.energy_sup == 1.0
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "p-laplace", "p": 1.5}, {"kind": "p-laplace", "p": 4},
+        {"kind": "table", "points": [[0, 0], [1, 1], [2, 3], [5, 12]]},
+        {"kind": "table", "points": [[0, 0], [0.5, 0.6], [1, 1.5], [2, 4]]},
+        {"kind": "mean-curvature"},
+    ], ids=["p1.5", "p4", "table-4", "table-4b", "mean-curvature"])
+    def test_order_zero_is_the_order_at_infinity(self, spec):
+        # ko.power_law_root keys the power law of Psi and ell(v0) on
+        # order_zero, so every operator with B_sup = inf must have B(x) ~
+        # c x^r at infinity with that r; mean curvature's B stays below 1
+        op = make_operator(spec)
+        xs = np.geomspace(1e4, 1e8, 5)
+        if math.isinf(op.energy_sup):
+            ratio = op.energy(xs) / xs ** op.order_zero
+            np.testing.assert_allclose(ratio, ratio[-1], rtol=1e-7)
+        else:
+            assert op.kind == "mean-curvature" and np.all(op.energy(xs) < op.energy_sup)
+
     def test_p_laplace_has_infinite_ceiling(self):
         assert math.isinf(make_operator(kind="p-laplace", p=1.5).energy_sup)
 

@@ -45,20 +45,7 @@ def ell_of_v0(op: Operator, force: Force, v0: float) -> float:
     """
     if not v0 > 0.0:
         raise ValueError("ell_of_v0 needs v0 > 0")
-    return _head_and_total(op, force, v0)[2]
-
-
-@lru_cache(maxsize=64)
-def _head_and_total(op: Operator, force: Force, v0: float) -> tuple[float, float, float]:
-    """(h0, head, head + tail) of int_{v0}^inf ds / B^-1{F(s) - F(v0)}, split
-    at v0 + h0 with h0 = max(v0, 1)/2; raises like :func:`ell_of_v0`.  Cached
-    like :func:`_branch`, which reuses the evaluation at the root of
-    :func:`v0_of_ell`."""
-    h0 = 0.5 * max(v0, 1.0)
-    head = qk.singular_head(op, force, v0, v0 + h0)
-    tail = qk.require_converged(qk.shifted_tail(op, force, v0, v0 + h0),
-                                f"the blow-up integral from {v0:g}: tail")
-    return h0, head, head + tail
+    return _branch(op, force, v0).total
 
 
 def _invert_integral(h, a, b, target, z):
@@ -108,19 +95,23 @@ class _ImplicitBranch:
     [v0, v0 + h0] is solved in the variable u of
     :func:`quadrature.head_substitution`, whose density is finite at u = 0,
     for every operator.  ``upper_value`` has one array body: all head points
-    are one Newton batch in u, all others one batch in V.  The table extends
-    itself on demand toward the blow-up value of x (= ell(v0) for v0 > 0,
-    = L for v0 = 0).
+    are one Newton batch in u, all others one batch in V.  The constructor
+    integrates the head to v0 + h0, h0 = max(v0, 1)/2, and the tail past it
+    into ``total``, the blow-up value of x (= ell(v0) for v0 > 0, = L for
+    v0 = 0), and raises like :func:`ell_of_v0`; the table grows on demand.
     """
 
     def __init__(self, op: Operator, force: Force, v0: float):
         self.op, self.force, self.v0 = op, force, v0
+        self.h0 = 0.5 * max(v0, 1.0)
+        self.head_full = qk.singular_head(op, force, v0, v0 + self.h0)
+        self.total = self.head_full + qk.require_converged(
+            qk.shifted_tail(op, force, v0, v0 + self.h0),
+            f"the blow-up integral from {v0:g}: tail")
         self._g = qk.shifted_integrand(op, force, v0)
         self._sub = qk.head_substitution(op, force, v0)
-        self.h0, self.head_full, self.total = _head_and_total(op, force, v0)
         self._knots = [v0 + self.h0]
         self._cum = [self.head_full]
-        self._cover(self.total * (1.0 - 1e-3))
 
     def _cover(self, x: float) -> None:
         """Extend knots until I(last) >= x or the value limit is hit, with
@@ -198,7 +189,7 @@ class _ImplicitBranch:
             return out
 
         pieces = tanhsinh(head, np.concatenate([e[:-1] for e in edges]),
-                          np.concatenate([e[1:] for e in edges]), rtol=1e-12, atol=0.0).integral
+                          np.concatenate([e[1:] for e in edges]), rtol=1e-13, atol=0.0).integral
         out = np.bincount(np.repeat(np.arange(gaps.size), [e.size - 1 for e in edges]),
                           pieces, gaps.size)[owner]
         lo, w, block_owner = [], [], []
@@ -222,6 +213,7 @@ class _ImplicitBranch:
 
 @lru_cache(maxsize=64)
 def _branch(op: Operator, force: Force, v0: float) -> _ImplicitBranch:
+    """The one cache of ell(v0) (the ``total``) and of the profiles' table."""
     return _ImplicitBranch(op, force, v0)
 
 
@@ -305,7 +297,8 @@ def v0_of_ell(op: Operator, force: Force, ell: float) -> float:
     """Invert the strictly decreasing map ell(v0) by
     :func:`ko.increasing_root` on t = log v0, to ``ko.LOG_FTOL`` in log ell
     (else brentq's xtol 1e-12 in t), from :func:`ko.power_law_root`: 2
-    evaluations of ell(v0) for f = t^q, which :func:`_head_and_total` caches.
+    evaluations of ell(v0) for f = t^q, each cached as the ``total`` of
+    :func:`_branch`, whose table is built only when a profile reads it.
 
     In the dead-core regime (finite L in the cached :func:`ko.classify`)
     returns 0.0 for ell >= L (1 - _CORE_RTOL); otherwise searches

@@ -635,7 +635,20 @@ class TestRunners:
         ({"kind": "power"}, None, "lacks parameter 'q'"),
         ({"kind": "table", "points": [[0, 0], [1e-7, 0], [1, 1], [2, 3]]}, None,
          "first segment"),
-    ], ids=["falling-table-operator", "power-without-q", "table-force-zero-on-first-segment"])
+        ({"kind": "power", "q": 60}, None, "f must be positive"),
+        ({"kind": "power", "q": 1e-3}, None, "no growth"),
+        ({"kind": "table", "points": [[0, 0], [1, 1]]}, None, "table force needs >= 3"),
+        ({"kind": "table", "points": [[0, 0], [1, 1], [1, 2], [2, 3]]}, None,
+         "table force abscissae must be strictly increasing"),
+        (None, {"kind": "table", "points": [[0, 0], [1, 1]]}, "table operator needs >= 3"),
+        (None, {"kind": "table", "points": [[0.1, 0], [1, 1], [2, 3]]},
+         r"table operator must start at \(0, 0\)"),
+        (None, {"kind": "table", "points": [[0, 0], [1, 1], [1, 2], [2, 3]]},
+         "table operator abscissae must be strictly increasing"),
+    ], ids=["falling-table-operator", "power-without-q", "table-force-zero-on-first-segment",
+            "power-q-underflows", "power-q-without-growth", "table-force-two-points",
+            "table-force-repeated-t", "table-operator-two-points", "table-operator-off-zero",
+            "table-operator-repeated-r"])
     def test_construction_error_is_config_error(self, tmp_path, force, operator, match):
         cfg = ExperimentConfig.from_dict(cfg_dict(force=force, operator=operator))
         with pytest.raises(ConfigError, match=match):

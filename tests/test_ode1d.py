@@ -65,6 +65,21 @@ class TestEllOfV0:
         prof = large_profile(op, force, v0)
         assert max(prof.implicit_residual(np.linspace(0.0, 0.9 * prof.ell, 20))) <= 1e-10
 
+    def test_oracle_grades_every_sample_at_small_v0(self):
+        # the sample at x = 80.19 (0.81 ell) lies in the head, 50 v0 wide here,
+        # where tanh-sinh at rtol 1e-12 stops with status 0 but 1.8e-7 off
+        prof = large_profile(make_operator(kind="p-laplace", p=4),
+                             make_force(kind="power", q=6.49), 0.0105)
+        xs = [x for x, _ in prof.samples]
+        assert len(xs) == 201 and max(prof.implicit_residual(xs)) <= 1e-8
+
+    def test_builds_no_table(self):
+        # ell(v0) is the branch's total; its table is left to the profiles
+        op, force = make_operator(kind="p-laplace", p=3), make_force(kind="power", q=4.5)
+        ell = ell_of_v0(op, force, 0.7)
+        br = ode1d._branch(op, force, 0.7)
+        assert br.total == ell and br._cum == [br.head_full]
+
 
 class TestV0OfEll:
     def test_round_trip(self, op_p2, force_cubic):
@@ -93,7 +108,7 @@ class TestV0OfEll:
 
     def test_repeated_call_runs_no_quadrature(self, monkeypatch):
         # v0_of_ell keeps no cache of its own: a repeated call evaluates
-        # ell(v0) at the same two points, each from _head_and_total's cache
+        # ell(v0) at the same two points, each from _branch's cache
         op, force = make_operator(kind="p-laplace", p=3), make_force(kind="power", q=4.5)
         v0 = v0_of_ell(op, force, 0.7)
         blocks = []
@@ -408,9 +423,13 @@ _INVERSION_IDS = ["p2-q3-v0.3", "p2-q3-v2", "p3-q6-v0.3", "p3-q6-v2", "p2-exp-v1
 
 
 def _branch_for(case):
+    """A fresh branch with its table covered to 0.999 of the total, for the
+    tests that read ``_cum``, and its integrand."""
     op_spec, force_spec, v0 = case
     op, force = make_operator(op_spec), make_force(force_spec)
-    return ode1d._ImplicitBranch(op, force, v0), qk.shifted_integrand(op, force, v0)
+    br = ode1d._ImplicitBranch(op, force, v0)
+    br.upper_value(br.total * (1.0 - 1e-3))
+    return br, qk.shifted_integrand(op, force, v0)
 
 
 def _oracle_root(br, x):
